@@ -1,12 +1,20 @@
 """Command line pipeline driver.
 
 Subcommands cover each stage (synth, ingest, segment, extract, networks,
-rank, communities, flowgraph) plus `run`, which executes the whole pipeline
-in memory and writes every artifact with a manifest. Stages communicate
-through files in the output directory, so they can run in separate
-invocations.
+rank, communities, flowgraph) plus `run`, which executes the whole pipeline.
+Each stage is one function: it takes in-memory inputs, writes its own
+artifacts to the output directory and returns its outputs. A staged
+subcommand loads its inputs from files and calls its stage; `run` calls the
+same stages in order and writes `run_manifest.json` last, so staged and `run`
+artifacts are byte-identical. `rank` and `communities` rebuild the graphs
+they need from `extracted.jsonl` and the network parameters; no stage reads
+GraphML back.
 
-Exit codes: 0 success, 1 configuration error, 2 missing or unreadable input.
+Every `PipelineConfig` field is both a `--config` JSON key and a flag of
+every subcommand, typed by the field's annotation.
+
+Exit codes: 0 success, 1 configuration error, 2 missing, unreadable or
+corrupt input (a corrupt line is named as path:line).
 """
 
 from __future__ import annotations
@@ -16,7 +24,7 @@ import dataclasses
 import json
 import logging
 import sys
-from concurrent.futures import ThreadPoolExecutor
+import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -26,12 +34,12 @@ from . import networks as networks_mod
 from . import ranking as ranking_mod
 from . import segmenter as segmenter_mod
 from .errors import (
+    CorruptInput,
     CourtnetError,
     EmptyCorpus,
     EmptyDocument,
     EncodingError,
     InvalidMix,
-    InvalidThreshold,
     MissingConclusion,
     OutOfOrderMarkers,
     UnreadableFile,
@@ -46,11 +54,11 @@ from .extract import (
     rejection_rate,
     write_extracted,
 )
+from .jsonl import read_jsonl, write_jsonl
 from .networks import CaseResult, NetworkParams
+from .textmetrics import check_threshold
 
 logger = logging.getLogger(__name__)
-
-_JSON_KW = dict(ensure_ascii=False, sort_keys=True, separators=(",", ":"))
 
 
 @dataclass
@@ -73,7 +81,33 @@ class PipelineConfig:
     n_docs: int = 100
     mix: dict[str, float] = field(default_factory=lambda: {"douai": 0.5, "agen": 0.5})
     output_dir: str = "out"
-    workers: int = 4
+
+
+_HINTS = typing.get_type_hints(PipelineConfig)
+_FIELDS = {f.name: f for f in dataclasses.fields(PipelineConfig)}
+
+
+def _field_class(name: str) -> type:
+    """The field's annotation as a plain class: int, float, str or dict."""
+    hint = _HINTS[name]
+    if typing.get_origin(hint) is dict:
+        return dict
+    return next(t for t in typing.get_args(hint) or (hint,) if t is not type(None))
+
+
+def _check_field(name: str, value):
+    """The value if it has the field's annotated type, ints widened to float."""
+    if value is None and type(None) in typing.get_args(_HINTS[name]):
+        return value
+    cls = _field_class(name)
+    if cls is float and type(value) is int:
+        return float(value)
+    ok = type(value) is cls
+    if ok and cls is dict:
+        ok = all(type(w) in (int, float) for w in value.values())
+    if not ok:
+        raise ValueError(f"{name} must be {_FIELDS[name].type}, got {value!r}")
+    return value
 
 
 def default_config() -> PipelineConfig:
@@ -87,38 +121,27 @@ def config_to_json(cfg: PipelineConfig) -> str:
 def load_config_file(path: str | Path) -> PipelineConfig:
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
+        if not isinstance(data, dict):
+            raise ValueError("not a JSON object")
+        unknown = set(data) - set(_FIELDS)
+        if unknown:
+            raise ValueError(f"unknown config keys: {sorted(unknown)}")
+        return PipelineConfig(**{k: _check_field(k, v) for k, v in data.items()})
     except OSError as exc:
         raise UnreadableFile(f"config file {path}: {exc}") from exc
-    known = {f.name for f in dataclasses.fields(PipelineConfig)}
-    unknown = set(data) - known
-    if unknown:
-        raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    return PipelineConfig(**data)
+    except ValueError as exc:
+        raise ValueError(f"config file {path}: {exc}") from None
 
 
 def validate_config(cfg: PipelineConfig) -> None:
-    if not cfg.a > 0 or not cfg.b > 0:
-        raise ValueError(f"a and b must be positive, got a={cfg.a}, b={cfg.b}")
-    if cfg.min_cases < 0 or cfg.collab_min < 0:
-        raise ValueError("min_cases and collab_min must be non-negative")
-    if cfg.k < 1:
-        raise ValueError(f"k must be at least 1, got {cfg.k}")
-    if not 0.0 < cfg.damping < 1.0:
-        raise ValueError(f"damping must be in (0, 1), got {cfg.damping}")
-    if cfg.tol <= 0:
-        raise ValueError(f"tol must be positive, got {cfg.tol}")
-    if cfg.max_iter < 1:
-        raise ValueError(f"max_iter must be at least 1, got {cfg.max_iter}")
-    if not 0.0 <= cfg.jaro_threshold <= 1.0:
-        raise ValueError(f"jaro_threshold must be in [0, 1], got {cfg.jaro_threshold}")
-    if cfg.n_docs < 1:
-        raise ValueError(f"n_docs must be at least 1, got {cfg.n_docs}")
-    if cfg.workers < 1:
-        raise ValueError(f"workers must be at least 1, got {cfg.workers}")
-    if cfg.profile_file is None and cfg.profile not in segmenter_mod.PROFILES:
-        raise ValueError(
-            f"unknown profile {cfg.profile!r}; built-ins: {sorted(segmenter_mod.PROFILES)}"
-        )
+    """Range-check every parameter before any work, with its owner's check."""
+    _network_params(cfg)
+    networks_mod.check_k(cfg.k)
+    ranking_mod.check_pagerank_params(cfg.damping, cfg.tol, cfg.max_iter)
+    check_threshold(cfg.jaro_threshold)
+    corpus_mod.jurisdiction_counts(cfg.n_docs, cfg.mix)
+    if cfg.profile_file is None:
+        segmenter_mod.get_profile(cfg.profile)
 
 
 def _resolve_profile(cfg: PipelineConfig) -> segmenter_mod.KeywordProfile:
@@ -133,41 +156,22 @@ def _out(cfg: PipelineConfig, name: str) -> Path:
     return out / name
 
 
-def _require(path: Path, producer: str) -> Path:
+def _input(cfg: PipelineConfig, name: str, producer: str) -> Path:
+    path = Path(cfg.output_dir) / name
     if not path.exists():
         raise UnreadableFile(f"missing input {path}; run the '{producer}' stage first")
     return path
 
 
-def _load_corpus(cfg: PipelineConfig) -> list[corpus_mod.Document]:
-    if cfg.corpus_file:
-        path = Path(cfg.corpus_file)
-        if not path.exists():
-            raise UnreadableFile(f"corpus file not found: {path}")
-        docs = corpus_mod.read_corpus(path)
-    else:
-        path = _require(_out(cfg, "corpus.jsonl"), "ingest or synth")
-        docs = corpus_mod.read_corpus(path)
-    if not docs:
-        raise EmptyCorpus(f"{path}: corpus is empty")
-    return docs
-
-
 # ---------------------------------------------------------------------------
-# Stage implementations
+# Stages: each writes its artifacts and returns its outputs
 
 
-def cmd_synth(cfg: PipelineConfig) -> int:
-    docs, truth = corpus_mod.generate_synthetic_corpus(
-        seed=cfg.seed, n_docs=cfg.n_docs, mix=cfg.mix
-    )
-    corpus_mod.write_corpus(_out(cfg, "corpus.jsonl"), docs)
-    corpus_mod.write_truth(_out(cfg, "truth.jsonl"), truth)
-    logger.info("wrote %d synthetic documents", len(docs))
-    return 0
+def ingest_sources(cfg: PipelineConfig) -> tuple[list[corpus_mod.Document], int]:
+    """Every .txt/.rtf under input_dir, duplicates dropped, written as corpus.jsonl.
 
-
-def cmd_ingest(cfg: PipelineConfig) -> int:
+    Returns the documents and the number of duplicates dropped.
+    """
     if not cfg.input_dir:
         raise ValueError("ingest needs input_dir")
     root = Path(cfg.input_dir)
@@ -191,68 +195,53 @@ def cmd_ingest(cfg: PipelineConfig) -> int:
         "ingested %d documents (%d unreadable skipped, %d duplicates dropped)",
         len(docs), skipped, dropped,
     )
-    return 0
+    return docs, dropped
 
 
-def _segment_corpus(cfg, docs):
-    """Segment every document; returns ({doc_id: SegmentedJudgment}, failures)."""
+def load_corpus(cfg: PipelineConfig) -> tuple[list[corpus_mod.Document], int]:
+    """corpus_file, else the output directory's corpus.jsonl, duplicates dropped.
+
+    Returns the documents and the number of duplicates dropped.
+    """
+    if cfg.corpus_file:
+        path = Path(cfg.corpus_file)
+        if not path.is_file():
+            raise UnreadableFile(f"corpus file not found: {path}")
+    else:
+        path = _input(cfg, "corpus.jsonl", "ingest or synth")
+    docs = corpus_mod.read_corpus(path)
+    if not docs:
+        raise EmptyCorpus(f"{path}: corpus is empty")
+    return corpus_mod.dedupe_documents(docs)
+
+
+def segment_corpus(cfg, docs):
+    """Segment every document into segments.jsonl; returns ({doc_id: judgment}, failures)."""
     profile = _resolve_profile(cfg)
-
-    def work(doc):
-        try:
-            return doc.doc_id, segmenter_mod.segment(doc, profile), None
-        except (MissingConclusion, OutOfOrderMarkers) as exc:
-            return doc.doc_id, None, str(exc)
-
-    with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-        outcomes = list(pool.map(work, docs))
     segmented = {}
     failures = []
-    for doc_id, seg, error in outcomes:
-        if seg is None:
-            failures.append((doc_id, error))
-            logger.warning("segmentation failed: %s", error)
-        else:
-            segmented[doc_id] = seg
+    for doc in docs:
+        try:
+            segmented[doc.doc_id] = segmenter_mod.segment(doc, profile)
+        except (MissingConclusion, OutOfOrderMarkers) as exc:
+            failures.append((doc.doc_id, str(exc)))
+            logger.warning("segmentation failed: %s", exc)
+    write_jsonl(_out(cfg, "segments.jsonl"), (
+        {"doc_id": doc_id,
+         "segments": [{"name": s.name, "start": s.start, "end": s.end}
+                      for s in segmented[doc_id].segments]}
+        for doc_id in sorted(segmented)
+    ))
+    logger.info("segmented %d documents, %d failures", len(segmented), len(failures))
     return segmented, failures
 
 
-def _write_segments(path: Path, segmented: dict[str, segmenter_mod.SegmentedJudgment]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for doc_id in sorted(segmented):
-            seg = segmented[doc_id]
-            fh.write(json.dumps({
-                "doc_id": doc_id,
-                "segments": [
-                    {"name": s.name, "start": s.start, "end": s.end}
-                    for s in seg.segments
-                ],
-            }, **_JSON_KW) + "\n")
-
-
-def _read_segments(path: Path) -> dict[str, segmenter_mod.SegmentedJudgment]:
-    out = {}
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            data = json.loads(line)
-            out[data["doc_id"]] = segmenter_mod.SegmentedJudgment(
-                doc_id=data["doc_id"],
-                segments=[
-                    segmenter_mod.Segment(s["name"], s["start"], s["end"])
-                    for s in data["segments"]
-                ],
-            )
-    return out
-
-
-def cmd_segment(cfg: PipelineConfig) -> int:
-    docs = _load_corpus(cfg)
-    segmented, failures = _segment_corpus(cfg, docs)
-    _write_segments(_out(cfg, "segments.jsonl"), segmented)
-    logger.info("segmented %d documents, %d failures", len(segmented), len(failures))
-    return 0
+def _judgment(data: dict) -> segmenter_mod.SegmentedJudgment:
+    return segmenter_mod.SegmentedJudgment(
+        doc_id=data["doc_id"],
+        segments=[segmenter_mod.Segment(s["name"], s["start"], s["end"])
+                  for s in data["segments"]],
+    )
 
 
 def _extract_one(doc, seg) -> ExtractionRecord:
@@ -270,21 +259,15 @@ def _extract_one(doc, seg) -> ExtractionRecord:
     )
 
 
-def _extract_records(cfg, docs, segmented) -> list[ExtractionRecord]:
-    todo = [(doc, segmented[doc.doc_id]) for doc in docs if doc.doc_id in segmented]
-
-    with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-        records = list(pool.map(lambda pair: _extract_one(*pair), todo))
-    return sorted(records, key=lambda r: r.doc_id)
-
-
-def cmd_extract(cfg: PipelineConfig) -> int:
-    docs = _load_corpus(cfg)
-    segmented = _read_segments(_require(_out(cfg, "segments.jsonl"), "segment"))
-    records = _extract_records(cfg, docs, segmented)
+def extract_records(cfg, docs, segmented) -> list[ExtractionRecord]:
+    """One record per segmented document, sorted by id, written as extracted.jsonl."""
+    records = sorted(
+        (_extract_one(doc, segmented[doc.doc_id]) for doc in docs if doc.doc_id in segmented),
+        key=lambda r: r.doc_id,
+    )
     write_extracted(_out(cfg, "extracted.jsonl"), records)
     logger.info("extracted %d records", len(records))
-    return 0
+    return records
 
 
 def _case_results(records) -> tuple[list[CaseResult], dict[str, str]]:
@@ -305,32 +288,40 @@ def _case_results(records) -> tuple[list[CaseResult], dict[str, str]]:
     return results, display
 
 
+def _determined(records) -> list[CaseResult]:
+    results, _ = _case_results(records)
+    return [r for r in results if r.outcome is not Outcome.UNDETERMINED]
+
+
 def _network_params(cfg: PipelineConfig) -> NetworkParams:
-    return NetworkParams(
-        a=cfg.a, b=cfg.b, min_cases=cfg.min_cases, collab_min=cfg.collab_min
+    return NetworkParams(a=cfg.a, b=cfg.b, min_cases=cfg.min_cases, collab_min=cfg.collab_min)
+
+
+def _case_graph(cfg, records):
+    return networks_mod.build_case_graph(
+        {rec.doc_id: rec.articles for rec in records},
+        {rec.doc_id: rec.outcome for rec in records},
+        cfg.k,
     )
 
 
-def _build_networks(cfg, records):
-    params = _network_params(cfg)
-    results, display = _case_results(records)
-    determined = [r for r in results if r.outcome is not Outcome.UNDETERMINED]
+def build_networks(cfg, records):
+    """The three graphs, with the case graph's communities, as GraphML and DOT.
+
+    Returns (opposing, collaboration, cases, partition).
+    """
+    determined, params = _determined(records), _network_params(cfg)
     opposing = networks_mod.build_opposing_network(determined, params)
     collab = networks_mod.build_collaboration_network(determined, params)
-    articles = {rec.doc_id: rec.articles for rec in records}
-    outcomes = {rec.doc_id: rec.outcome for rec in records}
-    cases = networks_mod.build_case_graph(articles, outcomes, cfg.k)
-    return opposing, collab, cases, results, display
-
-
-def cmd_networks(cfg: PipelineConfig) -> int:
-    records = read_extracted(_require(_out(cfg, "extracted.jsonl"), "extract"))
-    opposing, collab, cases, _, _ = _build_networks(cfg, records)
+    cases = _case_graph(cfg, records)
+    partition = networks_mod.detect_communities(cases)
     networks_mod.write_opposing_graphml(_out(cfg, "opposing.graphml"), opposing)
     networks_mod.write_opposing_dot(_out(cfg, "opposing.dot"), opposing)
     networks_mod.write_collaboration_graphml(_out(cfg, "collaboration.graphml"), collab)
     networks_mod.write_collaboration_dot(_out(cfg, "collaboration.dot"), collab)
-    networks_mod.write_case_graphml(_out(cfg, f"cases_k{cfg.k}.graphml"), cases)
+    networks_mod.write_case_graphml(
+        _out(cfg, f"cases_k{cfg.k}.graphml"), cases, communities=partition.assignment
+    )
     networks_mod.write_case_dot(_out(cfg, f"cases_k{cfg.k}.dot"), cases)
     logger.info(
         "networks: opposing %d/%d, collaboration %d/%d, cases %d/%d",
@@ -338,48 +329,95 @@ def cmd_networks(cfg: PipelineConfig) -> int:
         len(collab.nodes), len(collab.edges),
         len(cases.nodes), len(cases.edges),
     )
-    return 0
+    return opposing, collab, cases, partition
 
 
-def _write_rankings(cfg, records, opposing, display) -> list:
-    results, _ = _case_results(records)
+def rank_lawyers(cfg, records, opposing) -> list[ranking_mod.RankRow]:
+    """The lawyer ranking table over the opposing network, written as rankings.csv."""
+    results, display = _case_results(records)
+    rows = []
     if opposing.nodes:
         rows = ranking_mod.rank_table(
             results, opposing,
             damping=cfg.damping, tol=cfg.tol, max_iter=cfg.max_iter,
             display=display,
         )
-    else:
-        rows = []
     ranking_mod.write_rankings_csv(_out(cfg, "rankings.csv"), rows)
+    logger.info("ranked %d lawyers", len(rows))
     return rows
 
 
-def cmd_rank(cfg: PipelineConfig) -> int:
-    records = read_extracted(_require(_out(cfg, "extracted.jsonl"), "extract"))
-    opposing = networks_mod.read_opposing_graphml(
-        _require(_out(cfg, "opposing.graphml"), "networks")
+def write_communities(cfg, cases, partition) -> None:
+    """Size and appellant win rate of each community, written as communities.csv."""
+    networks_mod.write_communities_csv(_out(cfg, "communities.csv"), partition, cases.nodes)
+    logger.info("found %d communities", len(partition.sizes))
+
+
+# ---------------------------------------------------------------------------
+# Commands
+
+
+def cmd_synth(cfg: PipelineConfig) -> int:
+    """generate a synthetic corpus with ground truth"""
+    docs, truth = corpus_mod.generate_synthetic_corpus(
+        seed=cfg.seed, n_docs=cfg.n_docs, mix=cfg.mix
     )
-    _, display = _case_results(records)
-    rows = _write_rankings(cfg, records, opposing, display)
-    logger.info("ranked %d lawyers", len(rows))
+    corpus_mod.write_corpus(_out(cfg, "corpus.jsonl"), docs)
+    corpus_mod.write_truth(_out(cfg, "truth.jsonl"), truth)
+    logger.info("wrote %d synthetic documents", len(docs))
+    return 0
+
+
+def cmd_ingest(cfg: PipelineConfig) -> int:
+    """read .txt/.rtf sources into corpus.jsonl"""
+    ingest_sources(cfg)
+    return 0
+
+
+def cmd_segment(cfg: PipelineConfig) -> int:
+    """cut corpus documents into segments"""
+    docs, _ = load_corpus(cfg)
+    segment_corpus(cfg, docs)
+    return 0
+
+
+def cmd_extract(cfg: PipelineConfig) -> int:
+    """extract lawyers, articles and outcomes"""
+    docs, _ = load_corpus(cfg)
+    segmented = {seg.doc_id: seg for seg in read_jsonl(
+        _input(cfg, "segments.jsonl", "segment"), _judgment)}
+    extract_records(cfg, docs, segmented)
+    return 0
+
+
+def _records(cfg: PipelineConfig) -> list[ExtractionRecord]:
+    return read_extracted(_input(cfg, "extracted.jsonl", "extract"))
+
+
+def cmd_networks(cfg: PipelineConfig) -> int:
+    """build opposing, collaboration and case graphs"""
+    build_networks(cfg, _records(cfg))
+    return 0
+
+
+def cmd_rank(cfg: PipelineConfig) -> int:
+    """compute the lawyer ranking table"""
+    records = _records(cfg)
+    opposing = networks_mod.build_opposing_network(_determined(records), _network_params(cfg))
+    rank_lawyers(cfg, records, opposing)
     return 0
 
 
 def cmd_communities(cfg: PipelineConfig) -> int:
-    cases = networks_mod.read_case_graphml(
-        _require(_out(cfg, f"cases_k{cfg.k}.graphml"), "networks"), k=cfg.k
-    )
-    partition = networks_mod.detect_communities(cases)
-    networks_mod.write_communities_csv(
-        _out(cfg, "communities.csv"), partition, cases.nodes
-    )
-    logger.info("found %d communities", len(partition.sizes))
+    """detect communities on the case graph"""
+    cases = _case_graph(cfg, _records(cfg))
+    write_communities(cfg, cases, networks_mod.detect_communities(cases))
     return 0
 
 
 def cmd_flowgraph(cfg: PipelineConfig) -> int:
-    docs = _load_corpus(cfg)
+    """build per-jurisdiction sentence flow graphs"""
+    docs, _ = load_corpus(cfg)
     by_jur: dict[str, list] = {}
     for doc in docs:
         by_jur.setdefault(doc.jurisdiction, []).append(doc)
@@ -394,57 +432,18 @@ def cmd_flowgraph(cfg: PipelineConfig) -> int:
 
 
 def run_pipeline(cfg: PipelineConfig) -> dict:
-    """Full pipeline over a corpus; returns the manifest dictionary."""
-    ingested_from_dir = False
+    """Every stage in order, then run_manifest.json; returns the manifest."""
     if cfg.corpus_file:
-        path = Path(cfg.corpus_file)
-        if not path.exists():
-            raise UnreadableFile(f"corpus file not found: {path}")
-        docs = corpus_mod.read_corpus(path)
+        docs, duplicates = load_corpus(cfg)
     elif cfg.input_dir:
-        root = Path(cfg.input_dir)
-        if not root.is_dir():
-            raise UnreadableFile(f"input directory not found: {root}")
-        docs = []
-        for path in sorted(root.rglob("*")):
-            if path.suffix.lower() not in (".txt", ".rtf") or not path.is_file():
-                continue
-            try:
-                docs.append(corpus_mod.ingest(path, cfg.jurisdiction))
-            except (EmptyDocument, EncodingError, UnreadableFile) as exc:
-                logger.warning("skipping %s: %s", path, exc)
-        ingested_from_dir = True
+        docs, duplicates = ingest_sources(cfg)
     else:
         raise ValueError("run needs corpus_file or input_dir")
-    if not docs:
-        raise EmptyCorpus("no documents to process")
-
-    docs, duplicates = corpus_mod.dedupe_documents(docs)
-    if ingested_from_dir:
-        corpus_mod.write_corpus(_out(cfg, "corpus.jsonl"), docs)
-
-    segmented, failures = _segment_corpus(cfg, docs)
-    _write_segments(_out(cfg, "segments.jsonl"), segmented)
-
-    records = _extract_records(cfg, docs, segmented)
-    write_extracted(_out(cfg, "extracted.jsonl"), records)
-
-    opposing, collab, cases, results, display = _build_networks(cfg, records)
-    partition = networks_mod.detect_communities(cases)
-
-    networks_mod.write_opposing_graphml(_out(cfg, "opposing.graphml"), opposing)
-    networks_mod.write_opposing_dot(_out(cfg, "opposing.dot"), opposing)
-    networks_mod.write_collaboration_graphml(_out(cfg, "collaboration.graphml"), collab)
-    networks_mod.write_collaboration_dot(_out(cfg, "collaboration.dot"), collab)
-    networks_mod.write_case_graphml(
-        _out(cfg, f"cases_k{cfg.k}.graphml"), cases, communities=partition.assignment
-    )
-    networks_mod.write_case_dot(_out(cfg, f"cases_k{cfg.k}.dot"), cases)
-    networks_mod.write_communities_csv(
-        _out(cfg, "communities.csv"), partition, cases.nodes
-    )
-
-    rows = _write_rankings(cfg, records, opposing, display)
+    segmented, failures = segment_corpus(cfg, docs)
+    records = extract_records(cfg, docs, segmented)
+    opposing, collab, cases, partition = build_networks(cfg, records)
+    write_communities(cfg, cases, partition)
+    rows = rank_lawyers(cfg, records, opposing)
 
     outcome_counts = {o.value: 0 for o in Outcome}
     for rec in records:
@@ -453,11 +452,6 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
         rate = rejection_rate(rec.outcome for rec in records)
     except CourtnetError:
         rate = None
-    skipped_no_lawyers = sum(
-        1 for rec in records
-        if not (rec.appellant_lawyers or rec.appellee_lawyers)
-    )
-
     manifest = {
         "config": dataclasses.asdict(cfg),
         "counts": {
@@ -465,10 +459,12 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
             "duplicates_dropped": duplicates,
             "segmentation_failures": len(failures),
             "docs_extracted": len(records),
-            "docs_skipped_no_lawyers": skipped_no_lawyers,
+            "docs_skipped_no_lawyers": sum(
+                1 for rec in records if not (rec.appellant_lawyers or rec.appellee_lawyers)
+            ),
             "outcomes": outcome_counts,
             "rejection_rate": rate,
-            "lawyers_seen": len(display),
+            "lawyers_seen": len(_case_results(records)[1]),
             "lawyers_ranked": len(rows),
             "opposing_nodes": len(opposing.nodes),
             "opposing_edges": len(opposing.edges),
@@ -479,7 +475,7 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
             "communities": len(partition.sizes),
         },
     }
-    (_out(cfg, "run_manifest.json")).write_text(
+    _out(cfg, "run_manifest.json").write_text(
         json.dumps(manifest, indent=2, sort_keys=True, ensure_ascii=False) + "\n",
         encoding="utf-8",
     )
@@ -487,8 +483,8 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
 
 
 def cmd_run(cfg: PipelineConfig) -> int:
-    manifest = run_pipeline(cfg)
-    counts = manifest["counts"]
+    """run the whole pipeline and write all artifacts"""
+    counts = run_pipeline(cfg)["counts"]
     logger.info(
         "pipeline done: %d docs, %d ranked lawyers, %d communities",
         counts["docs_ingested"], counts["lawyers_ranked"], counts["communities"],
@@ -511,13 +507,6 @@ COMMANDS = {
     "run": cmd_run,
 }
 
-# CLI flags that override config fields, per command
-_PROFILE_FIELDS = ["profile", "profile_file"]
-_PARAM_FIELDS = [
-    "a", "b", "min_cases", "collab_min", "k",
-    "damping", "tol", "max_iter", "workers",
-]
-
 
 class _Parser(argparse.ArgumentParser):
     """argparse that exits 1 on usage errors (config errors, per contract)."""
@@ -535,57 +524,22 @@ def _build_parser() -> _Parser:
     )
     parser.add_argument("--verbose", action="store_true", help="log at INFO level")
     sub = parser.add_subparsers(dest="command")
-
-    def add(name, help_, fields):
-        p = sub.add_parser(name, help=help_)
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.__doc__)
         p.add_argument("--config", help="JSON config file")
-        p.add_argument("--output-dir", dest="output_dir")
-        for f in fields:
-            flag = "--" + f.replace("_", "-")
-            if f in ("min_cases", "collab_min", "k", "max_iter", "workers",
-                     "seed", "n_docs"):
-                p.add_argument(flag, dest=f, type=int)
-            elif f in ("a", "b", "damping", "tol", "jaro_threshold"):
-                p.add_argument(flag, dest=f, type=float)
-            elif f == "mix":
-                p.add_argument(flag, dest=f, type=json.loads,
-                               help='JSON object, e.g. \'{"douai":0.5,"agen":0.5}\'')
-            else:
-                p.add_argument(flag, dest=f)
-        return p
-
-    add("synth", "generate a synthetic corpus with ground truth",
-        ["seed", "n_docs", "mix"])
-    add("ingest", "read .txt/.rtf sources into corpus.jsonl",
-        ["input_dir", "jurisdiction"])
-    add("segment", "cut corpus documents into segments",
-        ["corpus_file"] + _PROFILE_FIELDS + ["workers"])
-    add("extract", "extract lawyers, articles and outcomes",
-        ["corpus_file", "workers"])
-    add("networks", "build opposing, collaboration and case graphs",
-        _PARAM_FIELDS)
-    add("rank", "compute the lawyer ranking table",
-        ["damping", "tol", "max_iter"])
-    add("communities", "detect communities on the case graph",
-        ["k"])
-    add("flowgraph", "build per-jurisdiction sentence flow graphs",
-        ["corpus_file", "jaro_threshold"])
-    add("run", "run the whole pipeline and write all artifacts",
-        ["input_dir", "corpus_file", "jurisdiction", "jaro_threshold"]
-        + _PROFILE_FIELDS + _PARAM_FIELDS + ["seed", "n_docs", "mix"])
+        for f in _FIELDS.values():
+            cls = _field_class(f.name)
+            p.add_argument("--" + f.name.replace("_", "-"), dest=f.name,
+                           type=json.loads if cls is dict else cls)
     return parser
 
 
 def _make_config(args: argparse.Namespace) -> PipelineConfig:
-    cfg = (
-        load_config_file(args.config)
-        if getattr(args, "config", None)
-        else default_config()
-    )
-    for f in dataclasses.fields(PipelineConfig):
-        value = getattr(args, f.name, None)
+    cfg = load_config_file(args.config) if args.config else default_config()
+    for name in _FIELDS:
+        value = getattr(args, name)
         if value is not None:
-            setattr(cfg, f.name, value)
+            setattr(cfg, name, _check_field(name, value))
     return cfg
 
 
@@ -606,13 +560,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         cfg = _make_config(args)
         validate_config(cfg)
         return COMMANDS[args.command](cfg)
-    except (UnreadableFile, EmptyCorpus) as exc:
+    except (UnreadableFile, CorruptInput, EmptyCorpus, FileNotFoundError) as exc:
         print(f"courtnet: input error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
-        print(f"courtnet: input error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, InvalidMix, InvalidThreshold) as exc:
+    except (ValueError, InvalidMix) as exc:
         print(f"courtnet: config error: {exc}", file=sys.stderr)
         return 1
     except CourtnetError as exc:

@@ -9,7 +9,6 @@ known ground truth so every downstream stage can be checked end to end.
 from __future__ import annotations
 
 import hashlib
-import json
 import logging
 import re
 from collections import deque
@@ -19,6 +18,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .errors import EmptyDocument, EncodingError, InvalidMix, UnreadableFile
 from .extract import ArticleRef, Outcome
+from .jsonl import read_jsonl, write_jsonl
 from .segmenter import Segment
 
 logger = logging.getLogger(__name__)
@@ -166,35 +166,30 @@ def dedupe_documents(docs: Sequence[Document]) -> tuple[list[Document], int]:
 # ---------------------------------------------------------------------------
 # Corpus and ground-truth files
 
-_JSON_KW = dict(ensure_ascii=False, sort_keys=True, separators=(",", ":"))
-
 
 def write_corpus(path: str | Path, docs: Iterable[Document]) -> None:
-    rows = sorted(docs, key=lambda d: d.doc_id)
-    with open(path, "w", encoding="utf-8") as fh:
-        for doc in rows:
-            fh.write(json.dumps({
-                "doc_id": doc.doc_id,
-                "jurisdiction": doc.jurisdiction,
-                "source_path": doc.source_path,
-                "text": doc.text,
-            }, **_JSON_KW) + "\n")
+    write_jsonl(path, (
+        {"doc_id": doc.doc_id, "jurisdiction": doc.jurisdiction,
+         "source_path": doc.source_path, "text": doc.text}
+        for doc in sorted(docs, key=lambda d: d.doc_id)
+    ))
+
+
+def _document(data: dict) -> Document:
+    doc = Document(
+        doc_id=data["doc_id"],
+        jurisdiction=data["jurisdiction"],
+        text=data["text"],
+        source_path=data.get("source_path", ""),
+    )
+    if not all(isinstance(v, str) for v in vars(doc).values()):
+        raise TypeError("doc_id, jurisdiction, text and source_path must be strings")
+    return doc
 
 
 def read_corpus(path: str | Path) -> list[Document]:
-    docs = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            data = json.loads(line)
-            docs.append(Document(
-                doc_id=data["doc_id"],
-                jurisdiction=data["jurisdiction"],
-                text=data["text"],
-                source_path=data.get("source_path", ""),
-            ))
-    return docs
+    """The documents of a corpus file; a malformed line raises CorruptInput."""
+    return read_jsonl(path, _document)
 
 
 @dataclass(frozen=True)
@@ -214,44 +209,41 @@ class SyntheticGroundTruth:
 
 
 def write_truth(path: str | Path, truth: SyntheticGroundTruth) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for doc_id in sorted(truth.entries):
-            t = truth.entries[doc_id]
-            fh.write(json.dumps({
-                "doc_id": t.doc_id,
-                "appellant_lawyers": list(t.appellant_lawyers),
-                "appellee_lawyers": list(t.appellee_lawyers),
-                "outcome": t.outcome.value,
-                "articles": [
-                    {"code": a.code, "number": a.number}
-                    for a in sorted(t.articles, key=lambda a: (a.code, a.number))
-                ],
-                "segments": [
-                    {"name": s.name, "start": s.start, "end": s.end} for s in t.segments
-                ],
-            }, **_JSON_KW) + "\n")
+    write_jsonl(path, (
+        {
+            "doc_id": t.doc_id,
+            "appellant_lawyers": list(t.appellant_lawyers),
+            "appellee_lawyers": list(t.appellee_lawyers),
+            "outcome": t.outcome.value,
+            "articles": [
+                {"code": a.code, "number": a.number}
+                for a in sorted(t.articles, key=lambda a: (a.code, a.number))
+            ],
+            "segments": [
+                {"name": s.name, "start": s.start, "end": s.end} for s in t.segments
+            ],
+        }
+        for _, t in sorted(truth.entries.items())
+    ))
+
+
+def _document_truth(data: dict) -> DocumentTruth:
+    return DocumentTruth(
+        doc_id=data["doc_id"],
+        appellant_lawyers=tuple(data["appellant_lawyers"]),
+        appellee_lawyers=tuple(data["appellee_lawyers"]),
+        outcome=Outcome(data["outcome"]),
+        articles=frozenset(
+            ArticleRef(a["code"], a["number"]) for a in data["articles"]
+        ),
+        segments=tuple(
+            Segment(s["name"], s["start"], s["end"]) for s in data["segments"]
+        ),
+    )
 
 
 def read_truth(path: str | Path) -> dict[str, DocumentTruth]:
-    entries = {}
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            data = json.loads(line)
-            entries[data["doc_id"]] = DocumentTruth(
-                doc_id=data["doc_id"],
-                appellant_lawyers=tuple(data["appellant_lawyers"]),
-                appellee_lawyers=tuple(data["appellee_lawyers"]),
-                outcome=Outcome(data["outcome"]),
-                articles=frozenset(
-                    ArticleRef(a["code"], a["number"]) for a in data["articles"]
-                ),
-                segments=tuple(
-                    Segment(s["name"], s["start"], s["end"]) for s in data["segments"]
-                ),
-            )
-    return entries
+    return {t.doc_id: t for t in read_jsonl(path, _document_truth)}
 
 
 # ---------------------------------------------------------------------------
@@ -396,7 +388,10 @@ def _lawyer_pool(rng) -> list[str]:
     return pool
 
 
-def _jurisdiction_counts(n_docs: int, mix: Mapping[str, float]) -> dict[str, int]:
+def jurisdiction_counts(n_docs: int, mix: Mapping[str, float]) -> dict[str, int]:
+    """Documents per jurisdiction layout; raises on a bad corpus size or mix."""
+    if n_docs <= 0:
+        raise ValueError(f"n_docs must be positive, got {n_docs}")
     if not mix:
         raise InvalidMix("mix is empty")
     for jur, w in mix.items():
@@ -642,11 +637,9 @@ def generate_synthetic_corpus(
     """
     import random
 
-    if n_docs <= 0:
-        raise ValueError(f"n_docs must be positive, got {n_docs}")
     if mix is None:
         mix = {"douai": 0.5, "agen": 0.5}
-    counts = _jurisdiction_counts(n_docs, mix)
+    counts = jurisdiction_counts(n_docs, mix)
 
     rng = random.Random(seed)
     pool = _lawyer_pool(rng)

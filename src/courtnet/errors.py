@@ -21,7 +21,7 @@ class InvalidMix(CourtnetError):
     """Jurisdiction mix does not describe a probability distribution."""
 
 
-class InvalidThreshold(CourtnetError):
+class InvalidThreshold(CourtnetError, ValueError):
     """Similarity threshold outside [0, 1]."""
 
 
@@ -31,6 +31,10 @@ class MissingConclusion(CourtnetError):
 
 class OutOfOrderMarkers(CourtnetError):
     """A mandatory marker appears before an earlier one in the profile order."""
+
+
+class CorruptInput(CourtnetError):
+    """An input line is not valid JSON or lacks a field; the message names path:line."""
 
 
 class EmptyCorpus(CourtnetError):

@@ -16,6 +16,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Mapping
 
 from .errors import NoDeterminedOutcomes
+from .jsonl import read_jsonl, write_jsonl
 from .segmenter import SegmentedJudgment, split_sentences
 from .textmetrics import fold, fold_aligned
 
@@ -295,17 +296,10 @@ def extraction_from_dict(data: dict) -> ExtractionRecord:
 
 
 def write_extracted(path: str | Path, records: Iterable[ExtractionRecord]) -> None:
-    rows = sorted(records, key=lambda r: r.doc_id)
-    with open(path, "w", encoding="utf-8") as fh:
-        for rec in rows:
-            fh.write(json.dumps(extraction_to_dict(rec), ensure_ascii=False,
-                                sort_keys=True, separators=(",", ":")) + "\n")
+    write_jsonl(path, (extraction_to_dict(rec)
+                       for rec in sorted(records, key=lambda r: r.doc_id)))
 
 
 def read_extracted(path: str | Path) -> list[ExtractionRecord]:
-    records = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            if line.strip():
-                records.append(extraction_from_dict(json.loads(line)))
-    return records
+    """The records of an extracted.jsonl file; a malformed line raises CorruptInput."""
+    return read_jsonl(path, extraction_from_dict)

@@ -2,13 +2,12 @@
 
 Writers emit nodes, edges and attributes exactly in the order given, with a
 fixed layout and no timestamps, so identical graphs serialize to identical
-bytes. The reader understands the subset the writers produce, which is enough
-for pipeline stages to exchange graphs through files.
+bytes. The files are outputs for viewers and other tools: no pipeline stage
+reads them back, so there is no reader.
 """
 
 from __future__ import annotations
 
-import xml.etree.ElementTree as ET
 from pathlib import Path
 from typing import Iterable
 from xml.sax.saxutils import escape
@@ -25,14 +24,6 @@ def _format_value(value, attr_type: str) -> str:
     if attr_type == "double":
         return repr(float(value))
     return str(value)
-
-
-def _parse_value(text: str, attr_type: str):
-    if attr_type == "long":
-        return int(text)
-    if attr_type == "double":
-        return float(text)
-    return text
 
 
 def write_graphml(
@@ -95,37 +86,6 @@ def write_graphml(
     lines.append("  </graph>")
     lines.append("</graphml>")
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def read_graphml(path: str | Path):
-    """Read a GraphML file written by write_graphml.
-
-    Returns (directed, nodes, edges) with nodes as (id, attrs) and edges as
-    (source, target, attrs); attribute values are typed per the declarations.
-    """
-    root = ET.parse(Path(path)).getroot()
-    ns = {"g": GRAPHML_NS}
-    keys: dict[str, tuple[str, str]] = {}  # key id -> (attr name, attr type)
-    for key in root.findall("g:key", ns):
-        keys[key.get("id")] = (key.get("attr.name"), key.get("attr.type", "string"))
-    graph = root.find("g:graph", ns)
-    if graph is None:
-        raise ValueError(f"{path}: no <graph> element")
-    directed = graph.get("edgedefault") == "directed"
-
-    def collect(elem) -> dict:
-        attrs = {}
-        for data in elem.findall("g:data", ns):
-            name, attr_type = keys[data.get("key")]
-            attrs[name] = _parse_value(data.text or "", attr_type)
-        return attrs
-
-    nodes = [(n.get("id"), collect(n)) for n in graph.findall("g:node", ns)]
-    edges = [
-        (e.get("source"), e.get("target"), collect(e))
-        for e in graph.findall("g:edge", ns)
-    ]
-    return directed, nodes, edges
 
 
 def _dot_quote(value) -> str:

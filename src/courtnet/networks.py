@@ -234,6 +234,12 @@ class CaseGraph:
         return [(e.u, e.v) for e in self.edges]
 
 
+def check_k(k: int) -> None:
+    """Raise ValueError unless the case-graph threshold k is at least 1."""
+    if k < 1:
+        raise ValueError(f"k must be at least 1, got {k}")
+
+
 def build_case_graph(
     articles: Mapping[str, AbstractSet[ArticleRef]],
     outcomes: Mapping[str, Outcome],
@@ -244,8 +250,7 @@ def build_case_graph(
     Nodes cover every case in `articles`, isolated ones included. Built via
     an inverted article index, so only co-citing pairs are ever touched.
     """
-    if k < 1:
-        raise ValueError(f"k must be at least 1, got {k}")
+    check_k(k)
     doc_ids = sorted(articles)
     index: dict[ArticleRef, list[str]] = {}
     for doc_id in doc_ids:
@@ -425,7 +430,7 @@ def write_communities_csv(
 
 
 # ---------------------------------------------------------------------------
-# GraphML / DOT export and re-import for the pipeline artifacts
+# GraphML / DOT export of the pipeline artifacts
 
 def write_opposing_graphml(path: str | Path, net: OpposingNetwork) -> None:
     graphio.write_graphml(
@@ -441,22 +446,6 @@ def write_opposing_graphml(path: str | Path, net: OpposingNetwork) -> None:
             (e.source, e.target,
              {"weight": e.weight, "wins_fw": e.wins_fw, "wins_bw": e.wins_bw})
             for e in sorted(net.edges, key=lambda e: (e.source, e.target))
-        ],
-    )
-
-
-def read_opposing_graphml(path: str | Path) -> OpposingNetwork:
-    directed, nodes, edges = graphio.read_graphml(path)
-    if not directed:
-        raise ValueError(f"{path}: opposing network must be directed")
-    return OpposingNetwork(
-        nodes={
-            nid: LawyerStats(a["total_cases"], a["wins"], a["losses"])
-            for nid, a in nodes
-        },
-        edges=[
-            OpposingEdge(src, tgt, a["weight"], a["wins_fw"], a["wins_bw"])
-            for src, tgt, a in edges
         ],
     )
 
@@ -490,19 +479,6 @@ def write_collaboration_graphml(path: str | Path, graph: CollaborationGraph) -> 
             (e.u, e.v, {"weight": e.weight, "wins": e.wins,
                         "losses": e.losses, "collaborations": e.collaborations})
             for e in sorted(graph.edges, key=lambda e: (e.u, e.v))
-        ],
-    )
-
-
-def read_collaboration_graphml(path: str | Path) -> CollaborationGraph:
-    directed, nodes, edges = graphio.read_graphml(path)
-    if directed:
-        raise ValueError(f"{path}: collaboration graph must be undirected")
-    return CollaborationGraph(
-        nodes=[nid for nid, _ in nodes],
-        edges=[
-            CollabEdge(u, v, a["weight"], a["wins"], a["losses"], a["collaborations"])
-            for u, v, a in edges
         ],
     )
 
@@ -544,17 +520,6 @@ def write_case_graphml(
             (e.u, e.v, {"shared_articles": e.shared_articles})
             for e in sorted(graph.edges, key=lambda e: (e.u, e.v))
         ],
-    )
-
-
-def read_case_graphml(path: str | Path, k: int = 1) -> CaseGraph:
-    directed, nodes, edges = graphio.read_graphml(path)
-    if directed:
-        raise ValueError(f"{path}: case graph must be undirected")
-    return CaseGraph(
-        nodes={nid: Outcome(a["outcome"]) for nid, a in nodes},
-        edges=[CaseEdge(u, v, a["shared_articles"]) for u, v, a in edges],
-        k=k,
     )
 
 

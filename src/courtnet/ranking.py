@@ -50,6 +50,16 @@ def win_rate(results: Sequence[CaseResult], lawyer: str) -> float:
     return wins / (wins + losses)
 
 
+def check_pagerank_params(damping: float, tol: float, max_iter: int) -> None:
+    """Raise ValueError unless 0 < damping < 1, tol > 0 and max_iter >= 1."""
+    if not 0.0 < damping < 1.0:
+        raise ValueError(f"damping must be in (0, 1), got {damping!r}")
+    if not tol > 0:
+        raise ValueError(f"tol must be positive, got {tol!r}")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter!r}")
+
+
 def pagerank(
     network: OpposingNetwork,
     damping: float = DEFAULT_DAMPING,
@@ -65,10 +75,7 @@ def pagerank(
     """
     if not network.nodes:
         raise EmptyNetwork("opposing network has no nodes")
-    if not 0.0 < damping < 1.0:
-        raise ValueError(f"damping must be in (0, 1), got {damping!r}")
-    if tol <= 0 or max_iter < 1:
-        raise ValueError("tol must be positive and max_iter at least 1")
+    check_pagerank_params(damping, tol, max_iter)
 
     nodes = sorted(network.nodes)
     out_weight = {v: 0.0 for v in nodes}

@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING, Sequence
 
 from . import graphio
 from .errors import MissingConclusion, OutOfOrderMarkers
-from .textmetrics import DEFAULT_THRESHOLD, fold, jaro_similarity, same_node
+from .textmetrics import DEFAULT_THRESHOLD, check_threshold, fold, jaro_similarity, same_node
 
 if TYPE_CHECKING:
     from .corpus import Document
@@ -64,8 +64,7 @@ class KeywordProfile:
         conclusion = self.markers[-1]
         if CONCLUSION_HEADING not in conclusion.variants:
             raise ValueError(f"conclusion variants must include {CONCLUSION_HEADING!r}")
-        if not 0.0 <= self.jaro_threshold <= 1.0:
-            raise ValueError(f"jaro_threshold must be in [0, 1], got {self.jaro_threshold!r}")
+        check_threshold(self.jaro_threshold)
 
 
 def _profile(jurisdiction: str, markers: list[tuple[str, list[str]]], threshold: float = DEFAULT_THRESHOLD) -> KeywordProfile:

@@ -84,12 +84,17 @@ def jaro_similarity(s1: str, s2: str) -> float:
     return (m / n1 + m / n2 + (m - t) / m) / 3.0
 
 
+def check_threshold(threshold: float) -> None:
+    """Raise InvalidThreshold unless 0 <= threshold <= 1."""
+    if not 0.0 <= threshold <= 1.0:
+        raise InvalidThreshold(f"threshold must be in [0, 1], got {threshold!r}")
+
+
 def same_node(s1: str, s2: str, threshold: float = DEFAULT_THRESHOLD) -> bool:
     """True when the two strings are similar enough to be one node.
 
     Strictly greater than the threshold: jaro("entre", "et") is exactly 0.8
     and must not merge at the default.
     """
-    if not 0.0 <= threshold <= 1.0:
-        raise InvalidThreshold(f"threshold must be in [0, 1], got {threshold!r}")
+    check_threshold(threshold)
     return jaro_similarity(s1, s2) > threshold

@@ -8,6 +8,7 @@ modularity, quadratic scans elsewhere.
 
 from itertools import combinations
 import unicodedata
+import xml.etree.ElementTree as ET
 
 import numpy as np
 
@@ -148,3 +149,26 @@ def case_edges_reference(articles, k):
         if shared >= k:
             out[(u, v)] = shared
     return out
+
+
+def parse_graphml(path):
+    """(directed, nodes, edges) of a GraphML file, via xml.etree.
+
+    Nodes are (id, attrs) and edges (source, target, attrs), in file order;
+    attribute values are typed by their key's attr.type (long, double or
+    string).
+    """
+    ns = "{http://graphml.graphdrawing.org/xmlns}"
+    root = ET.parse(path).getroot()
+    cast = {"long": int, "double": float, "string": str}
+    keys = {k.get("id"): (k.get("attr.name"), cast[k.get("attr.type")])
+            for k in root.iter(ns + "key")}
+
+    def attrs(elem):
+        return {keys[d.get("key")][0]: keys[d.get("key")][1](d.text or "")
+                for d in elem.iter(ns + "data")}
+
+    graph = root.find(ns + "graph")
+    nodes = [(n.get("id"), attrs(n)) for n in graph.iter(ns + "node")]
+    edges = [(e.get("source"), e.get("target"), attrs(e)) for e in graph.iter(ns + "edge")]
+    return graph.get("edgedefault") == "directed", nodes, edges

@@ -171,3 +171,77 @@ def test_dominant_lawyer_tops_the_win_rates(tmp_path):
     assert top_name == truth.dominant_lawyer
     assert top_rate == 1.0
     assert sum(1 for rate, _ in rated if rate == top_rate) == 1
+
+
+def test_config_value_of_the_wrong_type_exits_1(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text('{"k": "3"}', encoding="utf-8")
+    assert _run("networks", "--config", config, "--output-dir", tmp_path) == 1
+    err = capsys.readouterr().err
+    assert str(config) in err
+    assert "k must be int" in err
+
+
+def test_removed_workers_key_exits_1(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text('{"workers": 4}', encoding="utf-8")
+    assert _run("segment", "--config", config, "--output-dir", tmp_path) == 1
+    assert "workers" in capsys.readouterr().err
+
+
+def test_truncated_corpus_exits_2_naming_the_line(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert _run("synth", "--output-dir", out, "--n-docs", "5") == 0
+    corpus = out / "corpus.jsonl"
+    lines = corpus.read_text(encoding="utf-8").splitlines(keepends=True)
+    corpus.write_text("".join(lines[:2]) + lines[2][: len(lines[2]) // 2], encoding="utf-8")
+    assert _run("run", "--corpus-file", corpus, "--output-dir", out) == 2
+    assert f"{corpus}:3:" in capsys.readouterr().err
+
+
+def test_corpus_line_without_jurisdiction_exits_2(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert _run("synth", "--output-dir", out, "--n-docs", "5") == 0
+    corpus = out / "corpus.jsonl"
+    lines = corpus.read_text(encoding="utf-8").splitlines(keepends=True)
+    row = json.loads(lines[1])
+    del row["jurisdiction"]
+    lines[1] = json.dumps(row) + "\n"
+    corpus.write_text("".join(lines), encoding="utf-8")
+    assert _run("segment", "--output-dir", out) == 2
+    err = capsys.readouterr().err
+    assert f"{corpus}:2:" in err
+    assert "jurisdiction" in err
+
+
+def test_corrupt_stage_files_exit_2_naming_the_line(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert _run("synth", "--output-dir", out, "--n-docs", "5") == 0
+    (out / "segments.jsonl").write_text('{"doc_id": "x"}\n', encoding="utf-8")
+    assert _run("extract", "--output-dir", out) == 2
+    assert f"{out / 'segments.jsonl'}:1: missing key 'segments'" in capsys.readouterr().err
+    (out / "extracted.jsonl").write_text("\n[1, 2]\n", encoding="utf-8")
+    assert _run("rank", "--output-dir", out) == 2
+    assert f"{out / 'extracted.jsonl'}:2:" in capsys.readouterr().err
+
+
+def test_staged_output_equals_run(tmp_path):
+    staged = tmp_path / "staged"
+    whole = tmp_path / "run"
+    assert _run("synth", "--output-dir", tmp_path, "--seed", "5", "--n-docs", "30") == 0
+    corpus = tmp_path / "corpus.jsonl"
+    lines = corpus.read_text(encoding="utf-8").splitlines(keepends=True)
+    # duplicate documents, which every path must drop the same way
+    corpus.write_text("".join(lines + lines[:5]), encoding="utf-8")
+    common = ["--corpus-file", corpus, "--k", "2", "--min-cases", "1"]
+    for stage in ("segment", "extract", "networks", "rank", "communities"):
+        assert _run(stage, "--output-dir", staged, *common) == 0, stage
+    assert _run("run", "--output-dir", whole, *common) == 0
+    staged_files = sorted(p.name for p in staged.iterdir())
+    assert staged_files == sorted(
+        ["segments.jsonl", "extracted.jsonl", "opposing.graphml", "opposing.dot",
+         "collaboration.graphml", "collaboration.dot", "cases_k2.graphml",
+         "cases_k2.dot", "rankings.csv", "communities.csv"]
+    )
+    for name in staged_files:
+        assert (staged / name).read_bytes() == (whole / name).read_bytes(), name

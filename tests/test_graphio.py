@@ -1,6 +1,8 @@
-"""GraphML and DOT serialization round trips."""
+"""GraphML and DOT serialization, read back by an independent parser."""
 
-from courtnet.graphio import read_graphml, write_graphml, write_dot
+from courtnet.graphio import write_graphml, write_dot
+
+from oracles import parse_graphml
 
 
 def _sample(path, directed=True):
@@ -20,7 +22,11 @@ def _sample(path, directed=True):
 def test_graphml_round_trip(tmp_path):
     path = tmp_path / "g.graphml"
     _sample(path)
-    directed, nodes, edges = read_graphml(path)
+    text = path.read_text(encoding="utf-8")
+    assert "maître &amp; &lt;co&gt;" in text
+    assert 'attr.type="long"' in text and 'attr.type="double"' in text
+    assert 'edgedefault="directed"' in text
+    directed, nodes, edges = parse_graphml(path)
     assert directed is True
     assert nodes == [
         ("a", {"label": "maître & <co>", "count": 3}),
@@ -37,8 +43,9 @@ def test_graphml_round_trip(tmp_path):
 def test_graphml_undirected_flag(tmp_path):
     path = tmp_path / "g.graphml"
     _sample(path, directed=False)
-    directed, _, _ = read_graphml(path)
+    directed, _, _ = parse_graphml(path)
     assert directed is False
+    assert 'edgedefault="undirected"' in path.read_text(encoding="utf-8")
 
 
 def test_graphml_output_is_stable(tmp_path):

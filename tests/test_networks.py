@@ -8,6 +8,7 @@ import pytest
 
 from courtnet.extract import ArticleRef, Outcome
 from courtnet.networks import (
+    CaseEdge,
     CaseResult,
     CollabEdge,
     LawyerStats,
@@ -21,16 +22,18 @@ from courtnet.networks import (
     detect_communities,
     lawyer_tallies,
     pair_wins,
-    read_case_graphml,
-    read_collaboration_graphml,
-    read_opposing_graphml,
     write_case_graphml,
     write_collaboration_graphml,
     write_communities_csv,
     write_opposing_graphml,
 )
 
-from oracles import best_partition_reference, case_edges_reference, modularity_reference
+from oracles import (
+    best_partition_reference,
+    case_edges_reference,
+    modularity_reference,
+    parse_graphml,
+)
 
 
 def _case(doc_id, appellants, appellees, outcome):
@@ -300,9 +303,12 @@ def test_opposing_graphml_round_trip(tmp_path):
     network = build_opposing_network(results, NetworkParams(min_cases=1))
     path = tmp_path / "opposing.graphml"
     write_opposing_graphml(path, network)
-    again = read_opposing_graphml(path)
-    assert again.nodes == network.nodes
-    assert again.edges == network.edges
+    directed, nodes, edges = parse_graphml(path)
+    assert directed is True
+    assert {nid: LawyerStats(a["total_cases"], a["wins"], a["losses"])
+            for nid, a in nodes} == network.nodes
+    assert [OpposingEdge(u, v, a["weight"], a["wins_fw"], a["wins_bw"])
+            for u, v, a in edges] == network.edges
 
 
 def test_collaboration_graphml_round_trip(tmp_path):
@@ -313,9 +319,11 @@ def test_collaboration_graphml_round_trip(tmp_path):
     graph = build_collaboration_network(results, NetworkParams(collab_min=1))
     path = tmp_path / "collab.graphml"
     write_collaboration_graphml(path, graph)
-    again = read_collaboration_graphml(path)
-    assert again.nodes == graph.nodes
-    assert again.edges == graph.edges
+    directed, nodes, edges = parse_graphml(path)
+    assert directed is False
+    assert [nid for nid, _ in nodes] == graph.nodes
+    assert [CollabEdge(u, v, a["weight"], a["wins"], a["losses"], a["collaborations"])
+            for u, v, a in edges] == graph.edges
 
 
 def test_case_graphml_round_trip_with_communities(tmp_path):
@@ -333,10 +341,8 @@ def test_case_graphml_round_trip_with_communities(tmp_path):
     partition = detect_communities(graph)
     path = tmp_path / "cases.graphml"
     write_case_graphml(path, graph, communities=partition.assignment)
-    again = read_case_graphml(path, k=2)
-    assert again.nodes == graph.nodes
-    assert again.edges == graph.edges
-    assert again.k == 2
-    # the community attribute is carried for viewers but ignored on read
-    text = path.read_text(encoding="utf-8")
-    assert "community" in text
+    directed, nodes, edges = parse_graphml(path)
+    assert directed is False
+    assert {nid: Outcome(a["outcome"]) for nid, a in nodes} == graph.nodes
+    assert {nid: a["community"] for nid, a in nodes} == partition.assignment
+    assert [CaseEdge(u, v, a["shared_articles"]) for u, v, a in edges] == graph.edges

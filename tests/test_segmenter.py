@@ -18,7 +18,8 @@ from courtnet.segmenter import (
     split_sentences,
     write_flow_graphml,
 )
-from courtnet.graphio import read_graphml
+
+from oracles import parse_graphml
 
 DOUAI_TEXT = (
     "COUR D'APPEL DE DOUAI\n"
@@ -250,7 +251,7 @@ def test_flow_graphml_round_trip(tmp_path):
     graph = build_flow_graph([d])
     path = tmp_path / "flow.graphml"
     write_flow_graphml(path, graph)
-    directed, nodes, edges = read_graphml(path)
+    directed, nodes, edges = parse_graphml(path)
     assert directed is True
     assert dict(nodes) == {"Un.": {"occurrences": 2}, "Deux.": {"occurrences": 2}}
     counts = {(s, t): a["count"] for s, t, a in edges}
