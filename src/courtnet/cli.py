@@ -140,8 +140,7 @@ def validate_config(cfg: PipelineConfig) -> None:
     ranking_mod.check_pagerank_params(cfg.damping, cfg.tol, cfg.max_iter)
     check_threshold(cfg.jaro_threshold)
     corpus_mod.jurisdiction_counts(cfg.n_docs, cfg.mix)
-    if cfg.profile_file is None:
-        segmenter_mod.get_profile(cfg.profile)
+    _resolve_profile(cfg)
 
 
 def _resolve_profile(cfg: PipelineConfig) -> segmenter_mod.KeywordProfile:
@@ -152,7 +151,10 @@ def _resolve_profile(cfg: PipelineConfig) -> segmenter_mod.KeywordProfile:
 
 def _out(cfg: PipelineConfig, name: str) -> Path:
     out = Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ValueError(f"output_dir {out} is not a usable directory: {exc}") from None
     return out / name
 
 
@@ -228,8 +230,7 @@ def segment_corpus(cfg, docs):
             logger.warning("segmentation failed: %s", exc)
     write_jsonl(_out(cfg, "segments.jsonl"), (
         {"doc_id": doc_id,
-         "segments": [{"name": s.name, "start": s.start, "end": s.end}
-                      for s in segmented[doc_id].segments]}
+         "segments": [segmenter_mod.segment_to_dict(s) for s in segmented[doc_id].segments]}
         for doc_id in sorted(segmented)
     ))
     logger.info("segmented %d documents, %d failures", len(segmented), len(failures))
@@ -239,8 +240,7 @@ def segment_corpus(cfg, docs):
 def _judgment(data: dict) -> segmenter_mod.SegmentedJudgment:
     return segmenter_mod.SegmentedJudgment(
         doc_id=data["doc_id"],
-        segments=[segmenter_mod.Segment(s["name"], s["start"], s["end"])
-                  for s in data["segments"]],
+        segments=[segmenter_mod.segment_from_dict(s) for s in data["segments"]],
     )
 
 
@@ -315,14 +315,9 @@ def build_networks(cfg, records):
     collab = networks_mod.build_collaboration_network(determined, params)
     cases = _case_graph(cfg, records)
     partition = networks_mod.detect_communities(cases)
-    networks_mod.write_opposing_graphml(_out(cfg, "opposing.graphml"), opposing)
-    networks_mod.write_opposing_dot(_out(cfg, "opposing.dot"), opposing)
-    networks_mod.write_collaboration_graphml(_out(cfg, "collaboration.graphml"), collab)
-    networks_mod.write_collaboration_dot(_out(cfg, "collaboration.dot"), collab)
-    networks_mod.write_case_graphml(
-        _out(cfg, f"cases_k{cfg.k}.graphml"), cases, communities=partition.assignment
-    )
-    networks_mod.write_case_dot(_out(cfg, f"cases_k{cfg.k}.dot"), cases)
+    networks_mod.write_opposing(_out(cfg, "opposing"), opposing)
+    networks_mod.write_collaboration(_out(cfg, "collaboration"), collab)
+    networks_mod.write_case(_out(cfg, f"cases_k{cfg.k}"), cases, partition.assignment)
     logger.info(
         "networks: opposing %d/%d, collaboration %d/%d, cases %d/%d",
         len(opposing.nodes), len(opposing.edges),
@@ -423,8 +418,7 @@ def cmd_flowgraph(cfg: PipelineConfig) -> int:
         by_jur.setdefault(doc.jurisdiction, []).append(doc)
     for jur in sorted(by_jur):
         graph = segmenter_mod.build_flow_graph(by_jur[jur], cfg.jaro_threshold)
-        segmenter_mod.write_flow_graphml(_out(cfg, f"flow_{jur}.graphml"), graph)
-        segmenter_mod.write_flow_dot(_out(cfg, f"flow_{jur}.dot"), graph)
+        segmenter_mod.write_flow(_out(cfg, f"flow_{jur}"), graph)
         logger.info(
             "flow graph %s: %d nodes, %d edges", jur, len(graph.nodes), len(graph.edges)
         )

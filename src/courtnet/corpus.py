@@ -19,7 +19,7 @@ from typing import Iterable, Mapping, Sequence
 from .errors import EmptyDocument, EncodingError, InvalidMix, UnreadableFile
 from .extract import ArticleRef, Outcome
 from .jsonl import read_jsonl, write_jsonl
-from .segmenter import Segment
+from .segmenter import Segment, segment_from_dict, segment_to_dict
 
 logger = logging.getLogger(__name__)
 
@@ -219,9 +219,7 @@ def write_truth(path: str | Path, truth: SyntheticGroundTruth) -> None:
                 {"code": a.code, "number": a.number}
                 for a in sorted(t.articles, key=lambda a: (a.code, a.number))
             ],
-            "segments": [
-                {"name": s.name, "start": s.start, "end": s.end} for s in t.segments
-            ],
+            "segments": [segment_to_dict(s) for s in t.segments],
         }
         for _, t in sorted(truth.entries.items())
     ))
@@ -236,9 +234,7 @@ def _document_truth(data: dict) -> DocumentTruth:
         articles=frozenset(
             ArticleRef(a["code"], a["number"]) for a in data["articles"]
         ),
-        segments=tuple(
-            Segment(s["name"], s["start"], s["end"]) for s in data["segments"]
-        ),
+        segments=tuple(segment_from_dict(s) for s in data["segments"]),
     )
 
 

@@ -5,6 +5,11 @@ less to the more successful of two opposing lawyers, an undirected
 collaboration network over same-side pairs, and an undirected case graph
 linking decisions that cite enough common articles. Community detection runs
 on the unweighted skeleton of whichever graph it is given.
+
+Each graph has one writer that builds its node and edge rows once and streams
+`<stem>.graphml` and `<stem>.dot` from them (see graphio). The DOT file gets a
+shorter schema, a subset of the GraphML one; edge rows are each edge's own
+field dict, since the writers ignore keys outside the schema.
 """
 
 from __future__ import annotations
@@ -432,104 +437,54 @@ def write_communities_csv(
 # ---------------------------------------------------------------------------
 # GraphML / DOT export of the pipeline artifacts
 
-def write_opposing_graphml(path: str | Path, net: OpposingNetwork) -> None:
+_LAWYER_STATS = [("total_cases", "long"), ("wins", "long"), ("losses", "long")]
+
+
+def write_opposing(stem: str | Path, net: OpposingNetwork) -> None:
+    """`<stem>.graphml` and `<stem>.dot`; DOT edges show only the weight."""
+    nodes = [(l, vars(s)) for l, s in sorted(net.nodes.items())]
+    edges = [(e.source, e.target, vars(e))
+             for e in sorted(net.edges, key=lambda e: (e.source, e.target))]
     graphio.write_graphml(
-        path,
-        directed=True,
-        node_attrs=[("total_cases", "long"), ("wins", "long"), ("losses", "long")],
+        f"{stem}.graphml", directed=True, node_attrs=_LAWYER_STATS,
         edge_attrs=[("weight", "double"), ("wins_fw", "double"), ("wins_bw", "double")],
-        nodes=[
-            (l, {"total_cases": s.total_cases, "wins": s.wins, "losses": s.losses})
-            for l, s in sorted(net.nodes.items())
-        ],
-        edges=[
-            (e.source, e.target,
-             {"weight": e.weight, "wins_fw": e.wins_fw, "wins_bw": e.wins_bw})
-            for e in sorted(net.edges, key=lambda e: (e.source, e.target))
-        ],
+        nodes=nodes, edges=edges,
     )
-
-
-def write_opposing_dot(path: str | Path, net: OpposingNetwork) -> None:
     graphio.write_dot(
-        path,
-        directed=True,
-        nodes=[
-            (l, [("total_cases", s.total_cases), ("wins", s.wins), ("losses", s.losses)])
-            for l, s in sorted(net.nodes.items())
-        ],
-        edges=[
-            (e.source, e.target, [("weight", e.weight)])
-            for e in sorted(net.edges, key=lambda e: (e.source, e.target))
-        ],
+        f"{stem}.dot", directed=True, node_attrs=_LAWYER_STATS,
+        edge_attrs=[("weight", "double")], nodes=nodes, edges=edges,
     )
 
 
-def write_collaboration_graphml(path: str | Path, graph: CollaborationGraph) -> None:
+def write_collaboration(stem: str | Path, graph: CollaborationGraph) -> None:
+    """`<stem>.graphml` and `<stem>.dot`; DOT edges show weight and collaborations."""
+    nodes = [(n, {}) for n in sorted(graph.nodes)]
+    edges = [(e.u, e.v, vars(e)) for e in sorted(graph.edges, key=lambda e: (e.u, e.v))]
     graphio.write_graphml(
-        path,
-        directed=False,
-        node_attrs=[],
-        edge_attrs=[
-            ("weight", "long"), ("wins", "long"),
-            ("losses", "long"), ("collaborations", "long"),
-        ],
-        nodes=[(n, {}) for n in sorted(graph.nodes)],
-        edges=[
-            (e.u, e.v, {"weight": e.weight, "wins": e.wins,
-                        "losses": e.losses, "collaborations": e.collaborations})
-            for e in sorted(graph.edges, key=lambda e: (e.u, e.v))
-        ],
+        f"{stem}.graphml", directed=False, node_attrs=[],
+        edge_attrs=[("weight", "long"), ("wins", "long"),
+                    ("losses", "long"), ("collaborations", "long")],
+        nodes=nodes, edges=edges,
     )
-
-
-def write_collaboration_dot(path: str | Path, graph: CollaborationGraph) -> None:
     graphio.write_dot(
-        path,
-        directed=False,
-        nodes=[(n, []) for n in sorted(graph.nodes)],
-        edges=[
-            (e.u, e.v, [("weight", e.weight), ("collaborations", e.collaborations)])
-            for e in sorted(graph.edges, key=lambda e: (e.u, e.v))
-        ],
+        f"{stem}.dot", directed=False, node_attrs=[],
+        edge_attrs=[("weight", "long"), ("collaborations", "long")],
+        nodes=nodes, edges=edges,
     )
 
 
-def write_case_graphml(
-    path: str | Path,
-    graph: CaseGraph,
-    communities: Mapping[str, int] | None = None,
-) -> None:
-    node_attrs = [("outcome", "string")]
-    if communities is not None:
-        node_attrs.append(("community", "long"))
-
-    def attrs(doc_id: str, outcome: Outcome) -> dict:
-        a = {"outcome": outcome.value}
-        if communities is not None:
-            a["community"] = communities[doc_id]
-        return a
-
+def write_case(stem: str | Path, graph: CaseGraph, communities: Mapping[str, int]) -> None:
+    """`<stem>.graphml` and `<stem>.dot`; only GraphML nodes carry the community."""
+    nodes = [(d, {"outcome": o.value, "community": communities[d]})
+             for d, o in sorted(graph.nodes.items())]
+    edges = [(e.u, e.v, vars(e)) for e in sorted(graph.edges, key=lambda e: (e.u, e.v))]
+    edge_attrs = [("shared_articles", "long")]
     graphio.write_graphml(
-        path,
-        directed=False,
-        node_attrs=node_attrs,
-        edge_attrs=[("shared_articles", "long")],
-        nodes=[(d, attrs(d, o)) for d, o in sorted(graph.nodes.items())],
-        edges=[
-            (e.u, e.v, {"shared_articles": e.shared_articles})
-            for e in sorted(graph.edges, key=lambda e: (e.u, e.v))
-        ],
+        f"{stem}.graphml", directed=False,
+        node_attrs=[("outcome", "string"), ("community", "long")],
+        edge_attrs=edge_attrs, nodes=nodes, edges=edges,
     )
-
-
-def write_case_dot(path: str | Path, graph: CaseGraph) -> None:
     graphio.write_dot(
-        path,
-        directed=False,
-        nodes=[(d, [("outcome", o.value)]) for d, o in sorted(graph.nodes.items())],
-        edges=[
-            (e.u, e.v, [("shared_articles", e.shared_articles)])
-            for e in sorted(graph.edges, key=lambda e: (e.u, e.v))
-        ],
+        f"{stem}.dot", directed=False, node_attrs=[("outcome", "string")],
+        edge_attrs=edge_attrs, nodes=nodes, edges=edges,
     )

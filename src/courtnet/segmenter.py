@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
 
 from . import graphio
-from .errors import MissingConclusion, OutOfOrderMarkers
+from .errors import MissingConclusion, OutOfOrderMarkers, UnreadableFile
 from .textmetrics import DEFAULT_THRESHOLD, check_threshold, fold, jaro_similarity, same_node
 
 if TYPE_CHECKING:
@@ -125,17 +125,34 @@ def profile_to_dict(profile: KeywordProfile) -> dict:
     }
 
 
-def profile_from_dict(data: dict) -> KeywordProfile:
-    return _profile(
-        data["jurisdiction"],
-        [(m["segment"], m["variants"]) for m in data["markers"]],
-        data.get("jaro_threshold", DEFAULT_THRESHOLD),
-    )
+def _is_marker_json(m) -> bool:
+    return (isinstance(m, dict) and isinstance(m.get("segment"), str)
+            and isinstance(m.get("variants"), list)
+            and all(isinstance(v, str) for v in m["variants"]))
+
+
+def profile_from_dict(data) -> KeywordProfile:
+    """Profile from its JSON form; ValueError on a missing key or a wrong type."""
+    if not isinstance(data, dict) or not isinstance(data.get("jurisdiction"), str):
+        raise ValueError('a profile must be a JSON object with a string "jurisdiction"')
+    markers = data.get("markers")
+    if not isinstance(markers, list) or not all(_is_marker_json(m) for m in markers):
+        raise ValueError('markers must be a list of {"segment": string, "variants": [string]}')
+    threshold = data.get("jaro_threshold", DEFAULT_THRESHOLD)
+    if type(threshold) not in (int, float):
+        raise ValueError(f"jaro_threshold must be a number, got {threshold!r}")
+    return _profile(data["jurisdiction"], [(m["segment"], m["variants"]) for m in markers],
+                    threshold)
 
 
 def load_profile(path: str | Path) -> KeywordProfile:
-    """Load a keyword profile from its JSON form."""
-    return profile_from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+    """Load a keyword profile from its JSON form; errors name the path."""
+    try:
+        return profile_from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+    except OSError as exc:
+        raise UnreadableFile(f"profile file {path}: {exc}") from exc
+    except ValueError as exc:
+        raise ValueError(f"profile file {path}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -143,6 +160,15 @@ class Segment:
     name: str
     start: int
     end: int
+
+
+def segment_to_dict(seg: Segment) -> dict:
+    """The JSON form of a segment, as written in segments.jsonl and truth.jsonl."""
+    return {"name": seg.name, "start": seg.start, "end": seg.end}
+
+
+def segment_from_dict(data: dict) -> Segment:
+    return Segment(data["name"], data["start"], data["end"])
 
 
 @dataclass
@@ -414,27 +440,12 @@ def build_flow_graph(corpus: Sequence["Document"], threshold: float = DEFAULT_TH
     return FlowGraph(nodes=nodes, edges=edges)
 
 
-def write_flow_graphml(path: str | Path, graph: FlowGraph) -> None:
-    graphio.write_graphml(
-        path,
-        directed=True,
-        node_attrs=[("occurrences", "long")],
-        edge_attrs=[("count", "long")],
-        nodes=[(label, {"occurrences": n}) for label, n in sorted(graph.nodes.items())],
-        edges=[
-            (a, b, {"count": c}) for (a, b), c in sorted(graph.edges.items())
-        ],
-    )
-
-
-def write_flow_dot(path: str | Path, graph: FlowGraph) -> None:
-    graphio.write_dot(
-        path,
-        directed=True,
-        nodes=[
-            (label, [("occurrences", n)]) for label, n in sorted(graph.nodes.items())
-        ],
-        edges=[
-            (a, b, [("count", c)]) for (a, b), c in sorted(graph.edges.items())
-        ],
-    )
+def write_flow(stem: str | Path, graph: FlowGraph) -> None:
+    """`<stem>.graphml` and `<stem>.dot`, both with every attribute."""
+    node_attrs, edge_attrs = [("occurrences", "long")], [("count", "long")]
+    nodes = [(label, {"occurrences": n}) for label, n in sorted(graph.nodes.items())]
+    edges = [(a, b, {"count": c}) for (a, b), c in sorted(graph.edges.items())]
+    graphio.write_graphml(f"{stem}.graphml", directed=True, node_attrs=node_attrs,
+                          edge_attrs=edge_attrs, nodes=nodes, edges=edges)
+    graphio.write_dot(f"{stem}.dot", directed=True, node_attrs=node_attrs,
+                      edge_attrs=edge_attrs, nodes=nodes, edges=edges)

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from courtnet.cli import main
 from courtnet.corpus import generate_synthetic_corpus, read_truth
 from courtnet.extract import Outcome
@@ -245,3 +247,42 @@ def test_staged_output_equals_run(tmp_path):
     )
     for name in staged_files:
         assert (staged / name).read_bytes() == (whole / name).read_bytes(), name
+
+
+_AGEN_PROFILE = {
+    "jurisdiction": "agen",
+    "jaro_threshold": 0.8,
+    "markers": [{"segment": "appellee", "variants": ["ET"]},
+                {"segment": "conclusion", "variants": ["PAR CES MOTIFS"]}],
+}
+
+
+@pytest.mark.parametrize("text", [
+    '{"jurisdiction": "agen", "markers": [',
+    json.dumps({k: v for k, v in _AGEN_PROFILE.items() if k != "markers"}),
+    json.dumps([_AGEN_PROFILE]),
+    json.dumps({**_AGEN_PROFILE, "jaro_threshold": "0.9"}),
+    json.dumps({**_AGEN_PROFILE, "markers": [
+        {"segment": "appellee", "variants": "ET"},
+        {"segment": "conclusion", "variants": ["PAR CES MOTIFS"]}]}),
+], ids=["bad_json", "no_markers", "top_level_list", "string_threshold", "string_variants"])
+def test_malformed_profile_file_exits_1_before_any_stage(tmp_path, capsys, text):
+    sources = tmp_path / "sources"
+    sources.mkdir()
+    (sources / "a.txt").write_text("ENTRE\nX\nPAR CES MOTIFS\nConfirme.\n", encoding="utf-8")
+    profile = tmp_path / "profile.json"
+    profile.write_text(text, encoding="utf-8")
+    out = tmp_path / "out"
+    assert _run("run", "--input-dir", sources, "--profile-file", profile,
+                "--output-dir", out) == 1
+    assert f"profile file {profile}:" in capsys.readouterr().err
+    assert not (out / "corpus.jsonl").exists()
+
+
+def test_output_dir_that_is_a_file_exits_1(tmp_path, capsys):
+    blocker = tmp_path / "F"
+    blocker.write_text("", encoding="utf-8")
+    assert _run("synth", "--output-dir", blocker, "--n-docs", "5") == 1
+    err = capsys.readouterr().err
+    assert "config error" in err
+    assert f"output_dir {blocker}" in err

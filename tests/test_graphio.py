@@ -1,5 +1,10 @@
 """GraphML and DOT serialization, read back by an independent parser."""
 
+import pytest
+
+from courtnet.cli import PipelineConfig, build_networks, main
+from courtnet.corpus import Document, write_corpus
+from courtnet.extract import ArticleRef, ExtractionRecord, LawyerName, Outcome
 from courtnet.graphio import write_graphml, write_dot
 
 from oracles import parse_graphml
@@ -61,8 +66,10 @@ def test_dot_quoting(tmp_path):
     write_dot(
         path,
         directed=True,
-        nodes=[("n\"1", [("label", 'say "hi"')]), ("n2", [])],
-        edges=[("n\"1", "n2", [("weight", 1.5)])],
+        node_attrs=[("label", "string")],
+        edge_attrs=[("weight", "double")],
+        nodes=[("n\"1", {"label": 'say "hi"'}), ("n2", {"label": "plain"})],
+        edges=[("n\"1", "n2", {"weight": 1.5})],
     )
     text = path.read_text(encoding="utf-8")
     assert text.startswith("digraph")
@@ -75,8 +82,143 @@ def test_dot_quoting(tmp_path):
 
 def test_dot_undirected_uses_edge_op(tmp_path):
     path = tmp_path / "g.dot"
-    write_dot(path, directed=False, nodes=[("a", []), ("b", [])], edges=[("a", "b", [])])
+    write_dot(path, directed=False, node_attrs=[], edge_attrs=[],
+              nodes=[("a", {}), ("b", {})], edges=[("a", "b", {})])
     text = path.read_text(encoding="utf-8")
     assert text.startswith("graph")
     assert "--" in text
     assert "->" not in text
+
+
+def test_undeclared_attribute_type_is_rejected(tmp_path):
+    for write in (write_graphml, write_dot):
+        with pytest.raises(ValueError, match="unsupported attribute type 'bool'"):
+            write(tmp_path / "g", directed=True, node_attrs=[("flag", "bool")],
+                  edge_attrs=[], nodes=[("a", {"flag": True})], edges=[])
+
+
+# The eight graph files of a small hand-built input, byte for byte. The
+# inputs go through the pipeline stages, so the test does not depend on how
+# the per-graph writers are named or split.
+PINNED_GRAPH_FILES = {
+    "opposing.graphml": """\
+<?xml version="1.0" encoding="UTF-8"?>
+<graphml xmlns="http://graphml.graphdrawing.org/xmlns">
+  <key id="d0" for="node" attr.name="total_cases" attr.type="long"/>
+  <key id="d1" for="node" attr.name="wins" attr.type="long"/>
+  <key id="d2" for="node" attr.name="losses" attr.type="long"/>
+  <key id="d3" for="edge" attr.name="weight" attr.type="double"/>
+  <key id="d4" for="edge" attr.name="wins_fw" attr.type="double"/>
+  <key id="d5" for="edge" attr.name="wins_bw" attr.type="double"/>
+  <graph edgedefault="directed">
+    <node id="alpha"><data key="d0">1</data><data key="d1">1</data><data key="d2">0</data></node>
+    <node id="beta"><data key="d0">1</data><data key="d1">1</data><data key="d2">0</data></node>
+    <node id="delta"><data key="d0">1</data><data key="d1">1</data><data key="d2">0</data></node>
+    <node id="gamma"><data key="d0">1</data><data key="d1">0</data><data key="d2">1</data></node>
+    <edge source="gamma" target="delta"><data key="d3">0.6931471805599453</data><data key="d4">1.0</data><data key="d5">0.0</data></edge>
+  </graph>
+</graphml>
+""",
+    "opposing.dot": """\
+digraph G {
+  "alpha" [total_cases=1, wins=1, losses=0];
+  "beta" [total_cases=1, wins=1, losses=0];
+  "delta" [total_cases=1, wins=1, losses=0];
+  "gamma" [total_cases=1, wins=0, losses=1];
+  "gamma" -> "delta" [weight=0.6931471805599453];
+}
+""",
+    "collaboration.graphml": """\
+<?xml version="1.0" encoding="UTF-8"?>
+<graphml xmlns="http://graphml.graphdrawing.org/xmlns">
+  <key id="d0" for="edge" attr.name="weight" attr.type="long"/>
+  <key id="d1" for="edge" attr.name="wins" attr.type="long"/>
+  <key id="d2" for="edge" attr.name="losses" attr.type="long"/>
+  <key id="d3" for="edge" attr.name="collaborations" attr.type="long"/>
+  <graph edgedefault="undirected">
+    <node id="alpha"/>
+    <node id="beta"/>
+    <edge source="alpha" target="beta"><data key="d0">1</data><data key="d1">1</data><data key="d2">0</data><data key="d3">1</data></edge>
+  </graph>
+</graphml>
+""",
+    "collaboration.dot": """\
+graph G {
+  "alpha";
+  "beta";
+  "alpha" -- "beta" [weight=1, collaborations=1];
+}
+""",
+    "cases_k3.graphml": """\
+<?xml version="1.0" encoding="UTF-8"?>
+<graphml xmlns="http://graphml.graphdrawing.org/xmlns">
+  <key id="d0" for="node" attr.name="outcome" attr.type="string"/>
+  <key id="d1" for="node" attr.name="community" attr.type="long"/>
+  <key id="d2" for="edge" attr.name="shared_articles" attr.type="long"/>
+  <graph edgedefault="undirected">
+    <node id="c1"><data key="d0">appellant_wins</data><data key="d1">0</data></node>
+    <node id="c2"><data key="d0">appellee_wins</data><data key="d1">0</data></node>
+    <node id="c3"><data key="d0">undetermined</data><data key="d1">1</data></node>
+    <edge source="c1" target="c2"><data key="d2">3</data></edge>
+  </graph>
+</graphml>
+""",
+    "cases_k3.dot": """\
+graph G {
+  "c1" [outcome="appellant_wins"];
+  "c2" [outcome="appellee_wins"];
+  "c3" [outcome="undetermined"];
+  "c1" -- "c2" [shared_articles=3];
+}
+""",
+    "flow_x.graphml": """\
+<?xml version="1.0" encoding="UTF-8"?>
+<graphml xmlns="http://graphml.graphdrawing.org/xmlns">
+  <key id="d0" for="node" attr.name="occurrences" attr.type="long"/>
+  <key id="d1" for="edge" attr.name="count" attr.type="long"/>
+  <graph edgedefault="directed">
+    <node id="Rejette."><data key="d0">1</data></node>
+    <node id="Vu A &amp; B &lt;appel&gt;."><data key="d0">1</data></node>
+    <edge source="Vu A &amp; B &lt;appel&gt;." target="Rejette."><data key="d1">1</data></edge>
+  </graph>
+</graphml>
+""",
+    "flow_x.dot": """\
+digraph G {
+  "Rejette." [occurrences=1];
+  "Vu A & B <appel>." [occurrences=1];
+  "Vu A & B <appel>." -> "Rejette." [count=1];
+}
+""",
+}
+
+
+def test_pipeline_graph_files_are_pinned(tmp_path):
+    def record(doc_id, appellants, appellees, outcome, articles):
+        return ExtractionRecord(
+            doc_id=doc_id,
+            appellant_lawyers=tuple(LawyerName(n, n.upper()) for n in appellants),
+            appellee_lawyers=tuple(LawyerName(n, n.upper()) for n in appellees),
+            articles=frozenset(ArticleRef("code civil", a) for a in articles),
+            outcome=outcome,
+            confirm_count=0,
+            reverse_count=0,
+        )
+
+    # a collaborating pair, two opposing lawyers, and three cases of which
+    # c1 and c2 share three articles and c3 shares one with c2
+    records = [
+        record("c1", ["alpha", "beta"], [], Outcome.APPELLANT_WINS,
+               ["1103", "1240", "1353"]),
+        record("c2", ["gamma"], ["delta"], Outcome.APPELLEE_WINS,
+               ["1103", "1240", "1353", "700"]),
+        record("c3", [], [], Outcome.UNDETERMINED, ["700"]),
+    ]
+    cfg = PipelineConfig(output_dir=str(tmp_path), min_cases=1, collab_min=1)
+    build_networks(cfg, records)
+    corpus = tmp_path / "corpus.jsonl"
+    write_corpus(corpus, [Document("f1", "x", "Vu A & B <appel>. Rejette.")])
+    assert main(["flowgraph", "--corpus-file", str(corpus),
+                 "--output-dir", str(tmp_path)]) == 0
+    for name, want in PINNED_GRAPH_FILES.items():
+        assert (tmp_path / name).read_bytes() == want.encode("utf-8"), name

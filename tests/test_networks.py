@@ -22,10 +22,10 @@ from courtnet.networks import (
     detect_communities,
     lawyer_tallies,
     pair_wins,
-    write_case_graphml,
-    write_collaboration_graphml,
+    write_case,
+    write_collaboration,
     write_communities_csv,
-    write_opposing_graphml,
+    write_opposing,
 )
 
 from oracles import (
@@ -301,9 +301,8 @@ def test_opposing_graphml_round_trip(tmp_path):
         _case("c4", ["z"], ["y"], Outcome.APPELLEE_WINS),
     ]
     network = build_opposing_network(results, NetworkParams(min_cases=1))
-    path = tmp_path / "opposing.graphml"
-    write_opposing_graphml(path, network)
-    directed, nodes, edges = parse_graphml(path)
+    write_opposing(tmp_path / "opposing", network)
+    directed, nodes, edges = parse_graphml(tmp_path / "opposing.graphml")
     assert directed is True
     assert {nid: LawyerStats(a["total_cases"], a["wins"], a["losses"])
             for nid, a in nodes} == network.nodes
@@ -317,9 +316,8 @@ def test_collaboration_graphml_round_trip(tmp_path):
         _case("c2", ["x", "y"], ["z", "w"], Outcome.APPELLEE_WINS),
     ]
     graph = build_collaboration_network(results, NetworkParams(collab_min=1))
-    path = tmp_path / "collab.graphml"
-    write_collaboration_graphml(path, graph)
-    directed, nodes, edges = parse_graphml(path)
+    write_collaboration(tmp_path / "collab", graph)
+    directed, nodes, edges = parse_graphml(tmp_path / "collab.graphml")
     assert directed is False
     assert [nid for nid, _ in nodes] == graph.nodes
     assert [CollabEdge(u, v, a["weight"], a["wins"], a["losses"], a["collaborations"])
@@ -339,9 +337,8 @@ def test_case_graphml_round_trip_with_communities(tmp_path):
     }
     graph = build_case_graph(articles, outcomes, 2)
     partition = detect_communities(graph)
-    path = tmp_path / "cases.graphml"
-    write_case_graphml(path, graph, communities=partition.assignment)
-    directed, nodes, edges = parse_graphml(path)
+    write_case(tmp_path / "cases", graph, partition.assignment)
+    directed, nodes, edges = parse_graphml(tmp_path / "cases.graphml")
     assert directed is False
     assert {nid: Outcome(a["outcome"]) for nid, a in nodes} == graph.nodes
     assert {nid: a["community"] for nid, a in nodes} == partition.assignment

@@ -16,7 +16,7 @@ from courtnet.segmenter import (
     profile_to_dict,
     segment,
     split_sentences,
-    write_flow_graphml,
+    write_flow,
 )
 
 from oracles import parse_graphml
@@ -249,9 +249,8 @@ def test_flow_graph_insertion_order_names():
 def test_flow_graphml_round_trip(tmp_path):
     d = Document(doc_id="d", jurisdiction="x", text="Un. Deux. Un. Deux.")
     graph = build_flow_graph([d])
-    path = tmp_path / "flow.graphml"
-    write_flow_graphml(path, graph)
-    directed, nodes, edges = parse_graphml(path)
+    write_flow(tmp_path / "flow", graph)
+    directed, nodes, edges = parse_graphml(tmp_path / "flow.graphml")
     assert directed is True
     assert dict(nodes) == {"Un.": {"occurrences": 2}, "Deux.": {"occurrences": 2}}
     counts = {(s, t): a["count"] for s, t, a in edges}
