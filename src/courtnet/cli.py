@@ -54,7 +54,7 @@ from .extract import (
     rejection_rate,
     write_extracted,
 )
-from .jsonl import read_jsonl, write_jsonl
+from .jsonl import decode, read_jsonl, write_jsonl
 from .networks import CaseResult, NetworkParams
 from .textmetrics import check_threshold
 
@@ -95,25 +95,6 @@ def _field_class(name: str) -> type:
     return next(t for t in typing.get_args(hint) or (hint,) if t is not type(None))
 
 
-def _check_field(name: str, value):
-    """The value if it has the field's annotated type, ints widened to float."""
-    if value is None and type(None) in typing.get_args(_HINTS[name]):
-        return value
-    cls = _field_class(name)
-    if cls is float and type(value) is int:
-        return float(value)
-    ok = type(value) is cls
-    if ok and cls is dict:
-        ok = all(type(w) in (int, float) for w in value.values())
-    if not ok:
-        raise ValueError(f"{name} must be {_FIELDS[name].type}, got {value!r}")
-    return value
-
-
-def default_config() -> PipelineConfig:
-    return PipelineConfig()
-
-
 def config_to_json(cfg: PipelineConfig) -> str:
     return json.dumps(dataclasses.asdict(cfg), indent=2, sort_keys=True)
 
@@ -121,15 +102,14 @@ def config_to_json(cfg: PipelineConfig) -> str:
 def load_config_file(path: str | Path) -> PipelineConfig:
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
-        if not isinstance(data, dict):
-            raise ValueError("not a JSON object")
+        cfg = decode(PipelineConfig, data)
         unknown = set(data) - set(_FIELDS)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        return PipelineConfig(**{k: _check_field(k, v) for k, v in data.items()})
+        return cfg
     except OSError as exc:
         raise UnreadableFile(f"config file {path}: {exc}") from exc
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ValueError(f"config file {path}: {exc}") from None
 
 
@@ -228,20 +208,10 @@ def segment_corpus(cfg, docs):
         except (MissingConclusion, OutOfOrderMarkers) as exc:
             failures.append((doc.doc_id, str(exc)))
             logger.warning("segmentation failed: %s", exc)
-    write_jsonl(_out(cfg, "segments.jsonl"), (
-        {"doc_id": doc_id,
-         "segments": [segmenter_mod.segment_to_dict(s) for s in segmented[doc_id].segments]}
-        for doc_id in sorted(segmented)
-    ))
+    write_jsonl(_out(cfg, "segments.jsonl"),
+                (segmented[doc_id] for doc_id in sorted(segmented)))
     logger.info("segmented %d documents, %d failures", len(segmented), len(failures))
     return segmented, failures
-
-
-def _judgment(data: dict) -> segmenter_mod.SegmentedJudgment:
-    return segmenter_mod.SegmentedJudgment(
-        doc_id=data["doc_id"],
-        segments=[segmenter_mod.segment_from_dict(s) for s in data["segments"]],
-    )
 
 
 def _extract_one(doc, seg) -> ExtractionRecord:
@@ -380,7 +350,7 @@ def cmd_extract(cfg: PipelineConfig) -> int:
     """extract lawyers, articles and outcomes"""
     docs, _ = load_corpus(cfg)
     segmented = {seg.doc_id: seg for seg in read_jsonl(
-        _input(cfg, "segments.jsonl", "segment"), _judgment)}
+        _input(cfg, "segments.jsonl", "segment"), segmenter_mod.SegmentedJudgment)}
     extract_records(cfg, docs, segmented)
     return 0
 
@@ -529,12 +499,12 @@ def _build_parser() -> _Parser:
 
 
 def _make_config(args: argparse.Namespace) -> PipelineConfig:
-    cfg = load_config_file(args.config) if args.config else default_config()
-    for name in _FIELDS:
-        value = getattr(args, name)
-        if value is not None:
-            setattr(cfg, name, _check_field(name, value))
-    return cfg
+    cfg = load_config_file(args.config) if args.config else PipelineConfig()
+    flags = {name: getattr(args, name) for name in _FIELDS if getattr(args, name) is not None}
+    try:
+        return decode(PipelineConfig, {**dataclasses.asdict(cfg), **flags})
+    except TypeError as exc:
+        raise ValueError(str(exc)) from None
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -545,7 +515,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         stream=sys.stderr,
     )
     if args.print_default_config:
-        print(config_to_json(default_config()))
+        print(config_to_json(PipelineConfig()))
         return 0
     if not args.command:
         print("courtnet: a subcommand is required (see --help)", file=sys.stderr)

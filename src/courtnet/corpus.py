@@ -17,9 +17,9 @@ from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from .errors import EmptyDocument, EncodingError, InvalidMix, UnreadableFile
-from .extract import ArticleRef, Outcome
+from .extract import ArticleRef, Outcome, canonical_name
 from .jsonl import read_jsonl, write_jsonl
-from .segmenter import Segment, segment_from_dict, segment_to_dict
+from .segmenter import Segment
 
 logger = logging.getLogger(__name__)
 
@@ -168,28 +168,12 @@ def dedupe_documents(docs: Sequence[Document]) -> tuple[list[Document], int]:
 
 
 def write_corpus(path: str | Path, docs: Iterable[Document]) -> None:
-    write_jsonl(path, (
-        {"doc_id": doc.doc_id, "jurisdiction": doc.jurisdiction,
-         "source_path": doc.source_path, "text": doc.text}
-        for doc in sorted(docs, key=lambda d: d.doc_id)
-    ))
-
-
-def _document(data: dict) -> Document:
-    doc = Document(
-        doc_id=data["doc_id"],
-        jurisdiction=data["jurisdiction"],
-        text=data["text"],
-        source_path=data.get("source_path", ""),
-    )
-    if not all(isinstance(v, str) for v in vars(doc).values()):
-        raise TypeError("doc_id, jurisdiction, text and source_path must be strings")
-    return doc
+    write_jsonl(path, sorted(docs, key=lambda d: d.doc_id))
 
 
 def read_corpus(path: str | Path) -> list[Document]:
     """The documents of a corpus file; a malformed line raises CorruptInput."""
-    return read_jsonl(path, _document)
+    return read_jsonl(path, Document)
 
 
 @dataclass(frozen=True)
@@ -209,37 +193,11 @@ class SyntheticGroundTruth:
 
 
 def write_truth(path: str | Path, truth: SyntheticGroundTruth) -> None:
-    write_jsonl(path, (
-        {
-            "doc_id": t.doc_id,
-            "appellant_lawyers": list(t.appellant_lawyers),
-            "appellee_lawyers": list(t.appellee_lawyers),
-            "outcome": t.outcome.value,
-            "articles": [
-                {"code": a.code, "number": a.number}
-                for a in sorted(t.articles, key=lambda a: (a.code, a.number))
-            ],
-            "segments": [segment_to_dict(s) for s in t.segments],
-        }
-        for _, t in sorted(truth.entries.items())
-    ))
-
-
-def _document_truth(data: dict) -> DocumentTruth:
-    return DocumentTruth(
-        doc_id=data["doc_id"],
-        appellant_lawyers=tuple(data["appellant_lawyers"]),
-        appellee_lawyers=tuple(data["appellee_lawyers"]),
-        outcome=Outcome(data["outcome"]),
-        articles=frozenset(
-            ArticleRef(a["code"], a["number"]) for a in data["articles"]
-        ),
-        segments=tuple(segment_from_dict(s) for s in data["segments"]),
-    )
+    write_jsonl(path, (t for _, t in sorted(truth.entries.items())))
 
 
 def read_truth(path: str | Path) -> dict[str, DocumentTruth]:
-    return {t.doc_id: t for t in read_jsonl(path, _document_truth)}
+    return {t.doc_id: t for t in read_jsonl(path, DocumentTruth)}
 
 
 # ---------------------------------------------------------------------------
@@ -363,11 +321,6 @@ class _Builder:
         return tuple(segs)
 
 
-def _canonical_name(display: str) -> str:
-    from .textmetrics import fold
-    return " ".join(fold(display).split())
-
-
 def _lawyer_pool(rng) -> list[str]:
     specials = ["Anne-Claire MARTIN", "Hugo de La TOUR", "J. RENAUD"]
     combos = [f"{f} {l}" for f in _FIRST for l in _LAST]
@@ -375,7 +328,7 @@ def _lawyer_pool(rng) -> list[str]:
     pool: list[str] = []
     seen: set[str] = set()
     for name in specials + combos:
-        canon = _canonical_name(name)
+        canon = canonical_name(name)
         if canon not in seen:
             seen.add(canon)
             pool.append(name)
@@ -650,7 +603,7 @@ def generate_synthetic_corpus(
     rng.shuffle(labels)
 
     docs: list[Document] = []
-    truth = SyntheticGroundTruth(dominant_lawyer=_canonical_name(dominant))
+    truth = SyntheticGroundTruth(dominant_lawyer=canonical_name(dominant))
     for index, jurisdiction in enumerate(labels):
         doc, doc_truth = _gen_doc(rng, index, jurisdiction, pool, dominant, needs_loss)
         docs.append(doc)

@@ -34,7 +34,7 @@ class OutOfOrderMarkers(CourtnetError):
 
 
 class CorruptInput(CourtnetError):
-    """An input line is not valid JSON or lacks a field; the message names path:line."""
+    """An input line is not JSON or not its record's form; the message names path:line."""
 
 
 class EmptyCorpus(CourtnetError):

@@ -30,7 +30,7 @@ class LawyerName:
     display: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)  # ordered, so a set of refs is written sorted
 class ArticleRef:
     code: str
     number: str
@@ -96,7 +96,8 @@ def _capture_after(sentence: str, start: int) -> str | None:
     return " ".join(tokens) if tokens else None
 
 
-def _canonical(display: str) -> str:
+def canonical_name(display: str) -> str:
+    """Folded, whitespace-collapsed name without a leading Me or Maître."""
     words = fold(display).split()
     while words and words[0] in _HONORIFICS:
         words = words[1:]
@@ -111,7 +112,7 @@ def _names_in(text: str) -> list[LawyerName]:
             display = _capture_after(sentence, m.end())
             if not display:
                 continue
-            canonical = _canonical(display)
+            canonical = canonical_name(display)
             if canonical and canonical not in found:
                 found[canonical] = LawyerName(canonical=canonical, display=display)
     return list(found.values())
@@ -256,50 +257,10 @@ class ExtractionRecord:
     reverse_count: int
 
 
-def extraction_to_dict(rec: ExtractionRecord) -> dict:
-    return {
-        "doc_id": rec.doc_id,
-        "appellant_lawyers": [
-            {"canonical": n.canonical, "display": n.display}
-            for n in rec.appellant_lawyers
-        ],
-        "appellee_lawyers": [
-            {"canonical": n.canonical, "display": n.display}
-            for n in rec.appellee_lawyers
-        ],
-        "articles": [
-            {"code": a.code, "number": a.number}
-            for a in sorted(rec.articles, key=lambda a: (a.code, a.number))
-        ],
-        "outcome": rec.outcome.value,
-        "confirm_count": rec.confirm_count,
-        "reverse_count": rec.reverse_count,
-    }
-
-
-def extraction_from_dict(data: dict) -> ExtractionRecord:
-    return ExtractionRecord(
-        doc_id=data["doc_id"],
-        appellant_lawyers=tuple(
-            LawyerName(n["canonical"], n["display"]) for n in data["appellant_lawyers"]
-        ),
-        appellee_lawyers=tuple(
-            LawyerName(n["canonical"], n["display"]) for n in data["appellee_lawyers"]
-        ),
-        articles=frozenset(
-            ArticleRef(a["code"], a["number"]) for a in data["articles"]
-        ),
-        outcome=Outcome(data["outcome"]),
-        confirm_count=data["confirm_count"],
-        reverse_count=data["reverse_count"],
-    )
-
-
 def write_extracted(path: str | Path, records: Iterable[ExtractionRecord]) -> None:
-    write_jsonl(path, (extraction_to_dict(rec)
-                       for rec in sorted(records, key=lambda r: r.doc_id)))
+    write_jsonl(path, sorted(records, key=lambda r: r.doc_id))
 
 
 def read_extracted(path: str | Path) -> list[ExtractionRecord]:
     """The records of an extracted.jsonl file; a malformed line raises CorruptInput."""
-    return read_jsonl(path, extraction_from_dict)
+    return read_jsonl(path, ExtractionRecord)

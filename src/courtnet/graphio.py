@@ -19,6 +19,15 @@ from xml.sax.saxutils import escape
 GRAPHML_NS = "http://graphml.graphdrawing.org/xmlns"
 
 
+def _attr(value) -> str:
+    """The value escaped for a double-quoted XML attribute, '"' included.
+
+    escape() leaves '"' alone, and with an entity map it is three times slower.
+    """
+    return (str(value).replace("&", "&amp;").replace("<", "&lt;")
+            .replace(">", "&gt;").replace('"', "&quot;"))
+
+
 def _format_value(value, attr_type: str) -> str:
     """The value's text for its declared type, the one place that knows the types."""
     if attr_type == "long":
@@ -55,15 +64,15 @@ def write_graphml(
         for domain, keys in (("node", node_keys), ("edge", edge_keys)):
             for key, name, t in keys:
                 fh.write(f'  <key id="{key}" for="{domain}" '
-                         f'attr.name="{escape(name)}" attr.type="{t}"/>\n')
+                         f'attr.name="{_attr(name)}" attr.type="{t}"/>\n')
         edgedefault = "directed" if directed else "undirected"
         fh.write(f'  <graph edgedefault="{edgedefault}">\n')
         for node_id, attrs in nodes:
-            head = f'    <node id="{escape(str(node_id))}"'
+            head = f'    <node id="{_attr(node_id)}"'
             body = data(node_keys, attrs)
             fh.write(f"{head}>{body}</node>\n" if body else f"{head}/>\n")
         for source, target, attrs in edges:
-            head = f'    <edge source="{escape(str(source))}" target="{escape(str(target))}"'
+            head = f'    <edge source="{_attr(source)}" target="{_attr(target)}"'
             body = data(edge_keys, attrs)
             fh.write(f"{head}>{body}</edge>\n" if body else f"{head}/>\n")
         fh.write("  </graph>\n</graphml>\n")

@@ -1,28 +1,131 @@
-"""JSON-lines files: one compact, key-sorted JSON object per line."""
+"""JSON-lines files and the one JSON form of every record.
+
+A record is a dataclass, and its JSON form is the object of its fields:
+nested dataclasses are objects too, tuples and lists are arrays, a frozenset
+is an array sorted by its items' own order, and an Enum is its value. Each
+line of a `.jsonl` file is one record, compact and key-sorted.
+
+Reading derives a decoder per class from the field type hints. It checks
+str, int and float exactly (an int is accepted for a float and widened, a
+bool is never a number), fills absent fields from their defaults, raises
+KeyError on an absent field without one, and raises TypeError or ValueError
+naming the field on a value of the wrong type.
+"""
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import json
+import types
+import typing
+from enum import Enum
 from pathlib import Path
-from typing import Callable, Iterable, TypeVar
+from typing import Any, Callable, Iterable, TypeVar
 
 from .errors import CorruptInput
 
 T = TypeVar("T")
 
 
-def write_jsonl(path: str | Path, rows: Iterable[dict]) -> None:
+@functools.cache
+def _field_names(cls: type) -> tuple[str, ...]:
+    return tuple(f.name for f in dataclasses.fields(cls))
+
+
+def _default(obj):
+    """The JSON form of what json cannot encode itself; the `default=` hook."""
+    if isinstance(obj, Enum):
+        return obj.value
+    if isinstance(obj, frozenset):
+        return sorted(obj)
+    if dataclasses.is_dataclass(obj):
+        return {name: getattr(obj, name) for name in _field_names(type(obj))}
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+def dumps(record) -> str:
+    """The record's JSON form as one compact, key-sorted line, without newline."""
+    return json.dumps(record, default=_default, ensure_ascii=False, sort_keys=True,
+                      separators=(",", ":"))
+
+
+_JSON_NAMES = {str: "str", int: "int", float: "float", list: "a list", dict: "an object"}
+
+
+def _expect(value, cls: type, name: str):
+    """The value if its type is exactly cls; else TypeError naming the field."""
+    if type(value) is not cls:
+        raise TypeError(f"{name} must be {_JSON_NAMES[cls]}, got {value!r}")
+    return value
+
+
+def _required(f: dataclasses.Field) -> bool:
+    return f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING
+
+
+@functools.cache
+def _decoder(hint) -> Callable[[Any, str], Any]:
+    """decode(value, name) for one type hint; name is the field the errors name."""
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin in (typing.Union, types.UnionType):  # X | None
+        item = _decoder(next(a for a in args if a is not type(None)))
+        return lambda value, name: None if value is None else item(value, name)
+    if origin in (list, tuple, frozenset):  # list[X], tuple[X, ...], frozenset[X]
+        item = _decoder(args[0])
+        return lambda value, name: origin([item(v, name) for v in _expect(value, list, name)])
+    if origin is dict:  # dict[str, X]
+        item = _decoder(args[1])
+        return lambda value, name: {k: item(v, f"{name}[{k!r}]")
+                                    for k, v in _expect(value, dict, name).items()}
+    if dataclasses.is_dataclass(hint):
+        hints = typing.get_type_hints(hint)
+        fields = [(f.name, _decoder(hints[f.name]), _required(f))
+                  for f in dataclasses.fields(hint)]
+
+        def record(value, name):
+            _expect(value, dict, name)
+            # value[field] raises KeyError(field) for an absent required field
+            return hint(**{field: item(value[field], field)
+                           for field, item, required in fields if required or field in value})
+        return record
+    if isinstance(hint, type) and issubclass(hint, Enum):
+        members = {m.value: m for m in hint}
+
+        def enum_member(value, name):
+            try:
+                return members[value]
+            except (KeyError, TypeError):
+                raise ValueError(
+                    f"{name} must be one of {sorted(members)}, got {value!r}") from None
+        return enum_member
+    if hint is float:  # an int is widened; a bool is not a number
+        return lambda value, name: (float(value) if type(value) is int
+                                    else _expect(value, float, name))
+    if hint in (str, int):
+        return lambda value, name: value if type(value) is hint else _expect(value, hint, name)
+    raise TypeError(f"no JSON form for {hint!r}")
+
+
+def decode(cls: type[T], data) -> T:
+    """The cls record whose JSON form is data.
+
+    KeyError names an absent field; TypeError or ValueError a wrong value.
+    """
+    return _decoder(cls)(data, cls.__name__)
+
+
+def write_jsonl(path: str | Path, records: Iterable) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        for row in rows:
-            fh.write(json.dumps(row, ensure_ascii=False, sort_keys=True,
-                                separators=(",", ":")) + "\n")
+        for record in records:
+            fh.write(dumps(record) + "\n")
 
 
-def read_jsonl(path: str | Path, parse: Callable[[dict], T]) -> list[T]:
-    """parse() of each non-blank line's object, in file order.
+def read_jsonl(path: str | Path, cls: type[T]) -> list[T]:
+    """The cls record of each non-blank line, in file order.
 
-    A line that is not UTF-8 JSON, or that parse() rejects with a KeyError,
-    ValueError or TypeError, raises CorruptInput naming path:line.
+    A line that is not UTF-8 JSON, or is not the JSON form of a cls record,
+    raises CorruptInput naming path:line.
     """
     rows = []
     with open(path, "rb") as fh:
@@ -30,7 +133,7 @@ def read_jsonl(path: str | Path, parse: Callable[[dict], T]) -> list[T]:
             if not line.strip():
                 continue
             try:
-                rows.append(parse(json.loads(line.decode("utf-8"))))
+                rows.append(decode(cls, json.loads(line.decode("utf-8"))))
             except KeyError as exc:
                 raise CorruptInput(f"{path}:{lineno}: missing key {exc}") from None
             except (ValueError, TypeError) as exc:

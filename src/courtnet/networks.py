@@ -182,12 +182,6 @@ class CollaborationGraph:
     nodes: list[str]
     edges: list[CollabEdge]
 
-    def node_ids(self) -> list[str]:
-        return list(self.nodes)
-
-    def undirected_edges(self) -> list[tuple[str, str]]:
-        return [(e.u, e.v) for e in self.edges]
-
 
 def build_collaboration_network(
     results: Sequence[CaseResult], params: NetworkParams | None = None

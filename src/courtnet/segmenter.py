@@ -10,12 +10,13 @@ hit the same marker.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
 
 from . import graphio
 from .errors import MissingConclusion, OutOfOrderMarkers, UnreadableFile
+from .jsonl import decode
 from .textmetrics import DEFAULT_THRESHOLD, check_threshold, fold, jaro_similarity, same_node
 
 if TYPE_CHECKING:
@@ -115,43 +116,15 @@ def get_profile(name: str) -> KeywordProfile:
         raise ValueError(f"unknown profile {name!r}; built-ins: {sorted(PROFILES)}") from None
 
 
-def profile_to_dict(profile: KeywordProfile) -> dict:
-    return {
-        "jurisdiction": profile.jurisdiction,
-        "jaro_threshold": profile.jaro_threshold,
-        "markers": [
-            {"segment": m.segment, "variants": list(m.variants)} for m in profile.markers
-        ],
-    }
-
-
-def _is_marker_json(m) -> bool:
-    return (isinstance(m, dict) and isinstance(m.get("segment"), str)
-            and isinstance(m.get("variants"), list)
-            and all(isinstance(v, str) for v in m["variants"]))
-
-
-def profile_from_dict(data) -> KeywordProfile:
-    """Profile from its JSON form; ValueError on a missing key or a wrong type."""
-    if not isinstance(data, dict) or not isinstance(data.get("jurisdiction"), str):
-        raise ValueError('a profile must be a JSON object with a string "jurisdiction"')
-    markers = data.get("markers")
-    if not isinstance(markers, list) or not all(_is_marker_json(m) for m in markers):
-        raise ValueError('markers must be a list of {"segment": string, "variants": [string]}')
-    threshold = data.get("jaro_threshold", DEFAULT_THRESHOLD)
-    if type(threshold) not in (int, float):
-        raise ValueError(f"jaro_threshold must be a number, got {threshold!r}")
-    return _profile(data["jurisdiction"], [(m["segment"], m["variants"]) for m in markers],
-                    threshold)
-
-
 def load_profile(path: str | Path) -> KeywordProfile:
     """Load a keyword profile from its JSON form; errors name the path."""
     try:
-        return profile_from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+        return decode(KeywordProfile, json.loads(Path(path).read_text(encoding="utf-8")))
     except OSError as exc:
         raise UnreadableFile(f"profile file {path}: {exc}") from exc
-    except ValueError as exc:
+    except KeyError as exc:
+        raise ValueError(f"profile file {path}: missing key {exc}") from None
+    except (TypeError, ValueError) as exc:
         raise ValueError(f"profile file {path}: {exc}") from None
 
 
@@ -162,19 +135,10 @@ class Segment:
     end: int
 
 
-def segment_to_dict(seg: Segment) -> dict:
-    """The JSON form of a segment, as written in segments.jsonl and truth.jsonl."""
-    return {"name": seg.name, "start": seg.start, "end": seg.end}
-
-
-def segment_from_dict(data: dict) -> Segment:
-    return Segment(data["name"], data["start"], data["end"])
-
-
 @dataclass
 class SegmentedJudgment:
     doc_id: str
-    segments: list[Segment] = field(default_factory=list)
+    segments: list[Segment]
 
     def get(self, name: str) -> Segment | None:
         for seg in self.segments:
@@ -317,12 +281,9 @@ def split_sentences(text: str) -> list[str]:
             if fold(word) in _NO_SPLIT_BEFORE_PERIOD:
                 continue
         breaks.add(i + 1)
-    pos = 0
-    for raw in text.splitlines(keepends=True):
-        content = raw.rstrip("\r\n\v\f\x1c\x1d\x1e\x85  ")
+    for start, _, content in _lines_with_offsets(text):
         if _is_caps_line(content):
-            breaks.add(pos + len(content))
-        pos += len(raw)
+            breaks.add(start + len(content))
     breaks.add(len(text))
 
     sentences = []

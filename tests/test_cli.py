@@ -216,15 +216,43 @@ def test_corpus_line_without_jurisdiction_exits_2(tmp_path, capsys):
     assert "jurisdiction" in err
 
 
+def _with_field(path, lineno, keys, value):
+    """The file's text with the field at keys of line lineno's object set to value."""
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    row = json.loads(lines[lineno - 1])
+    target = row
+    for key in keys[:-1]:
+        target = target[key]
+    target[keys[-1]] = value
+    lines[lineno - 1] = json.dumps(row) + "\n"
+    return "".join(lines)
+
+
 def test_corrupt_stage_files_exit_2_naming_the_line(tmp_path, capsys):
     out = tmp_path / "out"
-    assert _run("synth", "--output-dir", out, "--n-docs", "5") == 0
-    (out / "segments.jsonl").write_text('{"doc_id": "x"}\n', encoding="utf-8")
-    assert _run("extract", "--output-dir", out) == 2
-    assert f"{out / 'segments.jsonl'}:1: missing key 'segments'" in capsys.readouterr().err
-    (out / "extracted.jsonl").write_text("\n[1, 2]\n", encoding="utf-8")
-    assert _run("rank", "--output-dir", out) == 2
-    assert f"{out / 'extracted.jsonl'}:2:" in capsys.readouterr().err
+    assert _run("synth", "--output-dir", out, "--n-docs", "20") == 0
+    assert _run("segment", "--output-dir", out) == 0
+    assert _run("extract", "--output-dir", out) == 0
+    segments, extracted = out / "segments.jsonl", out / "extracted.jsonl"
+    with_counsel = next(
+        i for i, line in enumerate(extracted.read_text(encoding="utf-8").splitlines(), 1)
+        if json.loads(line)["appellant_lawyers"])
+    cases = [
+        (segments, '{"doc_id": "x"}\n', "extract", ":1: missing key 'segments'"),
+        (extracted, "\n[1, 2]\n", "rank", ":2:"),
+        (extracted, _with_field(extracted, with_counsel, ["appellant_lawyers", 0, "canonical"], 5),
+         "rank", f":{with_counsel}: canonical"),
+        (segments, _with_field(segments, 1, ["segments", -1, "end"], "9999"),
+         "extract", ":1: end"),
+        (extracted, _with_field(extracted, 3, ["outcome"], "bogus"),
+         "rank", ":3: outcome"),
+    ]
+    for path, text, stage, where in cases:
+        good = path.read_text(encoding="utf-8")
+        path.write_text(text, encoding="utf-8")
+        assert _run(stage, "--output-dir", out) == 2, where
+        assert f"{path}{where}" in capsys.readouterr().err
+        path.write_text(good, encoding="utf-8")
 
 
 def test_staged_output_equals_run(tmp_path):

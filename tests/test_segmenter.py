@@ -6,14 +6,13 @@ import pytest
 
 from courtnet.corpus import Document, generate_synthetic_corpus
 from courtnet.errors import MissingConclusion, OutOfOrderMarkers
+from courtnet.jsonl import decode, dumps
 from courtnet.segmenter import (
     KeywordProfile,
     Marker,
     build_flow_graph,
     get_profile,
     load_profile,
-    profile_from_dict,
-    profile_to_dict,
     segment,
     split_sentences,
     write_flow,
@@ -188,10 +187,10 @@ def test_profile_validation():
 
 def test_profile_round_trip(tmp_path):
     profile = get_profile("agen")
-    data = profile_to_dict(profile)
-    assert profile_from_dict(data) == profile
+    text = dumps(profile)
+    assert decode(KeywordProfile, json.loads(text)) == profile
     path = tmp_path / "profile.json"
-    path.write_text(json.dumps(data), encoding="utf-8")
+    path.write_text(text, encoding="utf-8")
     assert load_profile(path) == profile
 
 
