@@ -54,7 +54,7 @@ from .extract import (
     rejection_rate,
     write_extracted,
 )
-from .jsonl import decode, read_jsonl, write_jsonl
+from .jsonl import decode, iter_jsonl, write_jsonl
 from .networks import CaseResult, NetworkParams
 from .textmetrics import check_threshold
 
@@ -349,8 +349,16 @@ def cmd_segment(cfg: PipelineConfig) -> int:
 def cmd_extract(cfg: PipelineConfig) -> int:
     """extract lawyers, articles and outcomes"""
     docs, _ = load_corpus(cfg)
-    segmented = {seg.doc_id: seg for seg in read_jsonl(
-        _input(cfg, "segments.jsonl", "segment"), segmenter_mod.SegmentedJudgment)}
+    texts = {doc.doc_id: doc.text for doc in docs}
+    path = _input(cfg, "segments.jsonl", "segment")
+    segmented = {}
+    for lineno, seg in iter_jsonl(path, segmenter_mod.SegmentedJudgment):
+        if seg.doc_id in texts:
+            try:
+                seg.check_offsets(texts[seg.doc_id])
+            except ValueError as exc:
+                raise CorruptInput(f"{path}:{lineno}: {exc}") from None
+        segmented[seg.doc_id] = seg
     extract_records(cfg, docs, segmented)
     return 0
 

@@ -21,7 +21,7 @@ import types
 import typing
 from enum import Enum
 from pathlib import Path
-from typing import Any, Callable, Iterable, TypeVar
+from typing import Any, Callable, Iterable, Iterator, TypeVar
 
 from .errors import CorruptInput
 
@@ -121,21 +121,25 @@ def write_jsonl(path: str | Path, records: Iterable) -> None:
             fh.write(dumps(record) + "\n")
 
 
-def read_jsonl(path: str | Path, cls: type[T]) -> list[T]:
-    """The cls record of each non-blank line, in file order.
+def iter_jsonl(path: str | Path, cls: type[T]) -> Iterator[tuple[int, T]]:
+    """(line number, cls record) of each non-blank line, in file order.
 
     A line that is not UTF-8 JSON, or is not the JSON form of a cls record,
     raises CorruptInput naming path:line.
     """
-    rows = []
     with open(path, "rb") as fh:
         for lineno, line in enumerate(fh, 1):
             if not line.strip():
                 continue
             try:
-                rows.append(decode(cls, json.loads(line.decode("utf-8"))))
+                record = decode(cls, json.loads(line.decode("utf-8")))
             except KeyError as exc:
                 raise CorruptInput(f"{path}:{lineno}: missing key {exc}") from None
             except (ValueError, TypeError) as exc:
                 raise CorruptInput(f"{path}:{lineno}: {exc}") from None
-    return rows
+            yield lineno, record
+
+
+def read_jsonl(path: str | Path, cls: type[T]) -> list[T]:
+    """The cls record of each non-blank line, in file order (see iter_jsonl)."""
+    return [record for _, record in iter_jsonl(path, cls)]

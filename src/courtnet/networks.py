@@ -6,20 +6,24 @@ collaboration network over same-side pairs, and an undirected case graph
 linking decisions that cite enough common articles. Community detection runs
 on the unweighted skeleton of whichever graph it is given.
 
-Each graph has one writer that builds its node and edge rows once and streams
-`<stem>.graphml` and `<stem>.dot` from them (see graphio). The DOT file gets a
-shorter schema, a subset of the GraphML one; edge rows are each edge's own
-field dict, since the writers ignore keys outside the schema.
+Each graph has one writer that streams `<stem>.graphml` and `<stem>.dot` from
+the same node and edge rows (see graphio). The DOT file gets a shorter schema,
+a subset of the GraphML one, since the writers ignore row keys outside the
+schema. The case graph holds no edge list, so its edge rows are generated from
+its edge view once per file.
 """
 
 from __future__ import annotations
 
 import logging
 import math
+from array import array
+from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations, islice
 from pathlib import Path
-from typing import AbstractSet, Iterable, Mapping, Sequence
+from typing import AbstractSet, Iterable, Iterator, Mapping, Sequence
 
 from . import graphio
 from .extract import ArticleRef, Outcome
@@ -220,17 +224,50 @@ class CaseEdge:
     shared_articles: int
 
 
+@dataclass(frozen=True, eq=False)
+class CaseEdges:
+    """The case graph's edges, generated in sorted (u, v) order on each iteration.
+
+    Documents citing the same article set have the same neighbours, so the
+    edges are held per distinct set, as the sorted indices (into `doc_ids`)
+    of its neighbouring documents and the articles shared with each.
+    Document u's edges are the entries of its set's row past u. Iterating
+    yields CaseEdge objects; triples() yields (u, v, shared_articles) tuples
+    without them.
+    """
+    doc_ids: list[str]
+    set_of_doc: array                 # each document's set number
+    rows: list[tuple[array, array]]   # per set: neighbouring documents, shared counts
+    count: int
+
+    def __len__(self) -> int:
+        return self.count
+
+    def triples(self) -> Iterator[tuple[str, str, int]]:
+        ids = self.doc_ids
+        for u, s in enumerate(self.set_of_doc):
+            nbrs, shared = self.rows[s]
+            uid = ids[u]
+            start = bisect_right(nbrs, u)
+            for v, count in zip(islice(nbrs, start, None), islice(shared, start, None)):
+                yield uid, ids[v], count
+
+    def __iter__(self) -> Iterator[CaseEdge]:
+        return (CaseEdge(u, v, count) for u, v, count in self.triples())
+
+
 @dataclass
 class CaseGraph:
+    """Cases as nodes with their outcome; edges link cases sharing at least k articles."""
     nodes: dict[str, Outcome]
-    edges: list[CaseEdge]
+    edges: CaseEdges
     k: int
 
     def node_ids(self) -> list[str]:
         return list(self.nodes)
 
-    def undirected_edges(self) -> list[tuple[str, str]]:
-        return [(e.u, e.v) for e in self.edges]
+    def undirected_edges(self) -> Iterator[tuple[str, str]]:
+        return ((u, v) for u, v, _ in self.edges.triples())
 
 
 def check_k(k: int) -> None:
@@ -246,25 +283,42 @@ def build_case_graph(
 ) -> CaseGraph:
     """Link cases sharing at least k cited articles.
 
-    Nodes cover every case in `articles`, isolated ones included. Built via
-    an inverted article index, so only co-citing pairs are ever touched.
+    Nodes cover every case in `articles`, isolated ones included. Cases are
+    bucketed by their article set, and the articles shared between two
+    distinct sets are counted through an inverted index over the sets. No
+    state is kept per case pair: each set holds at most one entry per case,
+    and the edges are generated, never stored (see CaseEdges).
     """
     check_k(k)
     doc_ids = sorted(articles)
-    index: dict[ArticleRef, list[str]] = {}
+    set_index: dict[frozenset, int] = {}
+    set_of_doc = array("i")
     for doc_id in doc_ids:
-        for ref in articles[doc_id]:
-            index.setdefault(ref, []).append(doc_id)
-    shared: dict[tuple[str, str], int] = {}
-    for docs in index.values():
-        for u, v in combinations(docs, 2):
-            shared[(u, v)] = shared.get((u, v), 0) + 1
-    edges = [
-        CaseEdge(u, v, count)
-        for (u, v), count in sorted(shared.items())
-        if count >= k
-    ]
+        set_of_doc.append(set_index.setdefault(frozenset(articles[doc_id]), len(set_index)))
+    sets = list(set_index)
+    members = [array("i") for _ in sets]
+    for i, s in enumerate(set_of_doc):
+        members[s].append(i)
+    by_ref: dict[ArticleRef, list[int]] = {}
+    for s, refs in enumerate(sets):
+        for ref in refs:
+            by_ref.setdefault(ref, []).append(s)
+    rows = []
+    twice_edges = 0
+    for s, refs in enumerate(sets):
+        shared = {s: len(refs)}
+        for ref in refs:
+            for t in by_ref[ref]:
+                if t != s:
+                    shared[t] = shared.get(t, 0) + 1
+        near = (members[t] for t, count in shared.items() if count >= k)
+        nbrs = array("i", sorted(chain.from_iterable(near)))
+        counts = array("i", map(shared.__getitem__, map(set_of_doc.__getitem__, nbrs)))
+        rows.append((nbrs, counts))
+        # a set of at least k articles neighbours itself, so holds its own documents
+        twice_edges += len(members[s]) * (len(nbrs) - (len(refs) >= k))
     nodes = {d: outcomes.get(d, Outcome.UNDETERMINED) for d in doc_ids}
+    edges = CaseEdges(doc_ids, set_of_doc, rows, twice_edges // 2)
     return CaseGraph(nodes=nodes, edges=edges, k=k)
 
 
@@ -275,11 +329,15 @@ def build_case_graph(
 _GAIN_EPS = 1e-9
 
 
-def _louvain_level(adj: list[dict[int, float]]) -> tuple[list[int], bool]:
-    """One local-move phase. Self-loop weights are stored pre-doubled, so a
-    node's degree is simply its row sum."""
+def _louvain_level(adj: list[array], loops: list[int]) -> tuple[list[int], bool]:
+    """One local-move phase.
+
+    adj[v] lists v's other neighbours, each once per unit of edge weight;
+    loops[v] is v's self-loop weight, stored pre-doubled, so v's degree is
+    loops[v] plus the length of its row. Every weight is an exact integer.
+    """
     n = len(adj)
-    k = [sum(nbrs.values()) for nbrs in adj]
+    k = [loop + len(nbrs) for nbrs, loop in zip(adj, loops)]
     two_m = sum(k)
     comm = list(range(n))
     if two_m == 0:
@@ -292,13 +350,9 @@ def _louvain_level(adj: list[dict[int, float]]) -> tuple[list[int], bool]:
         for v in range(n):
             cv = comm[v]
             kv = k[v]
-            weight_to: dict[int, float] = {}
-            for u, w in adj[v].items():
-                if u != v:
-                    cu = comm[u]
-                    weight_to[cu] = weight_to.get(cu, 0.0) + w
+            weight_to = Counter(map(comm.__getitem__, adj[v]))
             base = (
-                2.0 * weight_to.get(cv, 0.0) / two_m
+                2.0 * weight_to[cv] / two_m
                 - 2.0 * (sum_tot[cv] - kv) * kv / (two_m * two_m)
             )
             best_gain = _GAIN_EPS
@@ -333,28 +387,40 @@ def _dense_renumber(values: list[int]) -> list[int]:
     return out
 
 
-def _aggregate(adj: list[dict[int, float]], labels: list[int]) -> list[dict[int, float]]:
+def _aggregate(
+    adj: list[array], loops: list[int], labels: list[int]
+) -> tuple[list[array], list[int]]:
+    """The graph of the communities `labels` numbers densely, in _louvain_level's form.
+
+    Its rows hold together no more entries than the rows they replace, so no
+    level needs more memory than the first.
+    """
     size = max(labels) + 1
-    new: list[dict[int, float]] = [{} for _ in range(size)]
+    rows = [array("i") for _ in range(size)]
+    new_loops = [0] * size
     for i, nbrs in enumerate(adj):
         ci = labels[i]
-        row = new[ci]
-        for j, w in nbrs.items():
-            cj = labels[j]
-            row[cj] = row.get(cj, 0.0) + w
-    return new
+        rows[ci].extend(map(labels.__getitem__, nbrs))
+        new_loops[ci] += loops[i]
+    for ci, row in enumerate(rows):
+        # an edge inside the community joins its self-loop, once from each end
+        inside = row.count(ci)
+        if inside:
+            new_loops[ci] += inside
+            rows[ci] = array("i", filter(ci.__ne__, row))
+    return rows, new_loops
 
 
-def _louvain(adj: list[dict[int, float]]) -> list[int]:
+def _louvain(adj: list[array]) -> list[int]:
     node_comm = list(range(len(adj)))
-    level_adj = adj
+    loops = [0] * len(adj)
     while True:
-        comm, moved = _louvain_level(level_adj)
+        comm, moved = _louvain_level(adj, loops)
         labels = _dense_renumber(comm)
         node_comm = [labels[c] for c in node_comm]
         if not moved:
             return node_comm
-        level_adj = _aggregate(level_adj, labels)
+        adj, loops = _aggregate(adj, loops, labels)
 
 
 @dataclass
@@ -384,14 +450,15 @@ def detect_communities(graph) -> CommunityPartition:
     """
     node_ids = sorted(graph.node_ids())
     index = {nid: i for i, nid in enumerate(node_ids)}
-    adj: list[dict[int, float]] = [{} for _ in node_ids]
+    nbrs = [array("i") for _ in node_ids]
     for u, v in graph.undirected_edges():
         i, j = index[u], index[v]
-        if i == j or j in adj[i]:
-            continue
-        adj[i][j] = 1.0
-        adj[j][i] = 1.0
-    labels = _dense_renumber(_louvain(adj))
+        if i != j:
+            nbrs[i].append(j)
+            nbrs[j].append(i)
+    for i, row in enumerate(nbrs):
+        nbrs[i] = array("i", dict.fromkeys(row))  # a repeated edge counts once
+    labels = _dense_renumber(_louvain(nbrs))
     return CommunityPartition({nid: labels[i] for i, nid in enumerate(node_ids)})
 
 
@@ -471,14 +538,16 @@ def write_case(stem: str | Path, graph: CaseGraph, communities: Mapping[str, int
     """`<stem>.graphml` and `<stem>.dot`; only GraphML nodes carry the community."""
     nodes = [(d, {"outcome": o.value, "community": communities[d]})
              for d, o in sorted(graph.nodes.items())]
-    edges = [(e.u, e.v, vars(e)) for e in sorted(graph.edges, key=lambda e: (e.u, e.v))]
+
+    def edges():  # generated once per file, in the view's sorted order
+        return ((u, v, {"shared_articles": count}) for u, v, count in graph.edges.triples())
     edge_attrs = [("shared_articles", "long")]
     graphio.write_graphml(
         f"{stem}.graphml", directed=False,
         node_attrs=[("outcome", "string"), ("community", "long")],
-        edge_attrs=edge_attrs, nodes=nodes, edges=edges,
+        edge_attrs=edge_attrs, nodes=nodes, edges=edges(),
     )
     graphio.write_dot(
         f"{stem}.dot", directed=False, node_attrs=[("outcome", "string")],
-        edge_attrs=edge_attrs, nodes=nodes, edges=edges,
+        edge_attrs=edge_attrs, nodes=nodes, edges=edges(),
     )

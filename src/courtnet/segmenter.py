@@ -151,6 +151,14 @@ class SegmentedJudgment:
         seg = self.get(name)
         return text[seg.start:seg.end] if seg else ""
 
+    def check_offsets(self, text: str) -> None:
+        """Raise ValueError unless every segment lies within the text."""
+        for seg in self.segments:
+            if not 0 <= seg.start <= seg.end <= len(text):
+                raise ValueError(
+                    f"segment {seg.name} has start {seg.start} and end {seg.end}; "
+                    f"needs 0 <= start <= end <= {len(text)}")
+
 
 def _lines_with_offsets(text: str) -> list[tuple[int, int, str]]:
     """(start, end_including_newline, content) for each line."""

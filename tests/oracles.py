@@ -151,6 +151,94 @@ def case_edges_reference(articles, k):
     return out
 
 
+def communities_reference(node_ids, edges):
+    """Louvain assignment {node id: community} on one dict per node.
+
+    The dict-based implementation that detect_communities replaced, kept
+    as it was: nodes swept in ascending id order, ties to the smallest
+    community id, moves need a gain above 1e-9, self-loops and duplicate
+    edges dropped, ids numbered by each community's smallest member.
+    """
+    eps = 1e-9
+
+    def level(adj):
+        n = len(adj)
+        k = [sum(nbrs.values()) for nbrs in adj]
+        two_m = sum(k)
+        comm = list(range(n))
+        if two_m == 0:
+            return comm, False
+        sum_tot = k[:]
+        moved_any = False
+        improved = True
+        while improved:
+            improved = False
+            for v in range(n):
+                cv = comm[v]
+                kv = k[v]
+                weight_to = {}
+                for u, w in adj[v].items():
+                    if u != v:
+                        cu = comm[u]
+                        weight_to[cu] = weight_to.get(cu, 0.0) + w
+                base = (
+                    2.0 * weight_to.get(cv, 0.0) / two_m
+                    - 2.0 * (sum_tot[cv] - kv) * kv / (two_m * two_m)
+                )
+                best_gain = eps
+                best_c = cv
+                for c in sorted(weight_to):
+                    if c == cv:
+                        continue
+                    gain = (
+                        2.0 * weight_to[c] / two_m
+                        - 2.0 * sum_tot[c] * kv / (two_m * two_m)
+                        - base
+                    )
+                    if gain > best_gain:
+                        best_gain = gain
+                        best_c = c
+                if best_c != cv:
+                    sum_tot[cv] -= kv
+                    sum_tot[best_c] += kv
+                    comm[v] = best_c
+                    improved = True
+                    moved_any = True
+        return comm, moved_any
+
+    def renumber(values):
+        mapping = {}
+        return [mapping.setdefault(v, len(mapping)) for v in values]
+
+    def aggregate(adj, labels):
+        new = [{} for _ in range(max(labels) + 1)]
+        for i, nbrs in enumerate(adj):
+            row = new[labels[i]]
+            for j, w in nbrs.items():
+                row[labels[j]] = row.get(labels[j], 0.0) + w
+        return new
+
+    nodes = sorted(node_ids)
+    index = {nid: i for i, nid in enumerate(nodes)}
+    adj = [{} for _ in nodes]
+    for u, v in edges:
+        i, j = index[u], index[v]
+        if i == j or j in adj[i]:
+            continue
+        adj[i][j] = 1.0
+        adj[j][i] = 1.0
+    node_comm = list(range(len(adj)))
+    while True:
+        comm, moved = level(adj)
+        labels = renumber(comm)
+        node_comm = [labels[c] for c in node_comm]
+        if not moved:
+            break
+        adj = aggregate(adj, labels)
+    final = renumber(node_comm)
+    return {nid: final[i] for i, nid in enumerate(nodes)}
+
+
 def parse_graphml(path):
     """(directed, nodes, edges) of a GraphML file, via xml.etree.
 

@@ -246,6 +246,11 @@ def test_corrupt_stage_files_exit_2_naming_the_line(tmp_path, capsys):
          "extract", ":1: end"),
         (extracted, _with_field(extracted, 3, ["outcome"], "bogus"),
          "rank", ":3: outcome"),
+        (segments, _with_field(segments, 1, ["segments", -1],
+                               {"name": "conclusion", "start": 1000000000, "end": -3}),
+         "extract", ":1: segment conclusion"),
+        (segments, _with_field(segments, 2, ["segments", -1, "end"], 1000000000),
+         "extract", ":2: segment conclusion"),
     ]
     for path, text, stage, where in cases:
         good = path.read_text(encoding="utf-8")

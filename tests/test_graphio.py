@@ -18,9 +18,9 @@ def _sample(path, directed=True):
         edge_attrs=[("weight", "double")],
         nodes=[
             ("a", {"label": "maître & <co>", "count": 3}),
-            ('b "x"', {"label": "café \"noir\"", "count": -2}),
+            ('b "x"\r\n\ty', {"label": "café \"noir\"", "count": -2}),
         ],
-        edges=[("a", 'b "x"', {"weight": 2.1972245773362196})],
+        edges=[("a", 'b "x"\r\n\ty', {"weight": 2.1972245773362196})],
     )
 
 
@@ -35,11 +35,11 @@ def test_graphml_round_trip(tmp_path):
     assert directed is True
     assert nodes == [
         ("a", {"label": "maître & <co>", "count": 3}),
-        ('b "x"', {"label": "café \"noir\"", "count": -2}),
+        ('b "x"\r\n\ty', {"label": "café \"noir\"", "count": -2}),
     ]
     assert len(edges) == 1
     src, tgt, attrs = edges[0]
-    assert (src, tgt) == ("a", 'b "x"')
+    assert (src, tgt) == ("a", 'b "x"\r\n\ty')
     assert attrs["weight"] == 2.1972245773362196
     assert isinstance(nodes[0][1]["count"], int)
     assert isinstance(attrs["weight"], float)

@@ -3,9 +3,12 @@
 import logging
 import math
 import random
+import tracemalloc
 
 import pytest
+from hypothesis import given, strategies as st
 
+from courtnet.corpus import generate_synthetic_corpus
 from courtnet.extract import ArticleRef, Outcome
 from courtnet.networks import (
     CaseEdge,
@@ -31,6 +34,7 @@ from courtnet.networks import (
 from oracles import (
     best_partition_reference,
     case_edges_reference,
+    communities_reference,
     modularity_reference,
     parse_graphml,
 )
@@ -211,6 +215,41 @@ def test_case_graph_rejects_bad_k():
         build_case_graph({}, {}, 0)
 
 
+_REFS = [ArticleRef("code", str(num)) for num in range(8)]
+
+
+@st.composite
+def _article_maps(draw):
+    """Documents drawn from a few article sets, so most sets have many documents."""
+    sets = draw(st.lists(st.frozensets(st.sampled_from(_REFS)), min_size=1, max_size=6))
+    return draw(st.dictionaries(st.text(max_size=3), st.sampled_from(sets), max_size=40))
+
+
+@given(_article_maps(), st.integers(1, 5))
+def test_case_graph_edges_equal_quadratic_scan_in_order(articles, k):
+    graph = build_case_graph(articles, {}, k)
+    want = [(u, v, shared) for (u, v), shared in sorted(case_edges_reference(articles, k).items())]
+    got = [(e.u, e.v, e.shared_articles) for e in graph.edges]
+    assert got == want
+    assert len(graph.edges) == len(want)
+    assert [(e.u, e.v, e.shared_articles) for e in graph.edges] == got
+    assert list(graph.undirected_edges()) == [(u, v) for u, v, _ in want]
+
+
+def test_case_graph_memory_does_not_grow_with_the_pair_count():
+    _, truth = generate_synthetic_corpus(seed=7, n_docs=1000)
+    articles = {doc_id: t.articles for doc_id, t in truth.entries.items()}
+    outcomes = {doc_id: t.outcome for doc_id, t in truth.entries.items()}
+    tracemalloc.start()
+    try:
+        graph = build_case_graph(articles, outcomes, 3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(graph.edges) > 40_000
+    assert peak < 5 * 2**20
+
+
 def test_communities_split_joined_cliques():
     nodes = [f"n{i}" for i in range(8)]
     edges = [(f"n{i}", f"n{j}") for i in range(4) for j in range(i + 1, 4)]
@@ -250,6 +289,24 @@ def test_communities_ignore_insertion_order():
         rng.shuffle(shuffled_nodes)
         rng.shuffle(shuffled_edges)
         assert detect_communities(_Graph(shuffled_nodes, shuffled_edges)).assignment == baseline
+
+
+@st.composite
+def _edge_lists(draw):
+    """Node ids and an edge list over them, self-loops and duplicates included."""
+    n = draw(st.integers(0, 24))
+    nodes = [f"n{i:02d}" for i in range(n)]
+    if not nodes:
+        return nodes, []
+    end = st.sampled_from(nodes)
+    return nodes, draw(st.lists(st.tuples(end, end), max_size=80))
+
+
+@given(_edge_lists())
+def test_communities_equal_dict_based_reference(graph):
+    nodes, edges = graph
+    got = detect_communities(_Graph(nodes, edges)).assignment
+    assert got == communities_reference(nodes, edges)
 
 
 def test_detected_partition_is_near_exhaustive_optimum():
@@ -342,4 +399,4 @@ def test_case_graphml_round_trip_with_communities(tmp_path):
     assert directed is False
     assert {nid: Outcome(a["outcome"]) for nid, a in nodes} == graph.nodes
     assert {nid: a["community"] for nid, a in nodes} == partition.assignment
-    assert [CaseEdge(u, v, a["shared_articles"]) for u, v, a in edges] == graph.edges
+    assert [CaseEdge(u, v, a["shared_articles"]) for u, v, a in edges] == list(graph.edges)
