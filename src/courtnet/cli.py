@@ -498,6 +498,9 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command")
     for name, command in COMMANDS.items():
         p = sub.add_parser(name, help=command.__doc__)
+        # accepted after the subcommand too; SUPPRESS keeps a --verbose given before it
+        p.add_argument("--verbose", action="store_true", default=argparse.SUPPRESS,
+                       help="log at INFO level")
         p.add_argument("--config", help="JSON config file")
         for f in _FIELDS.values():
             cls = _field_class(f.name)

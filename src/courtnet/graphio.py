@@ -43,6 +43,12 @@ def _format_value(value, attr_type: str) -> str:
     raise ValueError(f"unsupported attribute type {attr_type!r}")
 
 
+def _element_text(value, attr_type: str) -> str:
+    """The value's text inside a GraphML element; only strings can hold markup."""
+    text = _format_value(value, attr_type)
+    return escape(text) if attr_type == "string" else text
+
+
 def write_graphml(
     path: str | Path,
     *,
@@ -59,7 +65,7 @@ def write_graphml(
 
     def data(keys, attrs: dict) -> str:
         return "".join(
-            f'<data key="{key}">{escape(_format_value(attrs[name], t))}</data>'
+            f'<data key="{key}">{_element_text(attrs[name], t)}</data>'
             for key, name, t in keys
         )
 

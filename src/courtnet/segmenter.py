@@ -9,6 +9,7 @@ hit the same marker.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -17,7 +18,9 @@ from typing import TYPE_CHECKING, Sequence
 from . import graphio
 from .errors import MissingConclusion, OutOfOrderMarkers, UnreadableFile
 from .jsonl import decode
-from .textmetrics import DEFAULT_THRESHOLD, check_threshold, fold, jaro_similarity, same_node
+from .textmetrics import (
+    DEFAULT_THRESHOLD, _ceiling, _char_counts, _jaro, _positions, _shared, check_threshold, fold,
+)
 
 if TYPE_CHECKING:
     from .corpus import Document
@@ -171,14 +174,42 @@ def _lines_with_offsets(text: str) -> list[tuple[int, int, str]]:
     return out
 
 
-def _marker_hits(line: str, marker: Marker, threshold: float) -> bool:
-    stripped = line.strip()
-    if not stripped:
+@dataclass(frozen=True)
+class _Variants:
+    """A marker's variants folded, with the positions and counts of their characters."""
+    alphabet: str
+    folded: tuple[tuple[str, dict[str, list[int]], list[int]], ...]
+
+
+@functools.lru_cache(maxsize=256)  # a few markers per profile, folded once each
+def _folded_variants(marker: Marker) -> _Variants:
+    folded = [fold(v) for v in marker.variants]
+    alphabet = "".join(sorted(set().union(*folded)))
+    return _Variants(alphabet, tuple((fv, _positions(fv), _char_counts(fv, alphabet))
+                                     for fv in folded))
+
+
+def _marker_hits(line: str | None, variants: _Variants, threshold: float) -> bool:
+    """Whether a folded stripped line (None when blank) is one of the marker's headings.
+
+    A line hits when it starts with a folded variant or scores above the
+    threshold against one. The length and shared-character bounds skip only
+    variants the line cannot score above the threshold against.
+    """
+    if line is None:
         return False
-    folded = fold(stripped)
-    for variant in marker.variants:
-        fv = fold(variant)
-        if folded.startswith(fv) or same_node(stripped, variant, threshold):
+    n1 = len(line)
+    counts = None
+    for fv, positions, fv_counts in variants.folded:
+        if line.startswith(fv):
+            return True
+        n2 = len(fv)  # not 0: the empty string is a prefix of every line
+        if n1 == 0 or _ceiling(min(n1, n2), n1, n2) <= threshold:
+            continue
+        if counts is None:
+            counts = _char_counts(line, variants.alphabet)
+        if (_ceiling(_shared(counts, fv_counts), n1, n2) > threshold
+                and _jaro(line, fv, positions) > threshold):
             return True
     return False
 
@@ -196,14 +227,17 @@ def segment(doc: "Document", profile: KeywordProfile) -> SegmentedJudgment:
     """
     text = doc.text
     lines = _lines_with_offsets(text)
+    folded = [fold(stripped) if (stripped := content.strip()) else None
+              for _, _, content in lines]
     threshold = profile.jaro_threshold
 
     matched: list[tuple[str, int]] = []  # (segment name, line index)
     pos = 0
     for marker in profile.markers:
+        variants = _folded_variants(marker)
         hit = None
         for li in range(pos, len(lines)):
-            if _marker_hits(lines[li][2], marker, threshold):
+            if _marker_hits(folded[li], variants, threshold):
                 hit = li
                 break
         if hit is not None:
@@ -212,7 +246,7 @@ def segment(doc: "Document", profile: KeywordProfile) -> SegmentedJudgment:
             continue
         # not found ahead; decide between omission and a hard error
         earlier = any(
-            _marker_hits(lines[li][2], marker, threshold) for li in range(0, pos)
+            _marker_hits(folded[li], variants, threshold) for li in range(0, pos)
         )
         if earlier:
             raise OutOfOrderMarkers(
@@ -338,23 +372,34 @@ class _UnionFind:
 
 
 def _contract(texts: list[str], threshold: float) -> list[int]:
-    """Single-linkage grouping of texts by pairwise same_node; returns roots."""
+    """Single-linkage grouping of texts by pairwise Jaro above the threshold; returns roots.
+
+    Texts i < j join when neither folds to the empty string and
+    jaro_similarity(texts[i], texts[j]) exceeds the threshold; each root is
+    the smallest index of its group. Pairs are visited by ascending folded
+    length, and skipped only when their lengths or shared characters bound
+    the score at or below the threshold. The length bound only falls as the
+    longer text grows, so the scan for a text ends at the first length
+    failing it.
+    """
     folded = [fold(t) for t in texts]
+    by_length = sorted((i for i, f in enumerate(folded) if f), key=lambda i: len(folded[i]))
+    alphabet = "".join(sorted(set().union(*folded)))
+    counts = [_char_counts(f, alphabet) for f in folded]
+    positions = [_positions(f) for f in folded]
     uf = _UnionFind(len(texts))
-    for i in range(len(texts)):
+    for x, i in enumerate(by_length):
         li = len(folded[i])
-        for j in range(i + 1, len(texts)):
+        for j in by_length[x + 1:]:
+            lj = len(folded[j])
+            if _ceiling(li, li, lj) <= threshold:
+                break
             if uf.find(i) == uf.find(j):
                 continue
-            lj = len(folded[j])
-            if li == 0 or lj == 0:
-                continue
-            # upper bound on jaro given only the lengths; skip hopeless pairs
-            lm = min(li, lj)
-            if (lm / li + lm / lj + 1.0) / 3.0 <= threshold:
-                continue
-            if jaro_similarity(texts[i], texts[j]) > threshold:
-                uf.union(i, j)
+            lo, hi = min(i, j), max(i, j)
+            if (_ceiling(_shared(counts[lo], counts[hi]), li, lj) > threshold
+                    and _jaro(folded[lo], folded[hi], positions[hi]) > threshold):
+                uf.union(lo, hi)
     return [uf.find(i) for i in range(len(texts))]
 
 

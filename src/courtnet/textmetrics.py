@@ -13,10 +13,42 @@ from .errors import InvalidThreshold
 DEFAULT_THRESHOLD = 0.8
 
 
+def _fold_char(ch: str) -> str:
+    decomposed = unicodedata.normalize("NFKD", ch)
+    return "".join(c for c in decomposed if not unicodedata.combining(c)).casefold()
+
+
+def _fold_aligned_char(ch: str) -> str:
+    decomposed = unicodedata.normalize("NFKD", ch)
+    base = next((c for c in decomposed if not unicodedata.combining(c)), ch)
+    folded = base.casefold()
+    return folded[0] if folded else base
+
+
+class _FoldTable(dict):
+    """A str.translate table that folds each code point on first use and keeps it.
+
+    Folding a string character by character gives the same result as folding
+    it whole: NFKD decomposes each character on its own and only reorders
+    combining marks, which folding drops, and casefold has no context.
+    """
+
+    def __init__(self, fold_char):
+        super().__init__()
+        self._fold_char = fold_char
+
+    def __missing__(self, code: int) -> str:
+        folded = self[code] = self._fold_char(chr(code))
+        return folded
+
+
+_FOLD = _FoldTable(_fold_char)
+_FOLD_ALIGNED = _FoldTable(_fold_aligned_char)
+
+
 def fold(text: str) -> str:
     """Strip diacritics and case-fold."""
-    decomposed = unicodedata.normalize("NFKD", text)
-    return "".join(c for c in decomposed if not unicodedata.combining(c)).casefold()
+    return text.translate(_FOLD)
 
 
 def fold_aligned(text: str) -> str:
@@ -26,13 +58,38 @@ def fold_aligned(text: str) -> str:
     of its decomposition), so match positions found in the folded shadow are
     valid indices into the original string.
     """
-    out = []
-    for ch in text:
-        decomposed = unicodedata.normalize("NFKD", ch)
-        base = next((c for c in decomposed if not unicodedata.combining(c)), ch)
-        folded = base.casefold()
-        out.append(folded[0] if folded else base)
-    return "".join(out)
+    return text.translate(_FOLD_ALIGNED)
+
+
+def _positions(text: str) -> dict[str, list[int]]:
+    """Each character of the text mapped to its positions, ascending."""
+    positions: dict[str, list[int]] = {}
+    for i, ch in enumerate(text):
+        positions.setdefault(ch, []).append(i)
+    return positions
+
+
+def _char_counts(text: str, alphabet: str) -> list[int]:
+    """How often each character of the alphabet occurs in the text."""
+    return [text.count(ch) for ch in alphabet]
+
+
+def _shared(counts_a: list[int], counts_b: list[int]) -> int:
+    """Characters two texts share, counted with multiplicity.
+
+    Both counts are over one alphabet that holds every character of at least
+    one of the texts. No Jaro assignment can match more characters than this.
+    """
+    return sum(map(min, counts_a, counts_b))
+
+
+def _ceiling(matches: int, n1: int, n2: int) -> float:
+    """The highest Jaro score that at most `matches` matches can give.
+
+    It is the score's own formula with no transpositions, so in floating
+    point too no score with that many matches or fewer exceeds it.
+    """
+    return (matches / n1 + matches / n2 + 1.0) / 3.0
 
 
 def jaro_similarity(s1: str, s2: str) -> float:
@@ -45,41 +102,51 @@ def jaro_similarity(s1: str, s2: str) -> float:
     strings give 1.0; otherwise no matches at all, including either string
     being empty, gives 0.0.
     """
-    a, b = fold(s1), fold(s2)
+    return _jaro(fold(s1), fold(s2))
+
+
+def _jaro(a: str, b: str, positions_b: dict[str, list[int]] | None = None) -> float:
+    """jaro_similarity of two folded strings; positions_b is _positions(b) if given.
+
+    For one character, the greedy assignment picks positions of b that only
+    increase: each pick is the first unmatched equal position at or after
+    i - window, and the lower end of the window only rises. So one pointer
+    per character into its positions in b finds the same matches as a scan
+    of the window.
+    """
     n1, n2 = len(a), len(b)
     if a == b:
         return 1.0
     if n1 == 0 or n2 == 0:
         return 0.0
     window = max(max(n1, n2) // 2 - 1, 0)
+    if positions_b is None:
+        positions_b = _positions(b)
 
-    matched1 = [False] * n1
-    matched2 = [False] * n2
-    m = 0
+    pointer = dict.fromkeys(positions_b, 0)
+    matched_a = []  # the matched characters of a, in order
+    matched_b = []  # the matched positions of b, in the order of a
     for i, ch in enumerate(a):
-        lo = max(0, i - window)
-        hi = min(n2, i + window + 1)
-        for j in range(lo, hi):
-            if not matched2[j] and b[j] == ch:
-                matched1[i] = True
-                matched2[j] = True
-                m += 1
-                break
+        positions = positions_b.get(ch)
+        if positions is None:
+            continue
+        k = pointer[ch]
+        end = len(positions)
+        while k < end and positions[k] < i - window:
+            k += 1
+        if k < end and positions[k] <= i + window:
+            matched_a.append(ch)
+            matched_b.append(positions[k])
+            k += 1
+        pointer[ch] = k
+    m = len(matched_b)
     if m == 0:
         return 0.0
 
     # Walk both matched sequences in order; each positional mismatch is half
     # a transposition, floored at the end.
-    k = 0
-    diff = 0
-    for i in range(n1):
-        if not matched1[i]:
-            continue
-        while not matched2[k]:
-            k += 1
-        if a[i] != b[k]:
-            diff += 1
-        k += 1
+    matched_b.sort()
+    diff = sum(ch != b[j] for ch, j in zip(matched_a, matched_b))
     t = diff // 2
     return (m / n1 + m / n2 + (m - t) / m) / 3.0
 

@@ -21,6 +21,21 @@ def fold_reference(text):
     return "".join(out).casefold()
 
 
+def fold_aligned_reference(text):
+    """One folded character per character: the first base character of its
+    decomposition, case-folded to its first character."""
+    out = []
+    for ch in text:
+        base = ch
+        for c in unicodedata.normalize("NFKD", ch):
+            if not unicodedata.combining(c):
+                base = c
+                break
+        folded = base.casefold()
+        out.append(folded[0] if folded else base)
+    return "".join(out)
+
+
 def jaro_reference(s1, s2):
     """Jaro similarity with greedy windowed matching and floored
     transposition halving, computed over folded strings."""
@@ -49,6 +64,37 @@ def jaro_reference(s1, s2):
     diff = sum(1 for x, y in zip(seq_a, seq_b) if x != y)
     t = diff // 2
     return (m / len(a) + m / len(b) + (m - t) / m) / 3.0
+
+
+def marker_hits_reference(line, variants, threshold):
+    """Whether a line is one of a marker's headings: the stripped line is
+    not blank, and for some variant its folded text starts with the
+    variant's, or its Jaro similarity to the variant exceeds the threshold."""
+    stripped = line.strip()
+    if not stripped:
+        return False
+    folded = fold_reference(stripped)
+    return any(folded.startswith(fold_reference(v)) or jaro_reference(stripped, v) > threshold
+               for v in variants)
+
+
+def contract_reference(texts, threshold):
+    """Single-linkage roots over every pair: texts i < j join when neither
+    folds to the empty string and their Jaro similarity exceeds the
+    threshold; each text's root is the smallest index of its group."""
+    folded = [fold_reference(t) for t in texts]
+    root = list(range(len(texts)))
+
+    def find(x):
+        while root[x] != x:
+            x = root[x]
+        return x
+
+    for i, j in combinations(range(len(texts)), 2):
+        if folded[i] and folded[j] and jaro_reference(texts[i], texts[j]) > threshold:
+            ri, rj = find(i), find(j)
+            root[max(ri, rj)] = min(ri, rj)
+    return [find(i) for i in range(len(texts))]
 
 
 def pagerank_reference(node_ids, edges, damping, tol=1e-14, max_iter=100000):

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from courtnet.cli import main
+from courtnet.cli import _build_parser, main
 from courtnet.corpus import generate_synthetic_corpus, read_truth
 from courtnet.extract import Outcome
 
@@ -24,6 +24,15 @@ def test_print_default_config(capsys):
 def test_missing_subcommand_is_a_config_error(capsys):
     assert _run() == 1
     assert "subcommand" in capsys.readouterr().err
+
+
+def test_verbose_is_accepted_before_and_after_the_subcommand(tmp_path):
+    parse = _build_parser().parse_args
+    assert parse(["--verbose", "synth"]).verbose is True
+    assert parse(["synth", "--verbose"]).verbose is True
+    assert parse(["synth"]).verbose is False
+    assert _run("synth", "--verbose", "--output-dir", tmp_path, "--n-docs", "3") == 0
+    assert (tmp_path / "corpus.jsonl").exists()
 
 
 def test_bad_parameter_values_exit_1(tmp_path):

@@ -3,13 +3,17 @@
 import json
 
 import pytest
+from hypothesis import given, strategies as st
 
+from courtnet import segmenter
 from courtnet.corpus import Document, generate_synthetic_corpus
 from courtnet.errors import MissingConclusion, OutOfOrderMarkers
 from courtnet.jsonl import decode, dumps
 from courtnet.segmenter import (
+    PROFILES,
     KeywordProfile,
     Marker,
+    Segment,
     build_flow_graph,
     get_profile,
     load_profile,
@@ -18,7 +22,9 @@ from courtnet.segmenter import (
     write_flow,
 )
 
-from oracles import parse_graphml
+from courtnet.textmetrics import fold
+
+from oracles import contract_reference, marker_hits_reference, parse_graphml
 
 DOUAI_TEXT = (
     "COUR D'APPEL DE DOUAI\n"
@@ -156,6 +162,23 @@ def test_header_absent_when_text_starts_on_a_marker():
     assert seg.segments[0].name == "appellant"
 
 
+def test_indented_headings_and_mark_only_lines():
+    # headings are matched on the stripped line; a line of combining marks
+    # alone is not blank but matches nothing
+    text = (DOUAI_TEXT.replace("APPELANTE\n", "          APPELANTE\n")
+            .replace("DÉBATS\n", "\u0301\u0300\nDÉBATS  \n"))
+    seg = segment(_doc(text), get_profile("douai"))
+    assert [s.name for s in seg.segments] == [
+        "header", "appellant", "appellee", "court_entities", "debate", "conclusion"]
+    assert seg.slice(text, "appellant") == "Madame Claire DUPONT\n\n"
+    assert seg.slice(text, "court_entities") == "Présidente : Julie FABRE\n\n\u0301\u0300\n"
+    # a variant that folds to nothing is a prefix of every non-blank line
+    profile = KeywordProfile("x", (Marker("appellant", ("\u0301",)),
+                                   Marker("conclusion", ("PAR CES MOTIFS",))))
+    seg = segment(_doc("\u0300\nMe Durand\nPAR CES MOTIFS\nFin.\n"), profile)
+    assert seg.segments[0] == Segment("appellant", 2, 12)
+
+
 def test_generic_profile_handles_both_layouts():
     docs, truth = generate_synthetic_corpus(seed=41, n_docs=30)
     profile = get_profile("generic")
@@ -254,3 +277,48 @@ def test_flow_graphml_round_trip(tmp_path):
     assert dict(nodes) == {"Un.": {"occurrences": 2}, "Deux.": {"occurrences": 2}}
     counts = {(s, t): a["count"] for s, t, a in edges}
     assert counts == {("Un.", "Deux."): 2, ("Deux.", "Un."): 1}
+
+
+VARIANTS = sorted({v for p in PROFILES.values() for m in p.markers for v in m.variants})
+LINE_ALPHABET = "ENTREAPLIMSéÉ\u0301 :-"
+COMBINING = "\u0301\u0300\u0327"
+
+
+@st.composite
+def _marker_cases(draw):
+    variant = st.one_of(st.sampled_from(VARIANTS), st.text(LINE_ALPHABET, max_size=8),
+                        st.text(COMBINING, min_size=1, max_size=2))
+    variants = draw(st.lists(variant, min_size=1, max_size=3))
+    # lines near a drawn variant, to reach the pairs the bounds only just pass
+    near = st.sampled_from(variants)
+    edit = st.text(LINE_ALPHABET, max_size=3)
+    line = draw(st.one_of(
+        st.text(LINE_ALPHABET, max_size=30),
+        st.text(COMBINING, min_size=1, max_size=4),
+        st.tuples(edit, near, edit).map("".join),
+        st.tuples(near, st.integers(0, 8), edit).map(lambda t: t[0][:t[1]] + t[2] + t[0][t[1] + 1:]),
+        near.map(lambda v: f"  {v.lower()} "),
+    ))
+    return line, variants
+
+
+@given(_marker_cases(), st.sampled_from([0.0, 0.5, 0.8, 0.9, 0.95, 1.0]))
+def test_marker_hits_equal_unpruned_reference(case, threshold):
+    line, variants = case
+    stripped = line.strip()
+    folded = fold(stripped) if stripped else None
+    marker = segmenter._folded_variants(Marker("debate", tuple(variants)))
+    assert (segmenter._marker_hits(folded, marker, threshold)
+            == marker_hits_reference(line, variants, threshold))
+
+
+@st.composite
+def _sentence_lists(draw):
+    # few letters, so that many pairs score near the threshold
+    alphabet = draw(st.sampled_from(["ab", "ab é\u0301", "abcd ", "aeiouy"]))
+    return draw(st.lists(st.text(alphabet, max_size=20), max_size=14))
+
+
+@given(_sentence_lists(), st.sampled_from([0.0, 0.8, 1.0]))
+def test_contract_roots_equal_all_pairs_reference(texts, threshold):
+    assert segmenter._contract(texts, threshold) == contract_reference(texts, threshold)

@@ -1,14 +1,17 @@
 """String folding and Jaro similarity."""
 
+import itertools
 import random
 import string
 
 import pytest
+from hypothesis import given, strategies as st
 
+from courtnet import textmetrics
 from courtnet.errors import InvalidThreshold
 from courtnet.textmetrics import fold, fold_aligned, jaro_similarity, same_node
 
-from oracles import jaro_reference
+from oracles import fold_aligned_reference, fold_reference, jaro_reference
 
 # Heading pairs with frozen expected similarities, and the classic
 # six-letter transposition example.
@@ -42,6 +45,43 @@ def test_fold_aligned_preserves_length():
         shadow = fold_aligned(s)
         assert len(shadow) == len(s)
     assert fold_aligned("Étè") == "ete"
+
+
+def test_fold_equals_reference_on_every_code_point():
+    # Block by block, emptying the memo tables after each block: holding an
+    # entry for every code point would take some hundreds of megabytes.
+    code_points = itertools.chain(range(0xD800), range(0xE000, 0x110000))
+    while block := "".join(map(chr, itertools.islice(code_points, 0x10000))):
+        try:
+            assert fold(block) == fold_reference(block)
+            aligned = fold_aligned(block)
+            assert len(aligned) == len(block)
+            assert aligned == fold_aligned_reference(block)
+        finally:
+            textmetrics._FOLD.clear()
+            textmetrics._FOLD_ALIGNED.clear()
+
+
+# Small alphabets make matches, transpositions and repeated letters common.
+# The accented letters, the combining acute (U+0301), the fi ligature and
+# sharp s fold to other characters or to other lengths.
+JARO_ALPHABETS = ["ab", "abc ", "aAeé\u0301", "abcdeÉè", "sßSﬁf\u0301i", "MARTHA"]
+
+
+@st.composite
+def _text_pairs(draw):
+    alphabet = draw(st.sampled_from(JARO_ALPHABETS))
+    return draw(st.text(alphabet, max_size=30)), draw(st.text(alphabet, max_size=30))
+
+
+@given(_text_pairs())
+def test_jaro_equals_reference_exactly(pair):
+    s1, s2 = pair
+    expected = jaro_reference(s1, s2)
+    assert jaro_similarity(s1, s2) == expected
+    a, b = fold(s1), fold(s2)
+    assert textmetrics._jaro(a, b) == expected
+    assert textmetrics._jaro(a, b, textmetrics._positions(b)) == expected
 
 
 @pytest.mark.parametrize("s1,s2,expected", KNOWN_PAIRS)
