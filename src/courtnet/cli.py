@@ -404,13 +404,18 @@ def cmd_flowgraph(cfg: PipelineConfig) -> int:
 
 
 def run_pipeline(cfg: PipelineConfig) -> dict:
-    """Every stage in order, then run_manifest.json; returns the manifest."""
+    """Every stage in order, then run_manifest.json; returns the manifest.
+
+    An earlier run's manifest is removed before the first stage, so a run that
+    fails leaves none beside its partial artifacts.
+    """
+    if not (cfg.corpus_file or cfg.input_dir):
+        raise ValueError("run needs corpus_file or input_dir")
+    _out(cfg, "run_manifest.json").unlink(missing_ok=True)
     if cfg.corpus_file:
         docs, duplicates = load_corpus(cfg)
-    elif cfg.input_dir:
-        docs, duplicates = ingest_sources(cfg)
     else:
-        raise ValueError("run needs corpus_file or input_dir")
+        docs, duplicates = ingest_sources(cfg)
     segmented, failures = segment_corpus(cfg, docs)
     records = extract_records(cfg, docs, segmented)
     opposing, collab, cases, partition = build_networks(cfg, records)

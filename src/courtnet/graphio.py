@@ -4,20 +4,31 @@ Both writers take the same inputs: (name, type) schemas for node and edge
 attributes, type one of "string", "long", "double", and rows of (id, attrs)
 and (source, target, attrs). Each row's attrs holds a value for every schema
 name; other keys are ignored, so one row list serves both writers, DOT often
-with a shorter schema. Values are formatted from their declared type. Each
-writer streams its lines to the file in the order given, with a fixed layout
-and no timestamps, so identical graphs serialize to identical bytes. No
-pipeline stage reads these files back, so there is no reader.
+with a shorter schema.
+
+Each writer builds its formatters once per file, from its format and the
+schemas: ids are escaped (GraphML) or quoted (DOT) once each, and every
+attribute's text comes from its declared type. In both formats an edge line
+is head(source) + tail(target, attrs), so instead of rows a writer also takes
+a function of (head, tail) that returns the edge section's text. A caller
+whose sources share their tails can then format each tail once and join it
+under many heads (see networks.write_case). Lines are streamed to the file in
+the order given, with a fixed layout and no timestamps, so identical graphs
+serialize to identical bytes. No pipeline stage reads these files back, so
+there is no reader.
 """
 
 from __future__ import annotations
 
 import functools
 from pathlib import Path
-from typing import Iterable
+from typing import Callable, Iterable
 from xml.sax.saxutils import escape
 
 GRAPHML_NS = "http://graphml.graphdrawing.org/xmlns"
+
+# (source, target, attrs) rows, or a function of (head, tail) giving the edge text
+Edges = Iterable[tuple[str, str, dict]] | Callable[[Callable, Callable], Iterable[str]]
 
 
 def _attr(value) -> str:
@@ -32,21 +43,39 @@ def _attr(value) -> str:
             .replace("\n", "&#10;").replace("\r", "&#13;").replace("\t", "&#9;"))
 
 
-def _format_value(value, attr_type: str) -> str:
-    """The value's text for its declared type, the one place that knows the types."""
-    if attr_type == "long":
-        return str(int(value))
-    if attr_type == "double":
-        return repr(float(value))
-    if attr_type == "string":
-        return str(value)
-    raise ValueError(f"unsupported attribute type {attr_type!r}")
+_NUMBER_TEXT = {"long": lambda v: str(int(v)), "double": lambda v: repr(float(v))}
 
 
-def _element_text(value, attr_type: str) -> str:
-    """The value's text inside a GraphML element; only strings can hold markup."""
-    text = _format_value(value, attr_type)
-    return escape(text) if attr_type == "string" else text
+def _value_formats(schema: list[tuple[str, str]], string: Callable) -> list[tuple[str, Callable]]:
+    """(name, value -> text) per attribute, the one place that knows the types.
+
+    `string` gives a string's text in the file's format; numbers hold no
+    markup, so they are never escaped or quoted.
+    """
+    try:
+        return [(name, string if t == "string" else _NUMBER_TEXT[t]) for name, t in schema]
+    except KeyError as exc:
+        raise ValueError(f"unsupported attribute type {exc.args[0]!r}") from None
+
+
+def _graphml_end(tag: str, schema: list[tuple[str, str]], first_key: int) -> Callable[[dict], str]:
+    """attrs -> the rest of a <tag> element after its attributes.
+
+    That is its <data> children, keyed d<first_key>, d<first_key + 1>, ...,
+    or "/>" without a schema.
+    """
+    parts = [(f'<data key="d{i}">', name, fmt) for i, (name, fmt)
+             in enumerate(_value_formats(schema, lambda v: escape(str(v))), first_key)]
+    if not parts:
+        return lambda attrs: "/>\n"
+    return lambda attrs: ">" + "".join(
+        [f"{key}{fmt(attrs[name])}</data>" for key, name, fmt in parts]) + f"</{tag}>\n"
+
+
+def _edge_text(edges: Edges, head: Callable, tail: Callable) -> Iterable[str]:
+    if callable(edges):
+        return edges(head, tail)
+    return (head(source) + tail(target, attrs) for source, target, attrs in edges)
 
 
 def write_graphml(
@@ -56,36 +85,31 @@ def write_graphml(
     node_attrs: list[tuple[str, str]],
     edge_attrs: list[tuple[str, str]],
     nodes: Iterable[tuple[str, dict]],
-    edges: Iterable[tuple[str, str, dict]],
+    edges: Edges,
 ) -> None:
     """Write a graph as GraphML, declaring every schema attribute as a key."""
-    attr = functools.cache(_attr)  # each id is escaped once, not once per edge end
-    node_keys = [(f"d{i}", name, t) for i, (name, t) in enumerate(node_attrs)]
-    edge_keys = [(f"d{i}", name, t) for i, (name, t) in enumerate(edge_attrs, len(node_attrs))]
+    ident = functools.cache(_attr)  # each id is escaped once, not once per edge end
+    node_end = _graphml_end("node", node_attrs, 0)
+    edge_end = _graphml_end("edge", edge_attrs, len(node_attrs))
 
-    def data(keys, attrs: dict) -> str:
-        return "".join(
-            f'<data key="{key}">{_element_text(attrs[name], t)}</data>'
-            for key, name, t in keys
-        )
+    def head(source: str) -> str:
+        return f'    <edge source="{ident(source)}" target="'
+
+    def tail(target: str, attrs: dict) -> str:
+        return f'{ident(target)}"{edge_end(attrs)}'
 
     with open(path, "w", encoding="utf-8") as fh:
         fh.write('<?xml version="1.0" encoding="UTF-8"?>\n')
         fh.write(f'<graphml xmlns="{GRAPHML_NS}">\n')
-        for domain, keys in (("node", node_keys), ("edge", edge_keys)):
-            for key, name, t in keys:
-                fh.write(f'  <key id="{key}" for="{domain}" '
-                         f'attr.name="{_attr(name)}" attr.type="{t}"/>\n')
+        keys = [("node", a) for a in node_attrs] + [("edge", a) for a in edge_attrs]
+        for i, (domain, (name, attr_type)) in enumerate(keys):
+            fh.write(f'  <key id="d{i}" for="{domain}" '
+                     f'attr.name="{_attr(name)}" attr.type="{attr_type}"/>\n')
         edgedefault = "directed" if directed else "undirected"
         fh.write(f'  <graph edgedefault="{edgedefault}">\n')
         for node_id, attrs in nodes:
-            head = f'    <node id="{attr(node_id)}"'
-            body = data(node_keys, attrs)
-            fh.write(f"{head}>{body}</node>\n" if body else f"{head}/>\n")
-        for source, target, attrs in edges:
-            head = f'    <edge source="{attr(source)}" target="{attr(target)}"'
-            body = data(edge_keys, attrs)
-            fh.write(f"{head}>{body}</edge>\n" if body else f"{head}/>\n")
+            fh.write(f'    <node id="{ident(node_id)}"{node_end(attrs)}')
+        fh.writelines(_edge_text(edges, head, tail))
         fh.write("  </graph>\n</graphml>\n")
 
 
@@ -95,13 +119,12 @@ def _dot_quote(value) -> str:
     return f'"{text}"'
 
 
-def _dot_attrs(schema: list[tuple[str, str]], attrs: dict) -> str:
-    """` [name=value, ...]` in schema order, strings quoted; empty without a schema."""
-    parts = []
-    for name, t in schema:
-        text = _format_value(attrs[name], t)
-        parts.append(f"{name}={_dot_quote(text) if t == 'string' else text}")
-    return f" [{', '.join(parts)}]" if parts else ""
+def _dot_list(schema: list[tuple[str, str]]) -> Callable[[dict], str]:
+    """attrs -> ` [name=value, ...]` in schema order, strings quoted; '' without a schema."""
+    parts = [(f"{name}=", name, fmt) for name, fmt in _value_formats(schema, _dot_quote)]
+    if not parts:
+        return lambda attrs: ""
+    return lambda attrs: f" [{', '.join([f'{eq}{fmt(attrs[name])}' for eq, name, fmt in parts])}]"
 
 
 def write_dot(
@@ -111,16 +134,23 @@ def write_dot(
     node_attrs: list[tuple[str, str]],
     edge_attrs: list[tuple[str, str]],
     nodes: Iterable[tuple[str, dict]],
-    edges: Iterable[tuple[str, str, dict]],
+    edges: Edges,
 ) -> None:
     """Write a graph in DOT form, with each row's schema attributes in schema order."""
-    arrow = "->" if directed else "--"
     quote = functools.cache(_dot_quote)  # each id is quoted once, not once per edge end
+    node_list = _dot_list(node_attrs)
+    edge_list = _dot_list(edge_attrs)
+    arrow = "->" if directed else "--"
+
+    def head(source: str) -> str:
+        return f"  {quote(source)} {arrow} "
+
+    def tail(target: str, attrs: dict) -> str:
+        return f"{quote(target)}{edge_list(attrs)};\n"
+
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"{'digraph' if directed else 'graph'} G {{\n")
         for node_id, attrs in nodes:
-            fh.write(f"  {quote(node_id)}{_dot_attrs(node_attrs, attrs)};\n")
-        for source, target, attrs in edges:
-            fh.write(f"  {quote(source)} {arrow} {quote(target)}"
-                     f"{_dot_attrs(edge_attrs, attrs)};\n")
+            fh.write(f"  {quote(node_id)}{node_list(attrs)};\n")
+        fh.writelines(_edge_text(edges, head, tail))
         fh.write("}\n")

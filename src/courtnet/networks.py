@@ -9,12 +9,16 @@ on the unweighted skeleton of whichever graph it is given.
 Each graph has one writer that streams `<stem>.graphml` and `<stem>.dot` from
 the same node and edge rows (see graphio). The DOT file gets a shorter schema,
 a subset of the GraphML one, since the writers ignore row keys outside the
-schema. The case graph holds no edge list, so its edge rows are generated from
-its edge view once per file.
+schema. The case graph holds no edge list and is written without edge rows:
+an edge line's tail depends only on the target and the shared count, both held
+in the source's set row, so each file formats every distinct tail once, lists
+each set's tails once, and writes a source's edges as one join of its set's
+tails under its head.
 """
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 from array import array
@@ -233,7 +237,7 @@ class CaseEdges:
     of its neighbouring documents and the articles shared with each.
     Document u's edges are the entries of its set's row past u. Iterating
     yields CaseEdge objects; triples() yields (u, v, shared_articles) tuples
-    without them.
+    without them, and adjacency() each document's neighbours as indices.
     """
     doc_ids: list[str]
     set_of_doc: array                 # each document's set number
@@ -254,6 +258,18 @@ class CaseEdges:
 
     def __iter__(self) -> Iterator[CaseEdge]:
         return (CaseEdge(u, v, count) for u, v, count in self.triples())
+
+    def adjacency(self) -> list[array]:
+        """Per document, in doc_ids order, its sorted neighbours: its set's row
+        without the document itself. A set of fewer than k articles has an
+        empty row, which its documents share.
+        """
+        out = []
+        for u, s in enumerate(self.set_of_doc):
+            nbrs = self.rows[s][0]
+            i = bisect_right(nbrs, u)
+            out.append(nbrs[:i - 1] + nbrs[i:] if i and nbrs[i - 1] == u else nbrs)
+        return out
 
 
 @dataclass
@@ -447,17 +463,24 @@ def detect_communities(graph) -> CommunityPartition:
     Deterministic: nodes are swept in ascending id order, ties go to the
     smallest community id, moves need a modularity gain above 1e-9, and the
     final ids are numbered by each community's smallest member.
+
+    A CaseGraph's rows come from its edge view, whose documents are its
+    sorted node ids and which holds no repeated edge and no self-loop. Any
+    other graph is read through node_ids() and undirected_edges().
     """
     node_ids = sorted(graph.node_ids())
-    index = {nid: i for i, nid in enumerate(node_ids)}
-    nbrs = [array("i") for _ in node_ids]
-    for u, v in graph.undirected_edges():
-        i, j = index[u], index[v]
-        if i != j:
-            nbrs[i].append(j)
-            nbrs[j].append(i)
-    for i, row in enumerate(nbrs):
-        nbrs[i] = array("i", dict.fromkeys(row))  # a repeated edge counts once
+    if isinstance(graph, CaseGraph):
+        nbrs = graph.edges.adjacency()
+    else:
+        index = {nid: i for i, nid in enumerate(node_ids)}
+        nbrs = [array("i") for _ in node_ids]
+        for u, v in graph.undirected_edges():
+            i, j = index[u], index[v]
+            if i != j:
+                nbrs[i].append(j)
+                nbrs[j].append(i)
+        for i, row in enumerate(nbrs):
+            nbrs[i] = array("i", dict.fromkeys(row))  # a repeated edge counts once
     labels = _dense_renumber(_louvain(nbrs))
     return CommunityPartition({nid: labels[i] for i, nid in enumerate(node_ids)})
 
@@ -538,16 +561,36 @@ def write_case(stem: str | Path, graph: CaseGraph, communities: Mapping[str, int
     """`<stem>.graphml` and `<stem>.dot`; only GraphML nodes carry the community."""
     nodes = [(d, {"outcome": o.value, "community": communities[d]})
              for d, o in sorted(graph.nodes.items())]
+    view = graph.edges
+    ids = view.doc_ids
 
-    def edges():  # generated once per file, in the view's sorted order
-        return ((u, v, {"shared_articles": count}) for u, v, count in graph.edges.triples())
+    def edges(head, tail):
+        """Each source's edge lines as one string, in the view's sorted order.
+
+        A set's tails are listed the first time one of its documents is a
+        source, and each distinct (target, shared) tail is formatted once;
+        document u's edges are the tails past u in its set's row.
+        """
+        @functools.cache
+        def tail_of(v: int, count: int) -> str:
+            return tail(ids[v], {"shared_articles": count})
+        tails: dict[int, list[str]] = {}
+        for u, s in enumerate(view.set_of_doc):
+            nbrs, shared = view.rows[s]
+            start = bisect_right(nbrs, u)
+            if start == len(nbrs):
+                continue
+            if s not in tails:
+                tails[s] = list(map(tail_of, nbrs, shared))
+            h = head(ids[u])
+            yield h + h.join(tails[s][start:])
     edge_attrs = [("shared_articles", "long")]
     graphio.write_graphml(
         f"{stem}.graphml", directed=False,
         node_attrs=[("outcome", "string"), ("community", "long")],
-        edge_attrs=edge_attrs, nodes=nodes, edges=edges(),
+        edge_attrs=edge_attrs, nodes=nodes, edges=edges,
     )
     graphio.write_dot(
         f"{stem}.dot", directed=False, node_attrs=[("outcome", "string")],
-        edge_attrs=edge_attrs, nodes=nodes, edges=edges(),
+        edge_attrs=edge_attrs, nodes=nodes, edges=edges,
     )

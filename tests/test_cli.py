@@ -100,6 +100,18 @@ def test_run_on_empty_input_dir_exits_2_without_artifacts(tmp_path, capsys):
     assert not (out / "run_manifest.json").exists()
 
 
+def test_failed_rerun_leaves_no_stale_manifest(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert _run("synth", "--output-dir", tmp_path, "--n-docs", "10") == 0
+    assert _run("run", "--corpus-file", tmp_path / "corpus.jsonl", "--output-dir", out) == 0
+    assert (out / "run_manifest.json").exists()
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    assert _run("run", "--input-dir", empty, "--output-dir", out) == 2
+    assert "error" in capsys.readouterr().err
+    assert not (out / "run_manifest.json").exists()
+
+
 def test_run_without_corpus_source_exits_1(tmp_path):
     assert _run("run", "--output-dir", tmp_path / "out") == 1
 

@@ -3,13 +3,16 @@
 import logging
 import math
 import random
+import tempfile
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
 from courtnet.corpus import generate_synthetic_corpus
 from courtnet.extract import ArticleRef, Outcome
+from courtnet.graphio import write_dot, write_graphml
 from courtnet.networks import (
     CaseEdge,
     CaseResult,
@@ -219,10 +222,10 @@ _REFS = [ArticleRef("code", str(num)) for num in range(8)]
 
 
 @st.composite
-def _article_maps(draw):
+def _article_maps(draw, ids=st.text(max_size=3)):
     """Documents drawn from a few article sets, so most sets have many documents."""
     sets = draw(st.lists(st.frozensets(st.sampled_from(_REFS)), min_size=1, max_size=6))
-    return draw(st.dictionaries(st.text(max_size=3), st.sampled_from(sets), max_size=40))
+    return draw(st.dictionaries(ids, st.sampled_from(sets), max_size=40))
 
 
 @given(_article_maps(), st.integers(1, 5))
@@ -234,6 +237,49 @@ def test_case_graph_edges_equal_quadratic_scan_in_order(articles, k):
     assert len(graph.edges) == len(want)
     assert [(e.u, e.v, e.shared_articles) for e in graph.edges] == got
     assert list(graph.undirected_edges()) == [(u, v) for u, v, _ in want]
+
+
+@given(_article_maps(), st.integers(1, 5))
+def test_case_adjacency_equals_rows_built_from_the_edges(articles, k):
+    # isolated documents, empty sets and sets of fewer than k articles, which
+    # hold none of their own documents, all occur in the drawn maps
+    graph = build_case_graph(articles, {}, k)
+    index = {doc_id: i for i, doc_id in enumerate(graph.edges.doc_ids)}
+    want = [[] for _ in index]
+    for u, v in graph.undirected_edges():
+        want[index[u]].append(index[v])
+        want[index[v]].append(index[u])
+    assert [list(row) for row in graph.edges.adjacency()] == [sorted(row) for row in want]
+
+
+@given(_article_maps(), st.integers(1, 5))
+def test_case_communities_equal_dict_based_reference(articles, k):
+    graph = build_case_graph(articles, {}, k)
+    want = communities_reference(graph.node_ids(), list(graph.undirected_edges()))
+    assert detect_communities(graph).assignment == want
+
+
+@given(_article_maps(st.text('a&<>"\\\n\r\t', max_size=3)), st.integers(1, 4))
+def test_case_files_equal_the_generic_writers_on_plain_rows(articles, k):
+    outcomes = list(Outcome)
+    graph = build_case_graph(
+        articles, {d: outcomes[i % 3] for i, d in enumerate(sorted(articles))}, k
+    )
+    communities = detect_communities(graph).assignment
+    nodes = [(d, {"outcome": o.value, "community": communities[d]})
+             for d, o in sorted(graph.nodes.items())]
+    rows = [(u, v, {"shared_articles": shared})
+            for (u, v), shared in sorted(case_edges_reference(articles, k).items())]
+    edge_attrs = [("shared_articles", "long")]
+    with tempfile.TemporaryDirectory() as tmp:
+        write_case(Path(tmp, "cases"), graph, communities)
+        write_graphml(Path(tmp, "rows.graphml"), directed=False,
+                      node_attrs=[("outcome", "string"), ("community", "long")],
+                      edge_attrs=edge_attrs, nodes=nodes, edges=rows)
+        write_dot(Path(tmp, "rows.dot"), directed=False, node_attrs=[("outcome", "string")],
+                  edge_attrs=edge_attrs, nodes=nodes, edges=rows)
+        for ext in ("graphml", "dot"):
+            assert Path(tmp, f"cases.{ext}").read_bytes() == Path(tmp, f"rows.{ext}").read_bytes()
 
 
 def test_case_graph_memory_does_not_grow_with_the_pair_count():
