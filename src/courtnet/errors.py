@@ -45,13 +45,5 @@ class EmptyNetwork(CourtnetError):
     """Network has no nodes."""
 
 
-class UnknownLawyer(CourtnetError):
-    """Lawyer does not appear in any of the given case results."""
-
-
-class NoDeterminedCases(CourtnetError):
-    """Lawyer has no case with a determined outcome."""
-
-
 class NoDeterminedOutcomes(CourtnetError):
     """No determined outcomes to compute a rate over."""

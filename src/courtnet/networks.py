@@ -23,7 +23,6 @@ import logging
 import math
 from array import array
 from bisect import bisect_right
-from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, combinations, islice
 from pathlib import Path
@@ -235,9 +234,9 @@ class CaseEdges:
     Documents citing the same article set have the same neighbours, so the
     edges are held per distinct set, as the sorted indices (into `doc_ids`)
     of its neighbouring documents and the articles shared with each.
-    Document u's edges are the entries of its set's row past u. Iterating
-    yields CaseEdge objects; triples() yields (u, v, shared_articles) tuples
-    without them, and adjacency() each document's neighbours as indices.
+    Document u's neighbours are its set's row without u, and its edges the
+    entries of that row past u. Iterating yields CaseEdge objects; triples()
+    yields (u, v, shared_articles) tuples without them.
     """
     doc_ids: list[str]
     set_of_doc: array                 # each document's set number
@@ -258,18 +257,6 @@ class CaseEdges:
 
     def __iter__(self) -> Iterator[CaseEdge]:
         return (CaseEdge(u, v, count) for u, v, count in self.triples())
-
-    def adjacency(self) -> list[array]:
-        """Per document, in doc_ids order, its sorted neighbours: its set's row
-        without the document itself. A set of fewer than k articles has an
-        empty row, which its documents share.
-        """
-        out = []
-        for u, s in enumerate(self.set_of_doc):
-            nbrs = self.rows[s][0]
-            i = bisect_right(nbrs, u)
-            out.append(nbrs[:i - 1] + nbrs[i:] if i and nbrs[i - 1] == u else nbrs)
-        return out
 
 
 @dataclass
@@ -345,19 +332,32 @@ def build_case_graph(
 _GAIN_EPS = 1e-9
 
 
-def _louvain_level(adj: list[array], loops: list[int]) -> tuple[list[int], bool]:
+def _louvain_level(
+    rows: list[dict[int, int]], row_of: Sequence[int], own: list[int], loops: list[int]
+) -> tuple[list[int], bool]:
     """One local-move phase.
 
-    adj[v] lists v's other neighbours, each once per unit of edge weight;
-    loops[v] is v's self-loop weight, stored pre-doubled, so v's degree is
-    loops[v] plus the length of its row. Every weight is an exact integer.
+    Node v's neighbours are the keys of rows[row_of[v]] other than v, each
+    with its edge weight. Nodes may share a row, and own[v] is the weight
+    under which v's row lists v itself (0 when it does not). loops[v] is v's
+    self-loop weight, stored pre-doubled. Every weight is an exact integer.
+    The graph is undirected, so the rows listing v are the rows of v's
+    neighbours, and of v itself when own[v] is set.
+
+    The level starts from singletons, so each row is already a map from
+    community to weight. It is kept one as nodes move: a move updates the
+    rows listing the node, and a community whose weight falls to 0 leaves
+    the row. A visited node's weight to each community is then its row,
+    less own[v] on its own community.
     """
-    n = len(adj)
-    k = [loop + len(nbrs) for nbrs, loop in zip(adj, loops)]
+    n = len(row_of)
+    row_sum = [sum(row.values()) for row in rows]
+    k = [loop + row_sum[r] - o for r, o, loop in zip(row_of, own, loops)]
     two_m = sum(k)
     comm = list(range(n))
     if two_m == 0:
         return comm, False
+    listing = [list({row_of[u]: w for u, w in row.items()}.items()) for row in rows]
     sum_tot = k[:]
     moved_any = False
     improved = True
@@ -366,9 +366,9 @@ def _louvain_level(adj: list[array], loops: list[int]) -> tuple[list[int], bool]
         for v in range(n):
             cv = comm[v]
             kv = k[v]
-            weight_to = Counter(map(comm.__getitem__, adj[v]))
+            weight_to = rows[row_of[v]]
             base = (
-                2.0 * weight_to[cv] / two_m
+                2.0 * (weight_to.get(cv, 0) - own[v]) / two_m
                 - 2.0 * (sum_tot[cv] - kv) * kv / (two_m * two_m)
             )
             best_gain = _GAIN_EPS
@@ -385,6 +385,14 @@ def _louvain_level(adj: list[array], loops: list[int]) -> tuple[list[int], bool]
                     best_gain = gain
                     best_c = c
             if best_c != cv:
+                for r, w in listing[row_of[v]]:
+                    row = rows[r]
+                    left = row[cv] - w
+                    if left:
+                        row[cv] = left
+                    else:
+                        del row[cv]
+                    row[best_c] = row.get(best_c, 0) + w
                 sum_tot[cv] -= kv
                 sum_tot[best_c] += kv
                 comm[v] = best_c
@@ -404,39 +412,49 @@ def _dense_renumber(values: list[int]) -> list[int]:
 
 
 def _aggregate(
-    adj: list[array], loops: list[int], labels: list[int]
-) -> tuple[list[array], list[int]]:
-    """The graph of the communities `labels` numbers densely, in _louvain_level's form.
+    rows: list[dict[int, int]], row_of: Sequence[int], own: list[int],
+    loops: list[int], comm: list[int], labels: list[int],
+) -> tuple[list[dict[int, int]], list[int]]:
+    """The graph of the communities, numbered by `labels`, in _louvain_level's form.
 
-    Its rows hold together no more entries than the rows they replace, so no
-    level needs more memory than the first.
+    `rows` are the per-row community weights _louvain_level leaves, keyed by
+    raw community ids, so each community's row adds up the rows of its
+    members, once per distinct row with the count of members using it. The
+    weight inside the community, less the members' own entries, joins its
+    self-loop: each internal edge counts once from each end.
     """
-    size = max(labels) + 1
-    rows = [array("i") for _ in range(size)]
+    label_of = dict(zip(comm, labels))
+    size = len(label_of)
     new_loops = [0] * size
-    for i, nbrs in enumerate(adj):
-        ci = labels[i]
-        rows[ci].extend(map(labels.__getitem__, nbrs))
-        new_loops[ci] += loops[i]
-    for ci, row in enumerate(rows):
-        # an edge inside the community joins its self-loop, once from each end
-        inside = row.count(ci)
-        if inside:
-            new_loops[ci] += inside
-            rows[ci] = array("i", filter(ci.__ne__, row))
-    return rows, new_loops
+    uses: list[dict[int, int]] = [{} for _ in range(size)]
+    for c, r, o, loop in zip(labels, row_of, own, loops):
+        uses[c][r] = uses[c].get(r, 0) + 1
+        new_loops[c] += loop - o
+    new_rows = []
+    for c, used in enumerate(uses):
+        row: dict[int, int] = {}
+        for r, members in used.items():
+            for d, w in rows[r].items():
+                d = label_of[d]
+                row[d] = row.get(d, 0) + members * w
+        new_loops[c] += row.pop(c, 0)
+        new_rows.append(row)
+    return new_rows, new_loops
 
 
-def _louvain(adj: list[array]) -> list[int]:
-    node_comm = list(range(len(adj)))
-    loops = [0] * len(adj)
+def _louvain(rows: list[dict[int, int]], row_of: Sequence[int]) -> list[int]:
+    """Each node's community; node v's neighbours are rows[row_of[v]] as in _louvain_level."""
+    node_comm = list(range(len(row_of)))
+    loops = [0] * len(row_of)
     while True:
-        comm, moved = _louvain_level(adj, loops)
+        own = [rows[r].get(v, 0) for v, r in enumerate(row_of)]
+        comm, moved = _louvain_level(rows, row_of, own, loops)
         labels = _dense_renumber(comm)
         node_comm = [labels[c] for c in node_comm]
         if not moved:
             return node_comm
-        adj, loops = _aggregate(adj, loops, labels)
+        rows, loops = _aggregate(rows, row_of, own, loops, comm, labels)
+        row_of = range(len(rows))
 
 
 @dataclass
@@ -464,24 +482,24 @@ def detect_communities(graph) -> CommunityPartition:
     smallest community id, moves need a modularity gain above 1e-9, and the
     final ids are numbered by each community's smallest member.
 
-    A CaseGraph's rows come from its edge view, whose documents are its
-    sorted node ids and which holds no repeated edge and no self-loop. Any
-    other graph is read through node_ids() and undirected_edges().
+    A CaseGraph's documents are its sorted node ids, and each shares its
+    set's row of the edge view, which holds no repeated edge. Any other graph
+    is read through node_ids() and undirected_edges(), one row per node.
     """
     node_ids = sorted(graph.node_ids())
     if isinstance(graph, CaseGraph):
-        nbrs = graph.edges.adjacency()
+        view = graph.edges
+        rows = [dict.fromkeys(nbrs, 1) for nbrs, _ in view.rows]
+        row_of = view.set_of_doc
     else:
         index = {nid: i for i, nid in enumerate(node_ids)}
-        nbrs = [array("i") for _ in node_ids]
+        rows = [{} for _ in node_ids]
         for u, v in graph.undirected_edges():
             i, j = index[u], index[v]
-            if i != j:
-                nbrs[i].append(j)
-                nbrs[j].append(i)
-        for i, row in enumerate(nbrs):
-            nbrs[i] = array("i", dict.fromkeys(row))  # a repeated edge counts once
-    labels = _dense_renumber(_louvain(nbrs))
+            if i != j:  # a repeated edge counts once
+                rows[i][j] = rows[j][i] = 1
+        row_of = range(len(node_ids))
+    labels = _dense_renumber(_louvain(rows, row_of))
     return CommunityPartition({nid: labels[i] for i, nid in enumerate(node_ids)})
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from .errors import EmptyNetwork, NoDeterminedCases, UnknownLawyer
+from .errors import EmptyNetwork
 from .networks import CaseResult, OpposingNetwork, lawyer_tallies
 
 logger = logging.getLogger(__name__)
@@ -21,33 +21,6 @@ logger = logging.getLogger(__name__)
 DEFAULT_DAMPING = 0.85
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 10000
-
-
-def experience(results: Sequence[CaseResult], lawyer: str) -> int:
-    """Number of distinct cases the lawyer appears in, on either side.
-
-    Undetermined cases count: pleading them is experience even when no
-    outcome can be scored.
-    """
-    docs = {
-        r.doc_id
-        for r in results
-        if lawyer in r.appellant_lawyers or lawyer in r.appellee_lawyers
-    }
-    if not docs:
-        raise UnknownLawyer(f"{lawyer!r} appears in no case result")
-    return len(docs)
-
-
-def win_rate(results: Sequence[CaseResult], lawyer: str) -> float:
-    """Wins over determined cases; raises when nothing is determined."""
-    tallies = lawyer_tallies(results)
-    if lawyer not in tallies:
-        raise UnknownLawyer(f"{lawyer!r} appears in no case result")
-    _, wins, losses = tallies[lawyer]
-    if wins + losses == 0:
-        raise NoDeterminedCases(f"{lawyer!r} has no determined case")
-    return wins / (wins + losses)
 
 
 def check_pagerank_params(damping: float, tol: float, max_iter: int) -> None:

@@ -5,6 +5,7 @@ import math
 import random
 import tempfile
 import tracemalloc
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -244,12 +245,14 @@ def test_case_adjacency_equals_rows_built_from_the_edges(articles, k):
     # isolated documents, empty sets and sets of fewer than k articles, which
     # hold none of their own documents, all occur in the drawn maps
     graph = build_case_graph(articles, {}, k)
-    index = {doc_id: i for i, doc_id in enumerate(graph.edges.doc_ids)}
+    view = graph.edges
+    index = {doc_id: i for i, doc_id in enumerate(view.doc_ids)}
     want = [[] for _ in index]
     for u, v in graph.undirected_edges():
         want[index[u]].append(index[v])
         want[index[v]].append(index[u])
-    assert [list(row) for row in graph.edges.adjacency()] == [sorted(row) for row in want]
+    got = [[v for v in view.rows[s][0] if v != u] for u, s in enumerate(view.set_of_doc)]
+    assert got == [sorted(row) for row in want]
 
 
 @given(_article_maps(), st.integers(1, 5))
@@ -282,6 +285,32 @@ def test_case_files_equal_the_generic_writers_on_plain_rows(articles, k):
             assert Path(tmp, f"cases.{ext}").read_bytes() == Path(tmp, f"rows.{ext}").read_bytes()
 
 
+def test_case_communities_on_the_seed_7_1k_graph_equal_dict_based_reference():
+    # many documents share each set row and nodes move thousands of times,
+    # which the small drawn maps only sample
+    _, truth = generate_synthetic_corpus(seed=7, n_docs=1000)
+    graph = build_case_graph({d: t.articles for d, t in truth.entries.items()}, {}, 3)
+    assert len(graph.edges) == 47_862
+    want = communities_reference(graph.node_ids(), list(graph.undirected_edges()))
+    assert detect_communities(graph).assignment == want
+
+
+def test_case_communities_equal_dict_based_reference_where_the_second_level_moves():
+    # larger sets over more articles than the drawn maps, so that the
+    # communities of the first level, which hold their documents' own set
+    # entries, still have neighbours and move at the second level
+    refs = [ArticleRef("code", str(num)) for num in range(12)]
+    for seed in range(40):
+        rng = random.Random(seed)
+        sets = [frozenset(rng.sample(refs, rng.randrange(2, 7)))
+                for _ in range(rng.randrange(3, 10))]
+        articles = {f"d{i:02d}": rng.choice(sets) for i in range(rng.randrange(10, 60))}
+        for k in (2, 3):
+            graph = build_case_graph(articles, {}, k)
+            want = communities_reference(graph.node_ids(), list(graph.undirected_edges()))
+            assert detect_communities(graph).assignment == want, (seed, k)
+
+
 def test_case_graph_memory_does_not_grow_with_the_pair_count():
     _, truth = generate_synthetic_corpus(seed=7, n_docs=1000)
     articles = {doc_id: t.articles for doc_id, t in truth.entries.items()}
@@ -307,6 +336,23 @@ def test_communities_split_joined_cliques():
     assert sorted(map(tuple, groups.values())) == [
         ("n0", "n1", "n2", "n3"), ("n4", "n5", "n6", "n7"),
     ]
+
+
+def test_communities_pair_up_a_ring_of_cliques_at_the_second_level():
+    # the first level finds the 16 cliques; only the weighted graph of the
+    # second level can join them, into 8 pairs of neighbouring cliques
+    cliques = [[f"c{c:02d}n{i}" for i in range(4)] for c in range(16)]
+    edges = [(u, v) for clique in cliques for u, v in combinations(clique, 2)]
+    edges += [(clique[-1], cliques[(c + 1) % 16][0]) for c, clique in enumerate(cliques)]
+    nodes = [n for clique in cliques for n in clique]
+    partition = detect_communities(_Graph(nodes, edges))
+    assert partition.assignment == communities_reference(nodes, edges)
+    clique_of = {n: c for c, clique in enumerate(cliques) for n in clique}
+    groups = partition.communities().values()
+    assert len(groups) == 8
+    for group in groups:
+        a, b = sorted({clique_of[n] for n in group})
+        assert len(group) == 8 and (b - a) % 16 in (1, 15)
 
 
 def test_communities_on_edgeless_graph_are_singletons():

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from courtnet.errors import EmptyNetwork, NoDeterminedCases, UnknownLawyer
+from courtnet.errors import EmptyNetwork
 from courtnet.extract import Outcome
 from courtnet.networks import (
     CaseResult,
@@ -15,13 +15,7 @@ from courtnet.networks import (
     LawyerStats,
     build_opposing_network,
 )
-from courtnet.ranking import (
-    experience,
-    pagerank,
-    rank_table,
-    win_rate,
-    write_rankings_csv,
-)
+from courtnet.ranking import pagerank, rank_table, write_rankings_csv
 
 from oracles import pagerank_reference
 
@@ -44,19 +38,21 @@ RESULTS = [
 
 
 def test_experience_counts_all_cases():
-    assert experience(RESULTS, "x") == 3
-    assert experience(RESULTS, "w") == 1
-    with pytest.raises(UnknownLawyer):
-        experience(RESULTS, "nobody")
+    rows = _rows_by_name()
+    assert rows["x"].experience == 3
+    assert rows["w"].experience == 1
+    # a network node that appears in no case result has no experience
+    assert rows["nobody"].experience == 0
 
 
 def test_win_rate_uses_determined_cases_only():
-    assert win_rate(RESULTS, "x") == pytest.approx(0.5)
-    assert win_rate(RESULTS, "z") == 1.0
-    with pytest.raises(NoDeterminedCases):
-        win_rate(RESULTS, "w")
-    with pytest.raises(UnknownLawyer):
-        win_rate(RESULTS, "nobody")
+    rows = _rows_by_name()
+    assert rows["x"].win_rate == pytest.approx(0.5)
+    assert (rows["x"].wins, rows["x"].losses) == (1, 1)
+    assert rows["z"].win_rate == 1.0
+    # no determined case, or no case at all: no rate
+    assert rows["w"].win_rate is None
+    assert rows["nobody"].win_rate is None
 
 
 def _network(nodes, edges):
@@ -64,6 +60,12 @@ def _network(nodes, edges):
         nodes={n: LawyerStats(0, 0, 0) for n in nodes},
         edges=[OpposingEdge(s, t, w, w, 0.0) for s, t, w in edges],
     )
+
+
+def _rows_by_name():
+    """rank_table rows of RESULTS over a network of its lawyers and "nobody"."""
+    network = _network(["v", "w", "x", "y", "z", "nobody"], [])
+    return {r.lawyer_canonical: r for r in rank_table(RESULTS, network)}
 
 
 def test_pagerank_validation():
