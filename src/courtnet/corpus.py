@@ -59,24 +59,48 @@ def strip_rtf(source: str) -> str:
     Handles group nesting, \\par and \\line as newlines, \\tab as a space,
     hex escapes as cp1252 bytes, and drops font/color/style/info destinations
     along with \\* groups. Raw newlines in the source are formatting and are
-    ignored.
+    ignored. A \\uN escape gives the UTF-16 unit N (negative N counts from
+    65536), and the fallback after it is skipped: \\ucN units, 1 unless the
+    group says otherwise, where a character, an escape or a control word is one
+    unit and a group boundary ends the fallback.
     """
     out: list[str] = []
     i = 0
     depth = 0
     skip_depth: int | None = None
+    uc = 1                    # fallback units after each \uN
+    outer_uc: list[int] = []  # uc of each enclosing group
+    fallback = 0              # fallback units still to skip
     n = len(source)
     while i < n:
         ch = source[i]
         if ch == "{":
             depth += 1
+            outer_uc.append(uc)
+            fallback = 0
             i += 1
             continue
         if ch == "}":
             depth -= 1
+            if outer_uc:
+                uc = outer_uc.pop()
+            fallback = 0
             i += 1
             if skip_depth is not None and depth < skip_depth:
                 skip_depth = None
+            continue
+        if ch in "\r\n":
+            i += 1
+            continue
+        if fallback:
+            fallback -= 1
+            if ch != "\\":
+                i += 1
+            elif source[i + 1:i + 2] == "'":
+                i += 4
+            else:
+                m = _RTF_CTRL_RE.match(source, i)
+                i = m.end() if m else i + 2
             continue
         if ch == "\\":
             nxt = source[i + 1] if i + 1 < n else ""
@@ -105,8 +129,14 @@ def strip_rtf(source: str) -> str:
                 continue
             m = _RTF_CTRL_RE.match(source, i)
             if m:
-                word = m.group(1)
-                if skip_depth is None:
+                word, param = m.groups()
+                if word == "u" and param:
+                    if skip_depth is None:
+                        out.append(chr(int(param) % 65536))
+                    fallback = uc
+                elif word == "uc" and param:
+                    uc = max(int(param), 0)
+                elif skip_depth is None:
                     if word in ("par", "line"):
                         out.append("\n")
                     elif word == "tab":
@@ -117,10 +147,11 @@ def strip_rtf(source: str) -> str:
                 continue
             i += 1
             continue
-        if skip_depth is None and ch not in "\r\n":
+        if skip_depth is None:
             out.append(ch)
         i += 1
-    return "".join(out)
+    # \uN pairs make the characters past U+FFFF; a lone surrogate becomes U+FFFD
+    return "".join(out).encode("utf-16-le", "surrogatepass").decode("utf-16-le", "replace")
 
 
 def ingest(path: str | Path, jurisdiction: str) -> Document:

@@ -23,7 +23,6 @@ from __future__ import annotations
 import functools
 from pathlib import Path
 from typing import Callable, Iterable
-from xml.sax.saxutils import escape
 
 GRAPHML_NS = "http://graphml.graphdrawing.org/xmlns"
 
@@ -31,15 +30,18 @@ GRAPHML_NS = "http://graphml.graphdrawing.org/xmlns"
 Edges = Iterable[tuple[str, str, dict]] | Callable[[Callable, Callable], Iterable[str]]
 
 
+def _text(value) -> str:
+    """The value escaped for XML element text: '&', '<' and '>'."""
+    return str(value).replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 def _attr(value) -> str:
     """The value escaped for a double-quoted XML attribute, '"' included.
 
     Newline, carriage return and tab become character references, because a
-    parser reads them raw in an attribute as spaces. escape() leaves '"'
-    alone, and with an entity map it is three times slower.
+    parser reads them raw in an attribute as spaces.
     """
-    return (str(value).replace("&", "&amp;").replace("<", "&lt;")
-            .replace(">", "&gt;").replace('"', "&quot;")
+    return (_text(value).replace('"', "&quot;")
             .replace("\n", "&#10;").replace("\r", "&#13;").replace("\t", "&#9;"))
 
 
@@ -65,7 +67,7 @@ def _graphml_end(tag: str, schema: list[tuple[str, str]], first_key: int) -> Cal
     or "/>" without a schema.
     """
     parts = [(f'<data key="d{i}">', name, fmt) for i, (name, fmt)
-             in enumerate(_value_formats(schema, lambda v: escape(str(v))), first_key)]
+             in enumerate(_value_formats(schema, _text), first_key)]
     if not parts:
         return lambda attrs: "/>\n"
     return lambda attrs: ">" + "".join(

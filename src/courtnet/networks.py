@@ -349,6 +349,14 @@ def _louvain_level(
     rows listing the node, and a community whose weight falls to 0 leaves
     the row. A visited node's weight to each community is then its row,
     less own[v] on its own community.
+
+    Nodes sharing a row have the same weight in every row, hence the same k
+    (they must have the same self-loop too). So while they are alone, each
+    in the community named after it that nobody has joined or left, their
+    gains are equal and only the smallest can win the ascending strict-`>`
+    scan. A node's candidates are therefore, per row group listed in its
+    row, the group's smallest alone member other than itself, and the formed
+    communities its row lists, kept per row in `formed`.
     """
     n = len(row_of)
     row_sum = [sum(row.values()) for row in rows]
@@ -358,6 +366,19 @@ def _louvain_level(
     if two_m == 0:
         return comm, False
     listing = [list({row_of[u]: w for u, w in row.items()}.items()) for row in rows]
+    groups = [[g for g, _ in pairs] for pairs in listing]
+    members: list[list[int]] = [[] for _ in rows]
+    for v, r in enumerate(row_of):
+        members[r].append(v)
+    alone = [True] * n
+
+    def next_alone(v: int) -> int:
+        """The smallest alone member of v's group after v, or -1."""
+        group = members[row_of[v]]
+        return next(filter(alone.__getitem__, islice(group, bisect_right(group, v), None)), -1)
+
+    first = [group[0] if group else -1 for group in members]  # smallest alone member
+    formed: list[set[int]] = [set() for _ in rows]
     sum_tot = k[:]
     moved_any = False
     improved = True
@@ -366,14 +387,19 @@ def _louvain_level(
         for v in range(n):
             cv = comm[v]
             kv = k[v]
-            weight_to = rows[row_of[v]]
+            r = row_of[v]
+            weight_to = rows[r]
             base = (
                 2.0 * (weight_to.get(cv, 0) - own[v]) / two_m
                 - 2.0 * (sum_tot[cv] - kv) * kv / (two_m * two_m)
             )
+            candidates = formed[r].union(map(first.__getitem__, groups[r]))
+            if own[v] and first[r] == v:
+                candidates.add(next_alone(v))
+            candidates.discard(-1)
             best_gain = _GAIN_EPS
             best_c = cv
-            for c in sorted(weight_to):
+            for c in sorted(candidates):
                 if c == cv:
                     continue
                 gain = (
@@ -385,14 +411,24 @@ def _louvain_level(
                     best_gain = gain
                     best_c = c
             if best_c != cv:
-                for r, w in listing[row_of[v]]:
-                    row = rows[r]
+                for g, w in listing[r]:
+                    row = rows[g]
                     left = row[cv] - w
                     if left:
                         row[cv] = left
                     else:
                         del row[cv]
+                        formed[g].discard(cv)
                     row[best_c] = row.get(best_c, 0) + w
+                    formed[g].add(best_c)
+                if alone[best_c]:  # joined: every row listing it now lists a formed community
+                    for g, _ in listing[row_of[best_c]]:
+                        formed[g].add(best_c)
+                for u in (v, best_c):
+                    if alone[u]:
+                        alone[u] = False
+                        if first[row_of[u]] == u:
+                            first[row_of[u]] = next_alone(u)
                 sum_tot[cv] -= kv
                 sum_tot[best_c] += kv
                 comm[v] = best_c

@@ -285,6 +285,64 @@ def communities_reference(node_ids, edges):
     return {nid: final[i] for i, nid in enumerate(nodes)}
 
 
+def louvain_level_reference(rows, row_of, own, loops):
+    """networks._louvain_level as it was before nodes sharing a row were
+    scored as one candidate: every community a visited node's row lists is
+    sorted and scored. Same arguments and result, and it updates `rows` the
+    same way, so the two can be compared on any input.
+    """
+    eps = 1e-9
+    n = len(row_of)
+    row_sum = [sum(row.values()) for row in rows]
+    k = [loop + row_sum[r] - o for r, o, loop in zip(row_of, own, loops)]
+    two_m = sum(k)
+    comm = list(range(n))
+    if two_m == 0:
+        return comm, False
+    listing = [list({row_of[u]: w for u, w in row.items()}.items()) for row in rows]
+    sum_tot = k[:]
+    moved_any = False
+    improved = True
+    while improved:
+        improved = False
+        for v in range(n):
+            cv = comm[v]
+            kv = k[v]
+            weight_to = rows[row_of[v]]
+            base = (
+                2.0 * (weight_to.get(cv, 0) - own[v]) / two_m
+                - 2.0 * (sum_tot[cv] - kv) * kv / (two_m * two_m)
+            )
+            best_gain = eps
+            best_c = cv
+            for c in sorted(weight_to):
+                if c == cv:
+                    continue
+                gain = (
+                    2.0 * weight_to[c] / two_m
+                    - 2.0 * sum_tot[c] * kv / (two_m * two_m)
+                    - base
+                )
+                if gain > best_gain:
+                    best_gain = gain
+                    best_c = c
+            if best_c != cv:
+                for r, w in listing[row_of[v]]:
+                    row = rows[r]
+                    left = row[cv] - w
+                    if left:
+                        row[cv] = left
+                    else:
+                        del row[cv]
+                    row[best_c] = row.get(best_c, 0) + w
+                sum_tot[cv] -= kv
+                sum_tot[best_c] += kv
+                comm[v] = best_c
+                improved = True
+                moved_any = True
+    return comm, moved_any
+
+
 def parse_graphml(path):
     """(directed, nodes, edges) of a GraphML file, via xml.etree.
 

@@ -1,9 +1,14 @@
 """Command line stages, exit codes and the pipeline manifest."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import courtnet
 from courtnet.cli import _build_parser, main
 from courtnet.corpus import generate_synthetic_corpus, read_truth
 from courtnet.extract import Outcome
@@ -19,6 +24,17 @@ def test_print_default_config(capsys):
     assert config["k"] == 3
     assert config["damping"] == 0.85
     assert config["mix"] == {"douai": 0.5, "agen": 0.5}
+
+
+def test_importing_the_cli_leaves_out_the_network_stack():
+    # xml.sax.saxutils would pull in urllib.request, http.client, email, ssl
+    # and socket at the start of every command; -S keeps site hooks out
+    code = ("import sys, courtnet.cli; "
+            "print(sorted(m for m in ('xml.sax', 'http.client') if m in sys.modules))")
+    src = str(Path(courtnet.__file__).parents[1])
+    done = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, check=True)
+    assert done.stdout == "[]\n"
 
 
 def test_missing_subcommand_is_a_config_error(capsys):

@@ -37,6 +37,14 @@ def test_strip_rtf_handles_the_common_constructs():
     assert strip_rtf(rtf) == "COUR D'APPEL\nArrêt du 3 mai\ntexte\n"
 
 
+def test_strip_rtf_reads_unicode_escapes_and_skips_their_fallback():
+    assert strip_rtf(r"{\rtf1 Intim\u233?e}") == "Intimée"
+    # \ucN sets the fallback length for its group; a hex escape is one unit
+    assert strip_rtf(r"{\rtf1 {\uc2 Arr\u234\'65\'61t} \u8217\'92s}") == "Arrêt ’s"
+    # negative N counts from 65536, and a surrogate pair makes one character
+    assert strip_rtf(r"{\rtf1 \u-3913?\u-10179?\u-8704?}") == "\uf0b7\U0001f600"
+
+
 def test_ingest_plain_text(tmp_path):
     p = tmp_path / "doc.txt"
     p.write_text("COUR D'APPEL\r\nPAR CES MOTIFS\r\nConfirme.", encoding="utf-8")

@@ -9,7 +9,7 @@ from itertools import combinations
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from courtnet.corpus import generate_synthetic_corpus
 from courtnet.extract import ArticleRef, Outcome
@@ -21,6 +21,7 @@ from courtnet.networks import (
     LawyerStats,
     NetworkParams,
     OpposingEdge,
+    _louvain_level,
     build_case_graph,
     build_collaboration_network,
     build_opposing_network,
@@ -39,6 +40,7 @@ from oracles import (
     best_partition_reference,
     case_edges_reference,
     communities_reference,
+    louvain_level_reference,
     modularity_reference,
     parse_graphml,
 )
@@ -309,6 +311,57 @@ def test_case_communities_equal_dict_based_reference_where_the_second_level_move
             graph = build_case_graph(articles, {}, k)
             want = communities_reference(graph.node_ids(), list(graph.undirected_edges()))
             assert detect_communities(graph).assignment == want, (seed, k)
+
+
+def _assert_level_equals_reference(rows, row_of, loops):
+    """_louvain_level returns what the per-candidate reference returns and
+    leaves the rows in the same state, on copies of the same input."""
+    own = [rows[r].get(v, 0) for v, r in enumerate(row_of)]
+    got_rows = [dict(row) for row in rows]
+    want_rows = [dict(row) for row in rows]
+    got = _louvain_level(got_rows, row_of, own, loops)
+    assert got == louvain_level_reference(want_rows, row_of, own, loops)
+    assert [list(row.items()) for row in got_rows] == [list(row.items()) for row in want_rows]
+
+
+@st.composite
+def _crowded_article_maps(draw):
+    """10 to 80 documents over a few sets, so that a set row is shared by many."""
+    sets = draw(st.lists(st.frozensets(st.sampled_from(_REFS), min_size=2, max_size=6),
+                         min_size=2, max_size=8))
+    cited = draw(st.lists(st.sampled_from(sets), min_size=10, max_size=80))
+    return {f"d{i:02d}": refs for i, refs in enumerate(cited)}
+
+
+@settings(max_examples=300)
+@given(_crowded_article_maps(), st.integers(1, 4))
+def test_level_on_shared_set_rows_equals_per_candidate_reference(articles, k):
+    # sets of fewer than k articles leave their documents out of their own
+    # row (own 0); larger sets list them (own 1)
+    view = build_case_graph(articles, {}, k).edges
+    rows = [dict.fromkeys(nbrs, 1) for nbrs, _ in view.rows]
+    _assert_level_equals_reference(rows, view.set_of_doc, [0] * len(view.set_of_doc))
+
+
+@st.composite
+def _weighted_rows(draw):
+    """One row per node, as generic graphs and aggregated levels have: a
+    symmetric integer weight per edge and a pre-doubled self-loop per node."""
+    n = draw(st.integers(0, 30))
+    rows = [{} for _ in range(n)]
+    if n:
+        end = st.integers(0, n - 1)
+        for u, v, w in draw(st.lists(st.tuples(end, end, st.integers(1, 3)), max_size=90)):
+            if u != v:
+                rows[u][v] = rows[v][u] = w
+    loops = draw(st.lists(st.integers(0, 3).map(lambda w: 2 * w), min_size=n, max_size=n))
+    return rows, loops
+
+
+@given(_weighted_rows())
+def test_level_on_one_row_per_node_equals_per_candidate_reference(graph):
+    rows, loops = graph
+    _assert_level_equals_reference(rows, range(len(rows)), loops)
 
 
 def test_case_graph_memory_does_not_grow_with_the_pair_count():
