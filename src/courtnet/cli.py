@@ -13,8 +13,8 @@ GraphML back.
 Every `PipelineConfig` field is both a `--config` JSON key and a flag of
 every subcommand, typed by the field's annotation.
 
-Exit codes: 0 success, 1 configuration error, 2 missing, unreadable or
-corrupt input (a corrupt line is named as path:line).
+Exit codes: 0 success, 1 configuration error or an unwritable artifact, 2
+missing, unreadable or corrupt input (a corrupt line is named as path:line).
 """
 
 from __future__ import annotations
@@ -109,7 +109,7 @@ def load_config_file(path: str | Path) -> PipelineConfig:
         return cfg
     except OSError as exc:
         raise UnreadableFile(f"config file {path}: {exc}") from exc
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, RecursionError) as exc:
         raise ValueError(f"config file {path}: {exc}") from None
 
 
@@ -186,9 +186,7 @@ def load_corpus(cfg: PipelineConfig) -> tuple[list[corpus_mod.Document], int]:
     Returns the documents and the number of duplicates dropped.
     """
     if cfg.corpus_file:
-        path = Path(cfg.corpus_file)
-        if not path.is_file():
-            raise UnreadableFile(f"corpus file not found: {path}")
+        path = Path(cfg.corpus_file)  # read_corpus names it if it cannot be read
     else:
         path = _input(cfg, "corpus.jsonl", "ingest or synth")
     docs = corpus_mod.read_corpus(path)
@@ -493,6 +491,14 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+def _json_value(text: str):
+    """A flag's JSON value; argparse itself reports only ValueError and TypeError."""
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise argparse.ArgumentTypeError(f"not a JSON value ({exc})") from None
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="courtnet", description=__doc__)
     parser.add_argument(
@@ -510,7 +516,7 @@ def _build_parser() -> _Parser:
         for f in _FIELDS.values():
             cls = _field_class(f.name)
             p.add_argument("--" + f.name.replace("_", "-"), dest=f.name,
-                           type=json.loads if cls is dict else cls)
+                           type=_json_value if cls is dict else cls)
     return parser
 
 
@@ -546,7 +552,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (ValueError, InvalidMix) as exc:
         print(f"courtnet: config error: {exc}", file=sys.stderr)
         return 1
-    except CourtnetError as exc:
+    except (CourtnetError, OSError) as exc:  # an OSError left here is a failed write
         print(f"courtnet: {exc}", file=sys.stderr)
         return 1
 

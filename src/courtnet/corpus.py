@@ -227,10 +227,6 @@ def write_truth(path: str | Path, truth: SyntheticGroundTruth) -> None:
     write_jsonl(path, (t for _, t in sorted(truth.entries.items())))
 
 
-def read_truth(path: str | Path) -> dict[str, DocumentTruth]:
-    return {t.doc_id: t for t in read_jsonl(path, DocumentTruth)}
-
-
 # ---------------------------------------------------------------------------
 # Synthetic corpus generation
 

@@ -7,6 +7,7 @@ operative part of the decision.
 
 from __future__ import annotations
 
+import functools
 import json
 import re
 from dataclasses import dataclass
@@ -151,24 +152,11 @@ _PREFIX_RE = re.compile(r"^([lrd])\.?\s*(\d.*)$")
 UNKNOWN_CODE = "unknown"
 
 
-def _load_default_codes() -> dict[str, str]:
+@functools.cache
+def default_code_table() -> dict[str, str]:
+    """The packaged code canonicalization table: folded spelling -> canonical."""
     data = resources.files("courtnet.data").joinpath("article_codes.json")
     return json.loads(data.read_text(encoding="utf-8"))
-
-
-_DEFAULT_CODES: dict[str, str] | None = None
-
-
-def default_code_table() -> dict[str, str]:
-    global _DEFAULT_CODES
-    if _DEFAULT_CODES is None:
-        _DEFAULT_CODES = _load_default_codes()
-    return _DEFAULT_CODES
-
-
-def load_code_table(path: str | Path) -> dict[str, str]:
-    """Code canonicalization table from JSON: folded spelling -> canonical."""
-    return json.loads(Path(path).read_text(encoding="utf-8"))
 
 
 def _norm_number(raw: str) -> str:

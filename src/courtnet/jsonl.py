@@ -23,7 +23,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, TypeVar
 
-from .errors import CorruptInput
+from .errors import CorruptInput, UnreadableFile
 
 T = TypeVar("T")
 
@@ -124,10 +124,15 @@ def write_jsonl(path: str | Path, records: Iterable) -> None:
 def iter_jsonl(path: str | Path, cls: type[T]) -> Iterator[tuple[int, T]]:
     """(line number, cls record) of each non-blank line, in file order.
 
-    A line that is not UTF-8 JSON, or is not the JSON form of a cls record,
-    raises CorruptInput naming path:line.
+    A file that cannot be opened raises UnreadableFile naming the path. A line
+    that is not UTF-8 JSON (nesting too deep included), or is not the JSON
+    form of a cls record, raises CorruptInput naming path:line.
     """
-    with open(path, "rb") as fh:
+    try:
+        fh = open(path, "rb")
+    except OSError as exc:
+        raise UnreadableFile(f"cannot read {path}: {exc.strerror}") from None
+    with fh:
         for lineno, line in enumerate(fh, 1):
             if not line.strip():
                 continue
@@ -135,7 +140,7 @@ def iter_jsonl(path: str | Path, cls: type[T]) -> Iterator[tuple[int, T]]:
                 record = decode(cls, json.loads(line.decode("utf-8")))
             except KeyError as exc:
                 raise CorruptInput(f"{path}:{lineno}: missing key {exc}") from None
-            except (ValueError, TypeError) as exc:
+            except (ValueError, TypeError, RecursionError) as exc:
                 raise CorruptInput(f"{path}:{lineno}: {exc}") from None
             yield lineno, record
 

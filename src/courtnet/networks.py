@@ -4,7 +4,7 @@ Three structures: a directed opposing network whose edges point from the
 less to the more successful of two opposing lawyers, an undirected
 collaboration network over same-side pairs, and an undirected case graph
 linking decisions that cite enough common articles. Community detection runs
-on the unweighted skeleton of whichever graph it is given.
+on the unweighted skeleton of the case graph, read from its per-set rows.
 
 Each graph has one writer that streams `<stem>.graphml` and `<stem>.dot` from
 the same node and edge rows (see graphio). The DOT file gets a shorter schema,
@@ -26,7 +26,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import chain, combinations, islice
 from pathlib import Path
-from typing import AbstractSet, Iterable, Iterator, Mapping, Sequence
+from typing import AbstractSet, Iterable, Mapping, Sequence
 
 from . import graphio
 from .extract import ArticleRef, Outcome
@@ -220,23 +220,15 @@ def build_collaboration_network(
     return CollaborationGraph(nodes=nodes, edges=edges)
 
 
-@dataclass(frozen=True)
-class CaseEdge:
-    u: str
-    v: str
-    shared_articles: int
-
-
 @dataclass(frozen=True, eq=False)
 class CaseEdges:
-    """The case graph's edges, generated in sorted (u, v) order on each iteration.
+    """The case graph's edges, held per article set; len() is the edge count.
 
     Documents citing the same article set have the same neighbours, so the
     edges are held per distinct set, as the sorted indices (into `doc_ids`)
     of its neighbouring documents and the articles shared with each.
     Document u's neighbours are its set's row without u, and its edges the
-    entries of that row past u. Iterating yields CaseEdge objects; triples()
-    yields (u, v, shared_articles) tuples without them.
+    entries of that row past u.
     """
     doc_ids: list[str]
     set_of_doc: array                 # each document's set number
@@ -246,18 +238,6 @@ class CaseEdges:
     def __len__(self) -> int:
         return self.count
 
-    def triples(self) -> Iterator[tuple[str, str, int]]:
-        ids = self.doc_ids
-        for u, s in enumerate(self.set_of_doc):
-            nbrs, shared = self.rows[s]
-            uid = ids[u]
-            start = bisect_right(nbrs, u)
-            for v, count in zip(islice(nbrs, start, None), islice(shared, start, None)):
-                yield uid, ids[v], count
-
-    def __iter__(self) -> Iterator[CaseEdge]:
-        return (CaseEdge(u, v, count) for u, v, count in self.triples())
-
 
 @dataclass
 class CaseGraph:
@@ -265,12 +245,6 @@ class CaseGraph:
     nodes: dict[str, Outcome]
     edges: CaseEdges
     k: int
-
-    def node_ids(self) -> list[str]:
-        return list(self.nodes)
-
-    def undirected_edges(self) -> Iterator[tuple[str, str]]:
-        return ((u, v) for u, v, _ in self.edges.triples())
 
 
 def check_k(k: int) -> None:
@@ -290,7 +264,7 @@ def build_case_graph(
     bucketed by their article set, and the articles shared between two
     distinct sets are counted through an inverted index over the sets. No
     state is kept per case pair: each set holds at most one entry per case,
-    and the edges are generated, never stored (see CaseEdges).
+    and no edge list is stored (see CaseEdges).
     """
     check_k(k)
     doc_ids = sorted(articles)
@@ -327,7 +301,7 @@ def build_case_graph(
 
 # ---------------------------------------------------------------------------
 # Community detection: Louvain with fixed tie-breaking so results are
-# reproducible. Operates on the unweighted skeleton of the input graph.
+# reproducible. Operates on the unweighted skeleton of the case graph.
 
 _GAIN_EPS = 1e-9
 
@@ -504,39 +478,19 @@ class CommunityPartition:
             out[cid] = out.get(cid, 0) + 1
         return out
 
-    def communities(self) -> dict[int, list[str]]:
-        out: dict[int, list[str]] = {}
-        for node in sorted(self.assignment):
-            out.setdefault(self.assignment[node], []).append(node)
-        return out
 
-
-def detect_communities(graph) -> CommunityPartition:
-    """Louvain communities of the graph's unweighted skeleton.
+def detect_communities(graph: CaseGraph) -> CommunityPartition:
+    """Louvain communities of the case graph's unweighted skeleton.
 
     Deterministic: nodes are swept in ascending id order, ties go to the
-    smallest community id, moves need a modularity gain above 1e-9, and the
-    final ids are numbered by each community's smallest member.
-
-    A CaseGraph's documents are its sorted node ids, and each shares its
-    set's row of the edge view, which holds no repeated edge. Any other graph
-    is read through node_ids() and undirected_edges(), one row per node.
+    smallest community id, moves need a gain above 1e-9, and the final ids
+    are numbered by each community's smallest member. Each document shares
+    its set's row of the edge view, which holds no repeated edge.
     """
-    node_ids = sorted(graph.node_ids())
-    if isinstance(graph, CaseGraph):
-        view = graph.edges
-        rows = [dict.fromkeys(nbrs, 1) for nbrs, _ in view.rows]
-        row_of = view.set_of_doc
-    else:
-        index = {nid: i for i, nid in enumerate(node_ids)}
-        rows = [{} for _ in node_ids]
-        for u, v in graph.undirected_edges():
-            i, j = index[u], index[v]
-            if i != j:  # a repeated edge counts once
-                rows[i][j] = rows[j][i] = 1
-        row_of = range(len(node_ids))
-    labels = _dense_renumber(_louvain(rows, row_of))
-    return CommunityPartition({nid: labels[i] for i, nid in enumerate(node_ids)})
+    view = graph.edges
+    rows = [dict.fromkeys(nbrs, 1) for nbrs, _ in view.rows]
+    labels = _dense_renumber(_louvain(rows, view.set_of_doc))
+    return CommunityPartition(dict(zip(view.doc_ids, labels)))
 
 
 def community_win_rate(

@@ -19,7 +19,7 @@ from . import graphio
 from .errors import MissingConclusion, OutOfOrderMarkers, UnreadableFile
 from .jsonl import decode
 from .textmetrics import (
-    DEFAULT_THRESHOLD, _ceiling, _char_counts, _jaro, _positions, _shared, check_threshold, fold,
+    DEFAULT_THRESHOLD, _ceiling, _char_counts, _positions, _shared, check_threshold, fold, jaro,
 )
 
 if TYPE_CHECKING:
@@ -127,7 +127,7 @@ def load_profile(path: str | Path) -> KeywordProfile:
         raise UnreadableFile(f"profile file {path}: {exc}") from exc
     except KeyError as exc:
         raise ValueError(f"profile file {path}: missing key {exc}") from None
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, RecursionError) as exc:
         raise ValueError(f"profile file {path}: {exc}") from None
 
 
@@ -209,7 +209,7 @@ def _marker_hits(line: str | None, variants: _Variants, threshold: float) -> boo
         if counts is None:
             counts = _char_counts(line, variants.alphabet)
         if (_ceiling(_shared(counts, fv_counts), n1, n2) > threshold
-                and _jaro(line, fv, positions) > threshold):
+                and jaro(line, fv, positions) > threshold):
             return True
     return False
 
@@ -374,8 +374,8 @@ class _UnionFind:
 def _contract(texts: list[str], threshold: float) -> list[int]:
     """Single-linkage grouping of texts by pairwise Jaro above the threshold; returns roots.
 
-    Texts i < j join when neither folds to the empty string and
-    jaro_similarity(texts[i], texts[j]) exceeds the threshold; each root is
+    Texts i < j join when neither folds to the empty string and the Jaro
+    similarity of their folded forms exceeds the threshold; each root is
     the smallest index of its group. Pairs are visited by ascending folded
     length, and skipped only when their lengths or shared characters bound
     the score at or below the threshold. The length bound only falls as the
@@ -398,7 +398,7 @@ def _contract(texts: list[str], threshold: float) -> list[int]:
                 continue
             lo, hi = min(i, j), max(i, j)
             if (_ceiling(_shared(counts[lo], counts[hi]), li, lj) > threshold
-                    and _jaro(folded[lo], folded[hi], positions[hi]) > threshold):
+                    and jaro(folded[lo], folded[hi], positions[hi]) > threshold):
                 uf.union(lo, hi)
     return [uf.find(i) for i in range(len(texts))]
 
@@ -409,9 +409,9 @@ def build_flow_graph(corpus: Sequence["Document"], threshold: float = DEFAULT_TH
     Sentences of LONG_SENTENCE_WORDS or more words are renamed Long_Text_i_j
     (document index, sentence index) before contraction, so boilerplate keeps
     its text as label while long free text does not. Contraction then merges
-    nodes whose underlying sentences satisfy same_node, long and short
-    sentences never merging with each other. The first-seen node of each
-    group provides the surviving label.
+    nodes whose folded sentences have a Jaro similarity strictly above the
+    threshold (see _contract), long and short sentences never merging with
+    each other. The first-seen node of each group provides the surviving label.
     """
     doc_sentences = [split_sentences(doc.text) for doc in corpus]
 

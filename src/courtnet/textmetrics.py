@@ -92,21 +92,15 @@ def _ceiling(matches: int, n1: int, n2: int) -> float:
     return (matches / n1 + matches / n2 + 1.0) / 3.0
 
 
-def jaro_similarity(s1: str, s2: str) -> float:
-    """Jaro similarity in [0, 1], computed on folded input.
+def jaro(a: str, b: str, positions_b: dict[str, list[int]] | None = None) -> float:
+    """Jaro similarity in [0, 1] of two strings, compared as given (fold them first).
 
     Characters match when equal and at most max(len)//2 - 1 positions apart,
     assigned greedily left to right (first unmatched equal character within
     the window). The transposition count is half the number of matched
-    characters appearing in a different order, rounded down. Equal folded
-    strings give 1.0; otherwise no matches at all, including either string
-    being empty, gives 0.0.
-    """
-    return _jaro(fold(s1), fold(s2))
-
-
-def _jaro(a: str, b: str, positions_b: dict[str, list[int]] | None = None) -> float:
-    """jaro_similarity of two folded strings; positions_b is _positions(b) if given.
+    characters appearing in a different order, rounded down. Equal strings
+    give 1.0; otherwise no matches at all, including either string being
+    empty, gives 0.0. positions_b is _positions(b) if given.
 
     For one character, the greedy assignment picks positions of b that only
     increase: each pick is the first unmatched equal position at or after
@@ -155,13 +149,3 @@ def check_threshold(threshold: float) -> None:
     """Raise InvalidThreshold unless 0 <= threshold <= 1."""
     if not 0.0 <= threshold <= 1.0:
         raise InvalidThreshold(f"threshold must be in [0, 1], got {threshold!r}")
-
-
-def same_node(s1: str, s2: str, threshold: float = DEFAULT_THRESHOLD) -> bool:
-    """True when the two strings are similar enough to be one node.
-
-    Strictly greater than the threshold: jaro("entre", "et") is exactly 0.8
-    and must not merge at the default.
-    """
-    check_threshold(threshold)
-    return jaro_similarity(s1, s2) > threshold

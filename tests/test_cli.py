@@ -10,8 +10,9 @@ import pytest
 
 import courtnet
 from courtnet.cli import _build_parser, main
-from courtnet.corpus import generate_synthetic_corpus, read_truth
+from courtnet.corpus import DocumentTruth, generate_synthetic_corpus
 from courtnet.extract import Outcome
+from courtnet.jsonl import read_jsonl
 
 
 def _run(*argv):
@@ -164,7 +165,7 @@ def test_run_manifest_matches_truth(tmp_path):
                 "--output-dir", out) == 0
     manifest = json.loads((out / "run_manifest.json").read_text(encoding="utf-8"))
     counts = manifest["counts"]
-    truth = read_truth(out / "truth.jsonl")
+    truth = {t.doc_id: t for t in read_jsonl(out / "truth.jsonl", DocumentTruth)}
     want_outcomes = {o.value: 0 for o in Outcome}
     for entry in truth.values():
         want_outcomes[entry.outcome.value] += 1
@@ -297,6 +298,51 @@ def test_corrupt_stage_files_exit_2_naming_the_line(tmp_path, capsys):
         path.write_text(good, encoding="utf-8")
 
 
+@pytest.mark.parametrize("command, name, code", [
+    ("segment", "corpus.jsonl", 2),
+    ("extract", "segments.jsonl", 2),
+    ("networks", "extracted.jsonl", 2),
+    ("run", "segments.jsonl", 1),
+    ("run", "rankings.csv", 1),
+])
+def test_stage_file_that_is_a_directory_exits_naming_it(tmp_path, capsys, command, name, code):
+    # an input that cannot be read exits 2, an artifact that cannot be written 1
+    out = tmp_path / "out"
+    assert _run("synth", "--output-dir", out, "--n-docs", "5") == 0
+    (out / name).unlink(missing_ok=True)
+    (out / name).mkdir()
+    corpus = ["--corpus-file", out / "corpus.jsonl"] if command == "run" else []
+    assert _run(command, "--output-dir", out, *corpus) == code
+    err = capsys.readouterr().err
+    assert str(out / name) in err
+    assert ("input error" in err) == (code == 2)
+
+
+# deeper than any Python's recursion limit for the json decoder
+_DEEP_JSON = "[" * 100_000 + "]" * 100_000
+
+
+def test_deeply_nested_corpus_line_exits_2_naming_the_line(tmp_path, capsys):
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text(_DEEP_JSON + "\n", encoding="utf-8")
+    assert _run("segment", "--corpus-file", corpus, "--output-dir", tmp_path / "out") == 2
+    assert f"{corpus}:1:" in capsys.readouterr().err
+
+
+def test_deeply_nested_config_file_exits_1_naming_it(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(_DEEP_JSON, encoding="utf-8")
+    assert _run("synth", "--config", config, "--output-dir", tmp_path) == 1
+    assert f"config file {config}:" in capsys.readouterr().err
+
+
+def test_deeply_nested_mix_exits_1_naming_the_flag(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        _run("synth", "--output-dir", tmp_path, "--mix", _DEEP_JSON)
+    assert exc.value.code == 1
+    assert "argument --mix: not a JSON value" in capsys.readouterr().err
+
+
 def test_staged_output_equals_run(tmp_path):
     staged = tmp_path / "staged"
     whole = tmp_path / "run"
@@ -335,7 +381,9 @@ _AGEN_PROFILE = {
     json.dumps({**_AGEN_PROFILE, "markers": [
         {"segment": "appellee", "variants": "ET"},
         {"segment": "conclusion", "variants": ["PAR CES MOTIFS"]}]}),
-], ids=["bad_json", "no_markers", "top_level_list", "string_threshold", "string_variants"])
+    _DEEP_JSON,
+], ids=["bad_json", "no_markers", "top_level_list", "string_threshold", "string_variants",
+        "deep_nesting"])
 def test_malformed_profile_file_exits_1_before_any_stage(tmp_path, capsys, text):
     sources = tmp_path / "sources"
     sources.mkdir()

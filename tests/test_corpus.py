@@ -4,12 +4,12 @@ import pytest
 
 from courtnet.corpus import (
     Document,
+    DocumentTruth,
     dedupe_documents,
     generate_synthetic_corpus,
     ingest,
     normalize_newlines,
     read_corpus,
-    read_truth,
     strip_rtf,
     text_doc_id,
     write_corpus,
@@ -17,6 +17,7 @@ from courtnet.corpus import (
 )
 from courtnet.errors import EmptyDocument, EncodingError, InvalidMix, UnreadableFile
 from courtnet.extract import Outcome
+from courtnet.jsonl import read_jsonl
 from courtnet.textmetrics import fold
 
 
@@ -100,7 +101,7 @@ def test_truth_round_trip(tmp_path):
     _, truth = generate_synthetic_corpus(seed=3, n_docs=6)
     path = tmp_path / "truth.jsonl"
     write_truth(path, truth)
-    again = read_truth(path)
+    again = {t.doc_id: t for t in read_jsonl(path, DocumentTruth)}
     assert set(again) == set(truth.entries)
     for doc_id, entry in truth.entries.items():
         assert again[doc_id] == entry

@@ -1,5 +1,7 @@
 """Lawyer names, article references and outcome classification."""
 
+import json
+
 import pytest
 
 from courtnet.corpus import Document
@@ -12,7 +14,6 @@ from courtnet.extract import (
     classify_outcome,
     extract_articles,
     extract_lawyers,
-    load_code_table,
     read_extracted,
     rejection_rate,
     write_extracted,
@@ -144,7 +145,7 @@ def test_article_unlisted_code_passes_through():
 def test_custom_code_table(tmp_path):
     path = tmp_path / "codes.json"
     path.write_text('{"cgi": "code general des impots"}', encoding="utf-8")
-    table = load_code_table(path)
+    table = json.loads(path.read_text(encoding="utf-8"))
     got = extract_articles("Vu l'article 12 du CGI, le moyen est fondé.", code_table=table)
     assert got == {ArticleRef("code general des impots", "12")}
 

@@ -15,7 +15,6 @@ from courtnet.corpus import generate_synthetic_corpus
 from courtnet.extract import ArticleRef, Outcome
 from courtnet.graphio import write_dot, write_graphml
 from courtnet.networks import (
-    CaseEdge,
     CaseResult,
     CollabEdge,
     LawyerStats,
@@ -55,18 +54,36 @@ def _case(doc_id, appellants, appellees, outcome):
     )
 
 
-class _Graph:
-    """Anything with node_ids and undirected_edges works for communities."""
+def _case_graph_of(nodes, edges):
+    """The k=1 case graph of a simple graph, which is that graph: each node
+    cites one article per distinct edge at it, so two nodes share an article
+    exactly when an edge joins them. Self-loops cite nothing."""
+    articles = {node: set() for node in nodes}
+    for u, v in edges:
+        if u != v:
+            ref = ArticleRef("edge", repr(sorted((u, v))))
+            articles[u].add(ref)
+            articles[v].add(ref)
+    return build_case_graph(articles, {}, 1)
 
-    def __init__(self, nodes, edges):
-        self._nodes = nodes
-        self._edges = edges
 
-    def node_ids(self):
-        return list(self._nodes)
+def _edges(graph):
+    """(u, v, shared articles) of each case-graph edge in sorted order: for
+    each document u, the entries of its set's row past u."""
+    view = graph.edges
+    for u, s in enumerate(view.set_of_doc):
+        nbrs, shared = view.rows[s]
+        for v, count in zip(nbrs, shared):
+            if v > u:
+                yield view.doc_ids[u], view.doc_ids[v], count
 
-    def undirected_edges(self):
-        return list(self._edges)
+
+def _groups(partition):
+    """Each community id mapped to its members, in ascending order."""
+    out = {}
+    for node in sorted(partition.assignment):
+        out.setdefault(partition.assignment[node], []).append(node)
+    return out
 
 
 def test_network_params_validation():
@@ -203,7 +220,7 @@ def test_case_graph_matches_brute_force():
         outcomes = {doc: Outcome.UNDETERMINED for doc in articles}
         for k in (1, 2, 3):
             graph = build_case_graph(articles, outcomes, k)
-            got = {(e.u, e.v): e.shared_articles for e in graph.edges}
+            got = {(u, v): shared for u, v, shared in _edges(graph)}
             assert got == case_edges_reference(articles, k)
             assert set(graph.nodes) == set(articles)
 
@@ -235,11 +252,11 @@ def _article_maps(draw, ids=st.text(max_size=3)):
 def test_case_graph_edges_equal_quadratic_scan_in_order(articles, k):
     graph = build_case_graph(articles, {}, k)
     want = [(u, v, shared) for (u, v), shared in sorted(case_edges_reference(articles, k).items())]
-    got = [(e.u, e.v, e.shared_articles) for e in graph.edges]
+    got = list(_edges(graph))
     assert got == want
     assert len(graph.edges) == len(want)
-    assert [(e.u, e.v, e.shared_articles) for e in graph.edges] == got
-    assert list(graph.undirected_edges()) == [(u, v) for u, v, _ in want]
+    assert list(_edges(graph)) == got
+    assert [(u, v) for u, v, _ in got] == list(case_edges_reference(articles, k))
 
 
 @given(_article_maps(), st.integers(1, 5))
@@ -250,7 +267,7 @@ def test_case_adjacency_equals_rows_built_from_the_edges(articles, k):
     view = graph.edges
     index = {doc_id: i for i, doc_id in enumerate(view.doc_ids)}
     want = [[] for _ in index]
-    for u, v in graph.undirected_edges():
+    for u, v in case_edges_reference(articles, k):
         want[index[u]].append(index[v])
         want[index[v]].append(index[u])
     got = [[v for v in view.rows[s][0] if v != u] for u, s in enumerate(view.set_of_doc)]
@@ -260,7 +277,7 @@ def test_case_adjacency_equals_rows_built_from_the_edges(articles, k):
 @given(_article_maps(), st.integers(1, 5))
 def test_case_communities_equal_dict_based_reference(articles, k):
     graph = build_case_graph(articles, {}, k)
-    want = communities_reference(graph.node_ids(), list(graph.undirected_edges()))
+    want = communities_reference(sorted(articles), case_edges_reference(articles, k))
     assert detect_communities(graph).assignment == want
 
 
@@ -291,9 +308,10 @@ def test_case_communities_on_the_seed_7_1k_graph_equal_dict_based_reference():
     # many documents share each set row and nodes move thousands of times,
     # which the small drawn maps only sample
     _, truth = generate_synthetic_corpus(seed=7, n_docs=1000)
-    graph = build_case_graph({d: t.articles for d, t in truth.entries.items()}, {}, 3)
+    articles = {d: t.articles for d, t in truth.entries.items()}
+    graph = build_case_graph(articles, {}, 3)
     assert len(graph.edges) == 47_862
-    want = communities_reference(graph.node_ids(), list(graph.undirected_edges()))
+    want = communities_reference(sorted(articles), case_edges_reference(articles, 3))
     assert detect_communities(graph).assignment == want
 
 
@@ -309,7 +327,7 @@ def test_case_communities_equal_dict_based_reference_where_the_second_level_move
         articles = {f"d{i:02d}": rng.choice(sets) for i in range(rng.randrange(10, 60))}
         for k in (2, 3):
             graph = build_case_graph(articles, {}, k)
-            want = communities_reference(graph.node_ids(), list(graph.undirected_edges()))
+            want = communities_reference(sorted(articles), case_edges_reference(articles, k))
             assert detect_communities(graph).assignment == want, (seed, k)
 
 
@@ -383,8 +401,8 @@ def test_communities_split_joined_cliques():
     edges = [(f"n{i}", f"n{j}") for i in range(4) for j in range(i + 1, 4)]
     edges += [(f"n{i}", f"n{j}") for i in range(4, 8) for j in range(i + 1, 8)]
     edges.append(("n0", "n4"))
-    partition = detect_communities(_Graph(nodes, edges))
-    groups = partition.communities()
+    partition = detect_communities(_case_graph_of(nodes, edges))
+    groups = _groups(partition)
     assert len(groups) == 2
     assert sorted(map(tuple, groups.values())) == [
         ("n0", "n1", "n2", "n3"), ("n4", "n5", "n6", "n7"),
@@ -398,10 +416,10 @@ def test_communities_pair_up_a_ring_of_cliques_at_the_second_level():
     edges = [(u, v) for clique in cliques for u, v in combinations(clique, 2)]
     edges += [(clique[-1], cliques[(c + 1) % 16][0]) for c, clique in enumerate(cliques)]
     nodes = [n for clique in cliques for n in clique]
-    partition = detect_communities(_Graph(nodes, edges))
+    partition = detect_communities(_case_graph_of(nodes, edges))
     assert partition.assignment == communities_reference(nodes, edges)
     clique_of = {n: c for c, clique in enumerate(cliques) for n in clique}
-    groups = partition.communities().values()
+    groups = _groups(partition).values()
     assert len(groups) == 8
     for group in groups:
         a, b = sorted({clique_of[n] for n in group})
@@ -409,15 +427,15 @@ def test_communities_pair_up_a_ring_of_cliques_at_the_second_level():
 
 
 def test_communities_on_edgeless_graph_are_singletons():
-    partition = detect_communities(_Graph(["a", "b", "c"], []))
+    partition = detect_communities(_case_graph_of(["a", "b", "c"], []))
     assert partition.assignment == {"a": 0, "b": 1, "c": 2}
-    assert detect_communities(_Graph([], [])).assignment == {}
+    assert detect_communities(_case_graph_of([], [])).assignment == {}
 
 
 def test_community_ids_are_dense_and_ordered_by_smallest_member():
     nodes = ["a", "b", "c", "d"]
     edges = [("c", "d"), ("a", "b")]
-    partition = detect_communities(_Graph(nodes, edges))
+    partition = detect_communities(_case_graph_of(nodes, edges))
     assert partition.assignment == {"a": 0, "b": 0, "c": 1, "d": 1}
     assert partition.sizes == {0: 2, 1: 2}
 
@@ -427,13 +445,13 @@ def test_communities_ignore_insertion_order():
     nodes = [f"n{i}" for i in range(10)]
     edges = [(f"n{i}", f"n{j}") for i in range(10) for j in range(i + 1, 10)
              if rng.random() < 0.4]
-    baseline = detect_communities(_Graph(nodes, edges)).assignment
+    baseline = detect_communities(_case_graph_of(nodes, edges)).assignment
     for _ in range(5):
         shuffled_nodes = nodes[:]
         shuffled_edges = [e if rng.random() < 0.5 else (e[1], e[0]) for e in edges]
         rng.shuffle(shuffled_nodes)
         rng.shuffle(shuffled_edges)
-        assert detect_communities(_Graph(shuffled_nodes, shuffled_edges)).assignment == baseline
+        assert detect_communities(_case_graph_of(shuffled_nodes, shuffled_edges)).assignment == baseline
 
 
 @st.composite
@@ -448,9 +466,20 @@ def _edge_lists(draw):
 
 
 @given(_edge_lists())
+def test_case_graph_of_an_edge_list_has_its_distinct_edges(graph):
+    # so the Louvain tests stated as edge lists run on the graphs they name
+    nodes, edges = graph
+    case_graph = _case_graph_of(nodes, edges)
+    assert list(case_graph.nodes) == sorted(nodes)
+    walked = list(_edges(case_graph))
+    assert walked == sorted({(min(u, v), max(u, v), 1) for u, v in edges if u != v})
+    assert len(case_graph.edges) == len(walked)
+
+
+@given(_edge_lists())
 def test_communities_equal_dict_based_reference(graph):
     nodes, edges = graph
-    got = detect_communities(_Graph(nodes, edges)).assignment
+    got = detect_communities(_case_graph_of(nodes, edges)).assignment
     assert got == communities_reference(nodes, edges)
 
 
@@ -461,14 +490,14 @@ def test_detected_partition_is_near_exhaustive_optimum():
         nodes = list(range(n))
         edges = [(i, j) for i in range(n) for j in range(i + 1, n)
                  if rng.random() < 0.45]
-        partition = detect_communities(_Graph(nodes, edges))
+        partition = detect_communities(_case_graph_of(nodes, edges))
         best_q, _ = best_partition_reference(n, edges)
         got_q = modularity_reference(n, edges, [partition.assignment[v] for v in nodes])
         assert got_q >= best_q - 0.05
 
 
 def test_community_win_rate():
-    partition = detect_communities(_Graph(["a", "b", "c", "d"], [("a", "b"), ("c", "d")]))
+    partition = detect_communities(_case_graph_of(["a", "b", "c", "d"], [("a", "b"), ("c", "d")]))
     outcomes = {
         "a": Outcome.APPELLANT_WINS,
         "b": Outcome.APPELLEE_WINS,
@@ -481,7 +510,7 @@ def test_community_win_rate():
 
 
 def test_communities_csv(tmp_path):
-    partition = detect_communities(_Graph(["a", "b", "c"], [("a", "b")]))
+    partition = detect_communities(_case_graph_of(["a", "b", "c"], [("a", "b")]))
     outcomes = {
         "a": Outcome.APPELLANT_WINS,
         "b": Outcome.APPELLANT_WINS,
@@ -544,4 +573,4 @@ def test_case_graphml_round_trip_with_communities(tmp_path):
     assert directed is False
     assert {nid: Outcome(a["outcome"]) for nid, a in nodes} == graph.nodes
     assert {nid: a["community"] for nid, a in nodes} == partition.assignment
-    assert [CaseEdge(u, v, a["shared_articles"]) for u, v, a in edges] == list(graph.edges)
+    assert [(u, v, a["shared_articles"]) for u, v, a in edges] == list(_edges(graph))

@@ -9,7 +9,8 @@ from hypothesis import given, strategies as st
 
 from courtnet import textmetrics
 from courtnet.errors import InvalidThreshold
-from courtnet.textmetrics import fold, fold_aligned, jaro_similarity, same_node
+from courtnet.segmenter import _contract
+from courtnet.textmetrics import DEFAULT_THRESHOLD, check_threshold, fold, fold_aligned, jaro
 
 from oracles import fold_aligned_reference, fold_reference, jaro_reference
 
@@ -74,31 +75,36 @@ def _text_pairs(draw):
     return draw(st.text(alphabet, max_size=30)), draw(st.text(alphabet, max_size=30))
 
 
+def _folded_jaro(s1, s2):
+    """Jaro of two strings as the program compares them: folded first."""
+    return jaro(fold(s1), fold(s2))
+
+
 @given(_text_pairs())
 def test_jaro_equals_reference_exactly(pair):
     s1, s2 = pair
     expected = jaro_reference(s1, s2)
-    assert jaro_similarity(s1, s2) == expected
+    assert _folded_jaro(s1, s2) == expected
     a, b = fold(s1), fold(s2)
-    assert textmetrics._jaro(a, b) == expected
-    assert textmetrics._jaro(a, b, textmetrics._positions(b)) == expected
+    assert jaro(a, b) == expected
+    assert jaro(a, b, textmetrics._positions(b)) == expected
 
 
 @pytest.mark.parametrize("s1,s2,expected", KNOWN_PAIRS)
 def test_jaro_known_values(s1, s2, expected):
-    assert jaro_similarity(s1, s2) == pytest.approx(expected, abs=1e-12)
+    assert _folded_jaro(s1, s2) == pytest.approx(expected, abs=1e-12)
 
 
 def test_jaro_trivial_cases():
-    assert jaro_similarity("abc", "abc") == 1.0
-    assert jaro_similarity("", "") == 1.0
-    assert jaro_similarity("abc", "") == 0.0
-    assert jaro_similarity("", "abc") == 0.0
-    assert jaro_similarity("abc", "xyz") == 0.0
+    assert _folded_jaro("abc", "abc") == 1.0
+    assert _folded_jaro("", "") == 1.0
+    assert _folded_jaro("abc", "") == 0.0
+    assert _folded_jaro("", "abc") == 0.0
+    assert _folded_jaro("abc", "xyz") == 0.0
 
 
 def test_jaro_folds_before_comparing():
-    assert jaro_similarity("PROCÉDURE", "procedure") == 1.0
+    assert _folded_jaro("PROCÉDURE", "procedure") == 1.0
 
 
 def test_jaro_matches_reference_on_random_pairs():
@@ -107,27 +113,30 @@ def test_jaro_matches_reference_on_random_pairs():
     for _ in range(2000):
         s1 = "".join(rng.choice(alphabet) for _ in range(rng.randrange(0, 14)))
         s2 = "".join(rng.choice(alphabet) for _ in range(rng.randrange(0, 14)))
-        got = jaro_similarity(s1, s2)
+        got = _folded_jaro(s1, s2)
         assert got == pytest.approx(jaro_reference(s1, s2), abs=1e-12)
-        assert got == pytest.approx(jaro_similarity(s2, s1), abs=1e-12)
+        assert got == pytest.approx(_folded_jaro(s2, s1), abs=1e-12)
         assert 0.0 <= got <= 1.0
 
 
-def test_same_node_threshold_is_strict():
+def test_contraction_threshold_is_strict():
     # jaro("entre", "et") computes to 0.8 up to float rounding, so the
-    # strict comparison keeps it below the default threshold
-    assert jaro_similarity("entre", "et") == pytest.approx(0.8, abs=1e-12)
-    assert not same_node("entre", "et")
-    assert not same_node("entre", "et", 0.8)
-    assert same_node("entre", "et", 0.79)
-    assert same_node("FAITS ET PROCÉDURE", "faits procedure")
+    # strict comparison keeps it below the default threshold; _contract is
+    # where the flow graph decides which sentences merge ([0, 0] merged)
+    assert _folded_jaro("entre", "et") == pytest.approx(0.8, abs=1e-12)
+    assert _contract(["entre", "et"], DEFAULT_THRESHOLD) == [0, 1]
+    assert _contract(["entre", "et"], 0.8) == [0, 1]
+    assert _contract(["entre", "et"], 0.79) == [0, 0]
+    assert _contract(["FAITS ET PROCÉDURE", "faits procedure"], DEFAULT_THRESHOLD) == [0, 0]
 
 
-def test_same_node_rejects_bad_thresholds():
+def test_contraction_rejects_bad_thresholds():
     with pytest.raises(InvalidThreshold):
-        same_node("a", "b", -0.1)
+        check_threshold(-0.1)
     with pytest.raises(InvalidThreshold):
-        same_node("a", "b", 1.0001)
+        check_threshold(1.0001)
     # the closed interval endpoints are allowed
-    assert same_node("abc", "abc", 0.0)
-    assert not same_node("abc", "abc", 1.0)
+    check_threshold(0.0)
+    check_threshold(1.0)
+    assert _contract(["abc", "abc"], 0.0) == [0, 0]
+    assert _contract(["abc", "abc"], 1.0) == [0, 1]
