@@ -8,6 +8,7 @@ known ground truth so every downstream stage can be checked end to end.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import logging
 import re
@@ -45,6 +46,17 @@ def normalize_newlines(text: str) -> str:
 # RTF stripping
 
 _RTF_CTRL_RE = re.compile(r"\\([a-zA-Z]+)(-?\d+)? ?")
+_RTF_TEXT_RE = re.compile(r"[^\\{}\r\n]+")  # a run of plain characters
+
+
+@functools.cache  # ingest strips latin-1 text, so 65,536 keys at most
+def _cp1252(hh: str) -> str:
+    """The character of a \\'hh escape; "" if hh is not one byte in hex."""
+    try:
+        return bytes([int(hh, 16)]).decode("cp1252")
+    except (ValueError, UnicodeDecodeError):
+        return ""
+
 
 # destination groups whose content is formatting, not text
 _RTF_DESTINATIONS = {
@@ -92,40 +104,14 @@ def strip_rtf(source: str) -> str:
         if ch in "\r\n":
             i += 1
             continue
-        if fallback:
-            fallback -= 1
-            if ch != "\\":
-                i += 1
-            elif source[i + 1:i + 2] == "'":
-                i += 4
-            else:
-                m = _RTF_CTRL_RE.match(source, i)
-                i = m.end() if m else i + 2
-            continue
         if ch == "\\":
-            nxt = source[i + 1] if i + 1 < n else ""
-            if nxt in "\\{}":
-                if skip_depth is None:
-                    out.append(nxt)
-                i += 2
-                continue
-            if nxt == "'":
-                if skip_depth is None and i + 3 < n:
-                    try:
-                        out.append(bytes([int(source[i + 2:i + 4], 16)]).decode("cp1252"))
-                    except (ValueError, UnicodeDecodeError):
-                        pass
-                i += 4
-                continue
-            if nxt == "~":
-                if skip_depth is None:
-                    out.append(" ")
-                i += 2
-                continue
-            if nxt == "*":
-                if skip_depth is None:
-                    skip_depth = depth
-                i += 2
+            if fallback:  # an escape or a control word is one unit
+                fallback -= 1
+                if source[i + 1:i + 2] == "'":
+                    i += 4
+                else:
+                    m = _RTF_CTRL_RE.match(source, i)
+                    i = m.end() if m else i + 2
                 continue
             m = _RTF_CTRL_RE.match(source, i)
             if m:
@@ -145,11 +131,29 @@ def strip_rtf(source: str) -> str:
                         skip_depth = depth
                 i = m.end()
                 continue
-            i += 1
+            nxt = source[i + 1:i + 2]
+            if nxt == "'":
+                if skip_depth is None and i + 3 < n:
+                    out.append(_cp1252(source[i + 2:i + 4]))
+                i += 4
+            elif nxt and nxt in "\\{}~*":
+                if skip_depth is None:
+                    if nxt == "*":
+                        skip_depth = depth
+                    else:
+                        out.append(" " if nxt == "~" else nxt)
+                i += 2
+            else:
+                i += 1
             continue
+        end = _RTF_TEXT_RE.match(source, i).end()
+        if fallback:  # each skipped character is one unit
+            skipped = min(fallback, end - i)
+            fallback -= skipped
+            i += skipped
         if skip_depth is None:
-            out.append(ch)
-        i += 1
+            out.append(source[i:end])
+        i = end
     # \uN pairs make the characters past U+FFFF; a lone surrogate becomes U+FFFD
     return "".join(out).encode("utf-16-le", "surrogatepass").decode("utf-16-le", "replace")
 

@@ -178,7 +178,15 @@ def extract_articles(
     table = default_code_table() if code_table is None else code_table
     folded = fold(text)
     refs: set[ArticleRef] = set()
-    for m in _ARTICLE_RE.finditer(folded):
+    # _ARTICLE_RE starts with \b, so re would try it at every position; try it
+    # only where "article" starts. \b there still sees the character before.
+    pos = folded.find("article")
+    while pos >= 0:
+        m = _ARTICLE_RE.match(folded, pos)
+        if m is None:
+            pos = folded.find("article", pos + 1)
+            continue
+        pos = folded.find("article", m.end())
         numbers, code_raw = m.group(1), m.group(2)
         if code_raw is None:
             code = UNKNOWN_CODE

@@ -121,12 +121,24 @@ def write_jsonl(path: str | Path, records: Iterable) -> None:
             fh.write(dumps(record) + "\n")
 
 
+def _check_encodable(data) -> None:
+    """Raise ValueError if a string of the JSON value holds a lone surrogate.
+
+    An unpaired \\uD800-\\uDFFF escape decodes to one; no UTF-8 file can hold
+    it, so a record carrying it could not be written back.
+    """
+    try:
+        json.dumps(data, ensure_ascii=False).encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise ValueError(f"lone surrogate {exc.object[exc.start]!r} in a string") from None
+
+
 def iter_jsonl(path: str | Path, cls: type[T]) -> Iterator[tuple[int, T]]:
     """(line number, cls record) of each non-blank line, in file order.
 
     A file that cannot be opened raises UnreadableFile naming the path. A line
-    that is not UTF-8 JSON (nesting too deep included), or is not the JSON
-    form of a cls record, raises CorruptInput naming path:line.
+    that is not UTF-8 JSON (nesting too deep and lone surrogates included), or
+    is not the JSON form of a cls record, raises CorruptInput naming path:line.
     """
     try:
         fh = open(path, "rb")
@@ -137,7 +149,11 @@ def iter_jsonl(path: str | Path, cls: type[T]) -> Iterator[tuple[int, T]]:
             if not line.strip():
                 continue
             try:
-                record = decode(cls, json.loads(line.decode("utf-8")))
+                text = line.decode("utf-8")
+                data = json.loads(text)
+                if "\\u" in text:  # only a \u escape can make a lone surrogate
+                    _check_encodable(data)
+                record = decode(cls, data)
             except KeyError as exc:
                 raise CorruptInput(f"{path}:{lineno}: missing key {exc}") from None
             except (ValueError, TypeError, RecursionError) as exc:

@@ -10,7 +10,9 @@ hit the same marker.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
+import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
@@ -214,6 +216,47 @@ def _marker_hits(line: str | None, variants: _Variants, threshold: float) -> boo
     return False
 
 
+# A memo this full is emptied before it grows further: some megabytes at most
+# for each set of variants, on a corpus where no line repeats.
+_VERDICTS_KEPT = 1 << 14
+
+
+@functools.lru_cache(maxsize=32)  # a few sets of variants per profile
+def _verdicts(variants: tuple[str, ...], threshold: float) -> dict[str, bool]:
+    """Memo of _marker_hits for one set of variants and threshold, keyed by raw line.
+
+    The verdict is a function of the line and of these two values alone, so
+    markers equal in variants share one memo, and so do documents.
+    """
+    return {}
+
+
+def _first_hit(lines: list[str], lo: int, hi: int, marker: Marker, threshold: float,
+               folded: dict[str, str | None]) -> int | None:
+    """Index of the first of lines[lo:hi] that hits the marker, None if none does.
+
+    folded holds the document's lines already folded (stripped; None when
+    blank), so each line is folded at most once, and only on a memo miss.
+    """
+    verdicts = _verdicts(marker.variants, threshold)
+    variants = _folded_variants(marker)
+    for li in range(lo, hi):
+        line = lines[li]
+        hit = verdicts.get(line)
+        if hit is None:
+            try:
+                folded_line = folded[line]
+            except KeyError:
+                stripped = line.strip()
+                folded_line = folded[line] = fold(stripped) if stripped else None
+            if len(verdicts) >= _VERDICTS_KEPT:
+                verdicts.clear()
+            hit = verdicts[line] = _marker_hits(folded_line, variants, threshold)
+        if hit:
+            return li
+    return None
+
+
 def segment(doc: "Document", profile: KeywordProfile) -> SegmentedJudgment:
     """Locate profile markers in order and cut the text into segments.
 
@@ -226,53 +269,43 @@ def segment(doc: "Document", profile: KeywordProfile) -> SegmentedJudgment:
     conclusion raises MissingConclusion.
     """
     text = doc.text
-    lines = _lines_with_offsets(text)
-    folded = [fold(stripped) if (stripped := content.strip()) else None
-              for _, _, content in lines]
+    lines = text.splitlines(keepends=True)
+    folded: dict[str, str | None] = {}
     threshold = profile.jaro_threshold
 
     matched: list[tuple[str, int]] = []  # (segment name, line index)
     pos = 0
     for marker in profile.markers:
-        variants = _folded_variants(marker)
-        hit = None
-        for li in range(pos, len(lines)):
-            if _marker_hits(folded[li], variants, threshold):
-                hit = li
-                break
+        hit = _first_hit(lines, pos, len(lines), marker, threshold, folded)
         if hit is not None:
             matched.append((marker.segment, hit))
             pos = hit + 1
             continue
         # not found ahead; decide between omission and a hard error
-        earlier = any(
-            _marker_hits(folded[li], variants, threshold) for li in range(0, pos)
-        )
-        if earlier:
+        if _first_hit(lines, 0, pos, marker, threshold, folded) is not None:
             raise OutOfOrderMarkers(
                 f"{doc.doc_id}: {marker.segment} marker appears before an earlier segment"
             )
         if marker.segment == "conclusion":
             raise MissingConclusion(f"{doc.doc_id}: no conclusion marker found")
 
+    starts = [0, *itertools.accumulate(map(len, lines))]  # line li ends at starts[li + 1]
     segments: list[Segment] = []
-    first_start = lines[matched[0][1]][0]
+    first_start = starts[matched[0][1]]
     if first_start > 0:
         segments.append(Segment("header", 0, first_start))
     for idx, (name, li) in enumerate(matched):
         if name == "conclusion":
-            segments.append(Segment(name, lines[li][0], len(text)))
+            segments.append(Segment(name, starts[li], len(text)))
         else:
-            start = lines[li][1]
-            end = lines[matched[idx + 1][1]][0]
-            segments.append(Segment(name, start, end))
+            segments.append(Segment(name, starts[li + 1], starts[matched[idx + 1][1]]))
     return SegmentedJudgment(doc_id=doc.doc_id, segments=segments)
 
 
 # Tokens that block a sentence split at a following period: honorifics and
 # the abbreviation for "article".
 _NO_SPLIT_BEFORE_PERIOD = {"me", "mme", "art"}
-_TERMINATORS = ".!?;"
+_TERMINATOR_RE = re.compile(r"[.!?;]")
 
 
 def _is_caps_line(line: str) -> bool:
@@ -305,9 +338,8 @@ def split_sentences(text: str) -> list[str]:
     if not text:
         return []
     breaks = set()
-    for i, ch in enumerate(text):
-        if ch not in _TERMINATORS:
-            continue
+    for m in _TERMINATOR_RE.finditer(text):
+        i, ch = m.start(), m.group()
         j = i + 1
         while j < len(text) and text[j].isspace():
             j += 1

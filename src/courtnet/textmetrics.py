@@ -45,10 +45,47 @@ class _FoldTable(dict):
 _FOLD = _FoldTable(_fold_char)
 _FOLD_ALIGNED = _FoldTable(_fold_aligned_char)
 
+_ASCII = bytes(range(128))
+_LOWER_ASCII = bytes.maketrans(b"ABCDEFGHIJKLMNOPQRSTUVWXYZ", b"abcdefghijklmnopqrstuvwxyz")
+_SHORT = 48       # below this length one pass through the table is cheaper
+_MAX_PASSES = 16  # distinct non-ASCII characters, one str.replace pass each
+
+
+def _fold_with(text: str, table: _FoldTable) -> str:
+    """text.translate(table), with C-level passes in place of the per-character lookup.
+
+    ASCII folds to lower(). Otherwise the ASCII bytes of the UTF-8 form are
+    lowered (every byte of a multi-byte character is >= 0x80, so none changes)
+    and each distinct non-ASCII character that folds differently is replaced
+    in one pass. That is exact when every replacement is ASCII, which no later
+    pass touches, and linear because the passes are at most _MAX_PASSES.
+    Other texts, and texts whose UTF-8 form is mostly non-ASCII, go through
+    the table. Lone surrogates pass through unchanged.
+    """
+    if text.isascii():
+        return text.lower()
+    if len(text) < _SHORT:
+        return text.translate(table)
+    data = text.encode("utf-8", "surrogatepass")
+    rest = data.translate(None, _ASCII)
+    if 2 * len(rest) > len(data):  # mostly non-ASCII: a script that folds to non-ASCII
+        return text.translate(table)
+    others = set(rest.decode("utf-8", "surrogatepass"))
+    if len(others) > _MAX_PASSES:
+        return text.translate(table)
+    out = data.translate(_LOWER_ASCII).decode("utf-8", "surrogatepass")
+    for ch in others:
+        folded = table[ord(ch)]
+        if folded != ch:
+            if not folded.isascii():
+                return text.translate(table)
+            out = out.replace(ch, folded)
+    return out
+
 
 def fold(text: str) -> str:
     """Strip diacritics and case-fold."""
-    return text.translate(_FOLD)
+    return _fold_with(text, _FOLD)
 
 
 def fold_aligned(text: str) -> str:
@@ -58,7 +95,7 @@ def fold_aligned(text: str) -> str:
     of its decomposition), so match positions found in the folded shadow are
     valid indices into the original string.
     """
-    return text.translate(_FOLD_ALIGNED)
+    return _fold_with(text, _FOLD_ALIGNED)
 
 
 def _positions(text: str) -> dict[str, list[int]]:

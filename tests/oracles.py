@@ -7,6 +7,7 @@ modularity, quadratic scans elsewhere.
 """
 
 from itertools import combinations
+import re
 import unicodedata
 import xml.etree.ElementTree as ET
 
@@ -34,6 +35,106 @@ def fold_aligned_reference(text):
         folded = base.casefold()
         out.append(folded[0] if folded else base)
     return "".join(out)
+
+
+_RTF_CTRL_RE = re.compile(r"\\([a-zA-Z]+)(-?\d+)? ?")
+_RTF_DESTINATIONS = {
+    "fonttbl", "colortbl", "stylesheet", "info", "pict",
+    "header", "footer", "footnote",
+}
+
+
+def strip_rtf_reference(source):
+    """corpus.strip_rtf as it was before it consumed plain text a run at a
+    time: one loop step per source character."""
+    out = []
+    i = 0
+    depth = 0
+    skip_depth = None
+    uc = 1         # fallback units after each \uN
+    outer_uc = []  # uc of each enclosing group
+    fallback = 0   # fallback units still to skip
+    n = len(source)
+    while i < n:
+        ch = source[i]
+        if ch == "{":
+            depth += 1
+            outer_uc.append(uc)
+            fallback = 0
+            i += 1
+            continue
+        if ch == "}":
+            depth -= 1
+            if outer_uc:
+                uc = outer_uc.pop()
+            fallback = 0
+            i += 1
+            if skip_depth is not None and depth < skip_depth:
+                skip_depth = None
+            continue
+        if ch in "\r\n":
+            i += 1
+            continue
+        if fallback:
+            fallback -= 1
+            if ch != "\\":
+                i += 1
+            elif source[i + 1:i + 2] == "'":
+                i += 4
+            else:
+                m = _RTF_CTRL_RE.match(source, i)
+                i = m.end() if m else i + 2
+            continue
+        if ch == "\\":
+            nxt = source[i + 1] if i + 1 < n else ""
+            if nxt in "\\{}":
+                if skip_depth is None:
+                    out.append(nxt)
+                i += 2
+                continue
+            if nxt == "'":
+                if skip_depth is None and i + 3 < n:
+                    try:
+                        out.append(bytes([int(source[i + 2:i + 4], 16)]).decode("cp1252"))
+                    except (ValueError, UnicodeDecodeError):
+                        pass
+                i += 4
+                continue
+            if nxt == "~":
+                if skip_depth is None:
+                    out.append(" ")
+                i += 2
+                continue
+            if nxt == "*":
+                if skip_depth is None:
+                    skip_depth = depth
+                i += 2
+                continue
+            m = _RTF_CTRL_RE.match(source, i)
+            if m:
+                word, param = m.groups()
+                if word == "u" and param:
+                    if skip_depth is None:
+                        out.append(chr(int(param) % 65536))
+                    fallback = uc
+                elif word == "uc" and param:
+                    uc = max(int(param), 0)
+                elif skip_depth is None:
+                    if word in ("par", "line"):
+                        out.append("\n")
+                    elif word == "tab":
+                        out.append(" ")
+                    elif word in _RTF_DESTINATIONS:
+                        skip_depth = depth
+                i = m.end()
+                continue
+            i += 1
+            continue
+        if skip_depth is None:
+            out.append(ch)
+        i += 1
+    # \uN pairs make the characters past U+FFFF; a lone surrogate becomes U+FFFD
+    return "".join(out).encode("utf-16-le", "surrogatepass").decode("utf-16-le", "replace")
 
 
 def jaro_reference(s1, s2):
@@ -76,6 +177,117 @@ def marker_hits_reference(line, variants, threshold):
     folded = fold_reference(stripped)
     return any(folded.startswith(fold_reference(v)) or jaro_reference(stripped, v) > threshold
                for v in variants)
+
+
+def segment_reference(text, markers, threshold):
+    """(name, start, end) of each segment, or the error "out of order" or
+    "no conclusion" as a string. markers lists (segment name, variants) in
+    profile order; every line is tested with marker_hits_reference, nothing
+    is remembered between lines or calls.
+
+    Each marker takes the first hitting line after the previous marker's
+    line. A marker that hits no line after it but hits one before it is out
+    of order; an optional marker that hits none is left out, and the last
+    one, the conclusion, is mandatory. A segment runs from the end of its
+    marker line to the start of the next marker line, the conclusion from
+    the start of its own line to the end of the text, and the header is
+    whatever precedes the first marker line.
+    """
+    lines = text.splitlines(keepends=True)
+    starts = [sum(len(line) for line in lines[:i]) for i in range(len(lines) + 1)]
+    matched = []
+    pos = 0
+    for name, variants in markers:
+        hits = [i for i, line in enumerate(lines) if marker_hits_reference(line, variants, threshold)]
+        ahead = [i for i in hits if i >= pos]
+        if ahead:
+            matched.append((name, ahead[0]))
+            pos = ahead[0] + 1
+        elif hits:
+            return "out of order"
+        elif name == "conclusion":
+            return "no conclusion"
+    out = []
+    if starts[matched[0][1]] > 0:
+        out.append(("header", 0, starts[matched[0][1]]))
+    for (name, i), nxt in zip(matched, matched[1:] + [None]):
+        if name == "conclusion":
+            out.append((name, starts[i], len(text)))
+        else:
+            out.append((name, starts[i + 1], starts[nxt[1]]))
+    return out
+
+
+def split_sentences_reference(text):
+    """segmenter.split_sentences as it was before it searched for the
+    terminators with a regular expression: one loop step per character."""
+    if not text:
+        return []
+    breaks = set()
+    for i, ch in enumerate(text):
+        if ch not in ".!?;":
+            continue
+        j = i + 1
+        while j < len(text) and text[j].isspace():
+            j += 1
+        if j == i + 1 or j >= len(text):
+            continue
+        nxt = text[j]
+        if not (nxt.isupper() or nxt.isdigit()):
+            continue
+        if ch == ".":
+            k = i
+            while k > 0 and (text[k - 1].isalnum() or text[k - 1] == "-"):
+                k -= 1
+            word = text[k:i]
+            if len(word) == 1 and word.isalpha():
+                continue
+            if fold_reference(word) in {"me", "mme", "art"}:
+                continue
+        breaks.add(i + 1)
+    start = 0
+    for raw in text.splitlines(keepends=True):
+        content = raw.rstrip("\r\n\v\f\x1c\x1d\x1e\x85\u2028\u2029")
+        letters = [ch for ch in content if ch.isalpha()]
+        if letters and not any(ch.islower() for ch in letters):
+            breaks.add(start + len(content))
+        start += len(raw)
+    breaks.add(len(text))
+    sentences = []
+    start = 0
+    for b in sorted(breaks):
+        piece = text[start:b].strip()
+        if piece:
+            sentences.append(piece)
+        start = b
+    return sentences
+
+
+_ARTICLE_NUM = r"(?:[lrd]\.?\s*)?\d+(?:[-.]\d+)*"
+_ARTICLE_RE = re.compile(
+    rf"\barticles?\s+({_ARTICLE_NUM}(?:\s+et\s+{_ARTICLE_NUM})*)"
+    rf"(?:\s+(?:du|de\s+la|de\s+l')\s+([^\n.,;:()]+))?"
+)
+
+
+def extract_articles_reference(text, code_table):
+    """(code, number) pairs cited in the text: extract.extract_articles as it
+    was before it searched for "article" first, with re.finditer over the
+    whole folded text."""
+    refs = set()
+    for m in _ARTICLE_RE.finditer(fold_reference(text)):
+        numbers, code_raw = m.group(1), m.group(2)
+        if code_raw is None:
+            code = "unknown"
+        else:
+            code = " ".join(code_raw.split())
+            code = code_table.get(code, code)
+        for number in re.split(r"\s+et\s+", numbers):
+            number = number.strip()
+            prefixed = re.match(r"^([lrd])\.?\s*(\d.*)$", number)
+            refs.add((code, f"{prefixed.group(1).upper()}. {prefixed.group(2)}" if prefixed
+                      else number))
+    return refs
 
 
 def contract_reference(texts, threshold):

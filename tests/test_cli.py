@@ -266,6 +266,28 @@ def _with_field(path, lineno, keys, value):
     return "".join(lines)
 
 
+def test_lone_surrogate_in_corpus_exits_2_naming_the_line(tmp_path, capsys):
+    # a \ud800 escape decodes to a string that no UTF-8 artifact can hold
+    out = tmp_path / "out"
+    assert _run("synth", "--output-dir", out, "--n-docs", "5") == 0
+    corpus = tmp_path / "corpus.jsonl"
+    lines = (out / "corpus.jsonl").read_text(encoding="utf-8").splitlines(keepends=True)
+    row = json.loads(lines[1])
+    at = row["text"].index("Me ") + 5  # inside the first lawyer's name
+    row["text"] = row["text"][:at] + "\ud800" + row["text"][at:]
+    lines[1] = json.dumps(row) + "\n"
+    corpus.write_text("".join(lines), encoding="utf-8")
+    run_out = tmp_path / "run"
+    assert _run("run", "--corpus-file", corpus, "--output-dir", run_out) == 2
+    assert f"{corpus}:2: lone surrogate" in capsys.readouterr().err
+    assert not run_out.exists() or not any(run_out.iterdir())
+    # a paired escape is one character and reads as it did
+    row["text"] = row["text"].replace("\ud800", "\U0001f600")
+    lines[1] = json.dumps(row) + "\n"
+    corpus.write_text("".join(lines), encoding="utf-8")
+    assert _run("run", "--corpus-file", corpus, "--output-dir", run_out) == 0
+
+
 def test_corrupt_stage_files_exit_2_naming_the_line(tmp_path, capsys):
     out = tmp_path / "out"
     assert _run("synth", "--output-dir", out, "--n-docs", "20") == 0

@@ -1,6 +1,7 @@
 """Document ingestion and the synthetic corpus generator."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from courtnet.corpus import (
     Document,
@@ -19,6 +20,8 @@ from courtnet.errors import EmptyDocument, EncodingError, InvalidMix, Unreadable
 from courtnet.extract import Outcome
 from courtnet.jsonl import read_jsonl
 from courtnet.textmetrics import fold
+
+from oracles import strip_rtf_reference
 
 
 def test_text_doc_id_is_sha256_prefix():
@@ -44,6 +47,20 @@ def test_strip_rtf_reads_unicode_escapes_and_skips_their_fallback():
     assert strip_rtf(r"{\rtf1 {\uc2 Arr\u234\'65\'61t} \u8217\'92s}") == "Arrêt ’s"
     # negative N counts from 65536, and a surrogate pair makes one character
     assert strip_rtf(r"{\rtf1 \u-3913?\u-10179?\u-8704?}") == "\uf0b7\U0001f600"
+
+
+# RTF tokens: group boundaries, raw newlines, hex and \uN escapes (negative,
+# or half of a surrogate pair), \ucN, control words and destinations, and
+# plain characters that a \uN fallback may skip.
+RTF_TOKENS = ["{", "}", "\\", "\r", "\n", "\\'e9", "\\'", "\\u233", "\\u-3913",
+              "\\u-10179", "\\u-8704", "\\uc2", "\\uc0", "\\par ", "\\par", "\\*",
+              "\\fonttbl", "\\~", "\\\\", "\\{", "?", "a", "Z", "7", " ", "ab", "é"]
+
+
+@settings(max_examples=500)
+@given(st.lists(st.sampled_from(RTF_TOKENS), max_size=40).map("".join))
+def test_strip_rtf_equals_the_character_wise_reference(source):
+    assert strip_rtf(source) == strip_rtf_reference(source)
 
 
 def test_ingest_plain_text(tmp_path):

@@ -3,6 +3,7 @@
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from courtnet.corpus import Document
 from courtnet.errors import NoDeterminedOutcomes
@@ -12,6 +13,7 @@ from courtnet.extract import (
     LawyerName,
     Outcome,
     classify_outcome,
+    default_code_table,
     extract_articles,
     extract_lawyers,
     read_extracted,
@@ -19,6 +21,8 @@ from courtnet.extract import (
     write_extracted,
 )
 from courtnet.segmenter import get_profile, segment
+
+from oracles import extract_articles_reference
 
 
 def _segmented(text, jurisdiction="douai"):
@@ -140,6 +144,25 @@ def test_article_prefix_normalization():
 def test_article_unlisted_code_passes_through():
     got = extract_articles("Vu l'article 12 du code du travail, il est statué.")
     assert got == {ArticleRef("code du travail", "12")}
+
+
+# Citation pieces: "article" inside words and in other spellings, numbers
+# with letter prefixes, enumerations, code names and the punctuation that
+# ends them.
+ARTICLE_PIECES = ["article", "articles", "Article", "ARTICLES", "particle", "l'article",
+                  "articlé", "Artícle", "art.", "3", "145-41", "L. 145-41", "l.145", "R 12",
+                  "d. 4.2", "et", "ET", "du", "de la", "de l'", "code civil",
+                  "Code de procédure civile", "NCPC", "CGI", ",", ".", ";", "(", ")", "\n"]
+
+
+@settings(max_examples=300)
+@given(st.lists(st.sampled_from(ARTICLE_PIECES), max_size=25),
+       st.lists(st.sampled_from([" ", "", "  ", "\t"]), min_size=25, max_size=25))
+def test_articles_equal_the_whole_text_search_reference(pieces, gaps):
+    text = "".join(piece + gap for piece, gap in zip(pieces, gaps))
+    table = default_code_table()
+    assert ({(ref.code, ref.number) for ref in extract_articles(text)}
+            == extract_articles_reference(text, table))
 
 
 def test_custom_code_table(tmp_path):

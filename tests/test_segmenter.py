@@ -24,7 +24,10 @@ from courtnet.segmenter import (
 
 from courtnet.textmetrics import fold
 
-from oracles import contract_reference, marker_hits_reference, parse_graphml
+from oracles import (
+    contract_reference, marker_hits_reference, parse_graphml, segment_reference,
+    split_sentences_reference,
+)
 
 DOUAI_TEXT = (
     "COUR D'APPEL DE DOUAI\n"
@@ -236,6 +239,18 @@ def test_split_sentences_rules():
     assert split_sentences("  \n ") == []
 
 
+# Terminators, whitespace (line breaks of every kind included), initials,
+# the abbreviations that block a split, capitals, digits and caps lines.
+SENTENCE_PIECES = [".", "!", "?", ";", " ", "\n", "\r\n", "\t", "\u2028", "\u00a0", "\x1c",
+                   "Me", "MME", "l'art", "J", "é", "Cour", "COUR", "3", "x-", "ÉTAT", "appel",
+                   "Mme.", "art.", "PAR CES MOTIFS"]
+
+
+@given(st.lists(st.sampled_from(SENTENCE_PIECES), max_size=30).map("".join))
+def test_split_sentences_equals_character_wise_reference(text):
+    assert split_sentences(text) == split_sentences_reference(text)
+
+
 def test_flow_graph_merges_near_identical_long_sentences():
     d1 = Document(doc_id="d1", jurisdiction="x",
                   text="Bonjour. La cour statue sur la demande principale du jour. Fin.")
@@ -322,3 +337,70 @@ def _sentence_lists(draw):
 @given(_sentence_lists(), st.sampled_from([0.0, 0.8, 1.0]))
 def test_contract_roots_equal_all_pairs_reference(texts, threshold):
     assert segmenter._contract(texts, threshold) == contract_reference(texts, threshold)
+
+
+def _segments_or_error(text, profile):
+    """segment()'s spans in the form segment_reference gives them."""
+    try:
+        seg = segment(_doc(text), profile)
+    except OutOfOrderMarkers:
+        return "out of order"
+    except MissingConclusion:
+        return "no conclusion"
+    return [(sg.name, sg.start, sg.end) for sg in seg.segments]
+
+
+def _reference(text, profile):
+    markers = [(m.segment, m.variants) for m in profile.markers]
+    return segment_reference(text, markers, profile.jaro_threshold)
+
+
+def _with(profile, threshold=None, **variants):
+    """The profile with another threshold, or other variants for some segments."""
+    markers = tuple(Marker(m.segment, variants.get(m.segment, m.variants)) for m in profile.markers)
+    return KeywordProfile(profile.jurisdiction, markers,
+                          profile.jaro_threshold if threshold is None else threshold)
+
+
+# The built-in profiles, and profiles that share their markers at another
+# threshold or give one segment other variants.
+MEMO_PROFILES = [*PROFILES.values(), _with(PROFILES["douai"], 0.95), _with(PROFILES["agen"], 0.5),
+                 _with(PROFILES["douai"], debate=("DEBATZ",)),
+                 _with(PROFILES["generic"], 0.9, appellee=("INTIMEES", "ET"))]
+# Headings, near misses of them, party lines, blank and mark-only lines.
+MEMO_LINES = [*VARIANTS, "DÉBATZ", "Débats :", "  intimée ", "APPELANTS", "ENTREE", "EST",
+              "AYANT POUR AVOCATE", "PAR CE MOTIF", "Monsieur Paul MARTIN", "représenté par Me DURAND",
+              "Confirme le jugement.", "", "   ", "\u0301", "ET ENTRE"]
+
+
+_MEMO_DOCS = st.lists(st.tuples(st.sampled_from(MEMO_LINES),
+                                st.sampled_from(["\n", "\n", "\r\n", "\x0b", "\u2028"])),
+                      max_size=14).map(lambda lines: "".join(line + end for line, end in lines))
+
+
+@given(st.lists(st.tuples(_MEMO_DOCS, st.permutations(range(len(MEMO_PROFILES)))),
+                min_size=1, max_size=4),
+       st.booleans())
+def test_segment_over_repeated_lines_equals_unmemoised_reference(docs, fresh):
+    # each document runs under three profiles and shares its lines with the
+    # others, so later runs read verdicts that earlier ones left in the memo;
+    # an empty memo makes the first run fold and test every line it reaches
+    if fresh:
+        segmenter._verdicts.cache_clear()
+    for text, order in docs:
+        for pid in order[:3]:
+            profile = MEMO_PROFILES[pid]
+            assert _segments_or_error(text, profile) == _reference(text, profile)
+
+
+def test_each_threshold_and_variant_set_has_its_own_verdict():
+    # "DEBATZ" scores 0.89 against DEBATS: above 0.8, not above 0.95
+    text = "COUR\nDEBATZ\nLes parties.\nPAR CES MOTIFS\nConfirme.\n"
+    debate = (text.index("Les"), text.index("PAR"))
+    loose, strict = _with(PROFILES["douai"], 0.8), _with(PROFILES["douai"], 0.95)
+    own = _with(PROFILES["douai"], 0.95, debate=("DEBATZ",))
+    for order in ([loose, strict, own], [own, strict, loose], [strict, loose, strict, own]):
+        for profile in order:
+            spans = {name: (start, end) for name, start, end in _segments_or_error(text, profile)}
+            assert (spans.get("debate") == debate) == (profile is not strict)
+            assert _segments_or_error(text, profile) == _reference(text, profile)

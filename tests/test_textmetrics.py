@@ -63,6 +63,41 @@ def test_fold_equals_reference_on_every_code_point():
             textmetrics._FOLD_ALIGNED.clear()
 
 
+# Texts long enough for the replace passes: ASCII runs between French letters
+# (which fold to ASCII) and characters that fold to themselves; sometimes a
+# character that folds to non-ASCII, a combining mark, or many distinct
+# characters, each of which sends the whole text through the table.
+FOLD_RUNS = ["Cour d'appel ", "ARRET", "x" * 40, " ", "\n", "A", "Z9", "Me DURAND, "]
+FOLD_FRENCH = ["é", "É", "à", "È", "ç", "Ç", "ê", "Ê", "ô", "ß", "ﬁ", "ǅ", "İ", "\u00a0",
+               "«", "’", "°", "œ", "Œ"]
+FOLD_ODD = ["Ω", "\u0301", "ÿ"]
+
+
+@given(st.lists(st.one_of(st.sampled_from(FOLD_RUNS), st.sampled_from(FOLD_FRENCH)),
+                min_size=10, max_size=40),
+       st.one_of(st.just(""), st.sampled_from(FOLD_ODD), st.text(min_size=1, max_size=20)))
+def test_fold_equals_reference_on_mixed_texts(pieces, odd):
+    for text in ("".join(pieces), "".join(pieces) + odd):
+        assert fold(text) == fold_reference(text)
+        assert fold_aligned(text) == fold_aligned_reference(text)
+
+
+def test_fold_passes_a_lone_surrogate_through():
+    text = "Me Anne\ud800 PERRIN, avocat au barreau de Douai, " * 3 + "\udfff É"
+    assert fold(text) == fold_reference(text)
+    assert fold_aligned(text) == fold_aligned_reference(text)
+    assert "\ud800" in fold(text) and "\udfff" in fold_aligned(text)
+
+
+def test_fold_of_texts_that_go_through_the_table_equals_reference():
+    # more distinct characters than the replace passes take, and texts that
+    # are mostly non-ASCII, folding to ASCII or not
+    for text in ("La cour " * 80 + "".join(map(chr, range(0xC0, 0x180))),
+                 "Ο Πρόεδρος του Δικαστηρίου, ΕΦΕΤΕΙΟ " * 3, "éÉèàÀ Çç " * 20):
+        assert fold(text) == fold_reference(text)
+        assert fold_aligned(text) == fold_aligned_reference(text)
+
+
 # Small alphabets make matches, transpositions and repeated letters common.
 # The accented letters, the combining acute (U+0301), the fi ligature and
 # sharp s fold to other characters or to other lengths.
