@@ -29,7 +29,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
-from . import corpus as corpus_mod
 from . import networks as networks_mod
 from . import ranking as ranking_mod
 from . import segmenter as segmenter_mod
@@ -54,7 +53,8 @@ from .extract import (
     rejection_rate,
     write_extracted,
 )
-from .jsonl import decode, iter_jsonl, write_jsonl
+from .jsonl import check_encodable, decode, iter_jsonl, write_jsonl
+from .mix import jurisdiction_counts
 from .networks import CaseResult, NetworkParams
 from .textmetrics import check_threshold
 
@@ -106,6 +106,7 @@ def load_config_file(path: str | Path) -> PipelineConfig:
         unknown = set(data) - set(_FIELDS)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
+        _check_strings(cfg)
         return cfg
     except OSError as exc:
         raise UnreadableFile(f"config file {path}: {exc}") from exc
@@ -113,13 +114,20 @@ def load_config_file(path: str | Path) -> PipelineConfig:
         raise ValueError(f"config file {path}: {exc}") from None
 
 
+def _check_strings(cfg: PipelineConfig, names=("jurisdiction", "mix")) -> None:
+    """ValueError naming a key with a string no UTF-8 file holds (default: keys artifacts hold)."""
+    for name in names:
+        check_encodable(getattr(cfg, name), f"{name}: ")
+
+
 def validate_config(cfg: PipelineConfig) -> None:
     """Range-check every parameter before any work, with its owner's check."""
+    _check_strings(cfg)
     _network_params(cfg)
     networks_mod.check_k(cfg.k)
     ranking_mod.check_pagerank_params(cfg.damping, cfg.tol, cfg.max_iter)
     check_threshold(cfg.jaro_threshold)
-    corpus_mod.jurisdiction_counts(cfg.n_docs, cfg.mix)
+    jurisdiction_counts(cfg.n_docs, cfg.mix)
     _resolve_profile(cfg)
 
 
@@ -149,11 +157,13 @@ def _input(cfg: PipelineConfig, name: str, producer: str) -> Path:
 # Stages: each writes its artifacts and returns its outputs
 
 
-def ingest_sources(cfg: PipelineConfig) -> tuple[list[corpus_mod.Document], int]:
+def ingest_sources(cfg: PipelineConfig) -> tuple[list, int]:
     """Every .txt/.rtf under input_dir, duplicates dropped, written as corpus.jsonl.
 
     Returns the documents and the number of duplicates dropped.
     """
+    from . import corpus as corpus_mod  # only the stages that read a corpus load it
+
     if not cfg.input_dir:
         raise ValueError("ingest needs input_dir")
     root = Path(cfg.input_dir)
@@ -180,11 +190,13 @@ def ingest_sources(cfg: PipelineConfig) -> tuple[list[corpus_mod.Document], int]
     return docs, dropped
 
 
-def load_corpus(cfg: PipelineConfig) -> tuple[list[corpus_mod.Document], int]:
+def load_corpus(cfg: PipelineConfig) -> tuple[list, int]:
     """corpus_file, else the output directory's corpus.jsonl, duplicates dropped.
 
     Returns the documents and the number of duplicates dropped.
     """
+    from . import corpus as corpus_mod
+
     if cfg.corpus_file:
         path = Path(cfg.corpus_file)  # read_corpus names it if it cannot be read
     else:
@@ -256,8 +268,7 @@ def _case_results(records) -> tuple[list[CaseResult], dict[str, str]]:
     return results, display
 
 
-def _determined(records) -> list[CaseResult]:
-    results, _ = _case_results(records)
+def _determined(results) -> list[CaseResult]:
     return [r for r in results if r.outcome is not Outcome.UNDETERMINED]
 
 
@@ -273,12 +284,13 @@ def _case_graph(cfg, records):
     )
 
 
-def build_networks(cfg, records):
+def build_networks(cfg, records, results=None):
     """The three graphs, with the case graph's communities, as GraphML and DOT.
 
-    Returns (opposing, collaboration, cases, partition).
+    Returns (opposing, collaboration, cases, partition); results default to the records'.
     """
-    determined, params = _determined(records), _network_params(cfg)
+    results = _case_results(records)[0] if results is None else results
+    determined, params = _determined(results), _network_params(cfg)
     opposing = networks_mod.build_opposing_network(determined, params)
     collab = networks_mod.build_collaboration_network(determined, params)
     cases = _case_graph(cfg, records)
@@ -295,9 +307,8 @@ def build_networks(cfg, records):
     return opposing, collab, cases, partition
 
 
-def rank_lawyers(cfg, records, opposing) -> list[ranking_mod.RankRow]:
-    """The lawyer ranking table over the opposing network, written as rankings.csv."""
-    results, display = _case_results(records)
+def rank_lawyers(cfg, results, display, opposing) -> list[ranking_mod.RankRow]:
+    """The ranking over the opposing network and _case_results, written as rankings.csv."""
     rows = []
     if opposing.nodes:
         rows = ranking_mod.rank_table(
@@ -322,11 +333,11 @@ def write_communities(cfg, cases, partition) -> None:
 
 def cmd_synth(cfg: PipelineConfig) -> int:
     """generate a synthetic corpus with ground truth"""
-    docs, truth = corpus_mod.generate_synthetic_corpus(
-        seed=cfg.seed, n_docs=cfg.n_docs, mix=cfg.mix
-    )
+    from . import corpus as corpus_mod, synth  # the generator is loaded for this command only
+
+    docs, truth = synth.generate_synthetic_corpus(seed=cfg.seed, n_docs=cfg.n_docs, mix=cfg.mix)
     corpus_mod.write_corpus(_out(cfg, "corpus.jsonl"), docs)
-    corpus_mod.write_truth(_out(cfg, "truth.jsonl"), truth)
+    synth.write_truth(_out(cfg, "truth.jsonl"), truth)
     logger.info("wrote %d synthetic documents", len(docs))
     return 0
 
@@ -373,9 +384,9 @@ def cmd_networks(cfg: PipelineConfig) -> int:
 
 def cmd_rank(cfg: PipelineConfig) -> int:
     """compute the lawyer ranking table"""
-    records = _records(cfg)
-    opposing = networks_mod.build_opposing_network(_determined(records), _network_params(cfg))
-    rank_lawyers(cfg, records, opposing)
+    results, display = _case_results(_records(cfg))
+    opposing = networks_mod.build_opposing_network(_determined(results), _network_params(cfg))
+    rank_lawyers(cfg, results, display, opposing)
     return 0
 
 
@@ -409,6 +420,7 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
     """
     if not (cfg.corpus_file or cfg.input_dir):
         raise ValueError("run needs corpus_file or input_dir")
+    _check_strings(cfg, _FIELDS)  # run_manifest.json holds every field
     _out(cfg, "run_manifest.json").unlink(missing_ok=True)
     if cfg.corpus_file:
         docs, duplicates = load_corpus(cfg)
@@ -416,9 +428,10 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
         docs, duplicates = ingest_sources(cfg)
     segmented, failures = segment_corpus(cfg, docs)
     records = extract_records(cfg, docs, segmented)
-    opposing, collab, cases, partition = build_networks(cfg, records)
+    results, display = _case_results(records)
+    opposing, collab, cases, partition = build_networks(cfg, records, results)
     write_communities(cfg, cases, partition)
-    rows = rank_lawyers(cfg, records, opposing)
+    rows = rank_lawyers(cfg, results, display, opposing)
 
     outcome_counts = {o.value: 0 for o in Outcome}
     for rec in records:
@@ -439,7 +452,7 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
             ),
             "outcomes": outcome_counts,
             "rejection_rate": rate,
-            "lawyers_seen": len(_case_results(records)[1]),
+            "lawyers_seen": len(display),
             "lawyers_ranked": len(rows),
             "opposing_nodes": len(opposing.nodes),
             "opposing_edges": len(opposing.edges),

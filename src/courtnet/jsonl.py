@@ -17,6 +17,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import json
+import operator
 import types
 import typing
 from enum import Enum
@@ -65,34 +66,52 @@ def _required(f: dataclasses.Field) -> bool:
 
 
 @functools.cache
-def _decoder(hint) -> Callable[[Any, str], Any]:
-    """decode(value, name) for one type hint; name is the field the errors name."""
+def _decoder(hint) -> Callable[[Any, str, dict], Any]:
+    """decode(value, name, seen) for one type hint; name is the field the errors name, and
+    seen the leaf records (frozen, every field a required str) already read from one file."""
     origin, args = typing.get_origin(hint), typing.get_args(hint)
     if origin in (typing.Union, types.UnionType):  # X | None
         item = _decoder(next(a for a in args if a is not type(None)))
-        return lambda value, name: None if value is None else item(value, name)
+        return lambda v, name, seen: None if v is None else item(v, name, seen)
     if origin in (list, tuple, frozenset):  # list[X], tuple[X, ...], frozenset[X]
         item = _decoder(args[0])
-        return lambda value, name: origin([item(v, name) for v in _expect(value, list, name)])
+        return lambda v, name, seen: origin([item(x, name, seen) for x in _expect(v, list, name)])
     if origin is dict:  # dict[str, X]
         item = _decoder(args[1])
-        return lambda value, name: {k: item(v, f"{name}[{k!r}]")
-                                    for k, v in _expect(value, dict, name).items()}
+        return lambda v, name, seen: {k: item(x, f"{name}[{k!r}]", seen)
+                                      for k, x in _expect(v, dict, name).items()}
     if dataclasses.is_dataclass(hint):
         hints = typing.get_type_hints(hint)
-        fields = [(f.name, _decoder(hints[f.name]), _required(f))
-                  for f in dataclasses.fields(hint)]
+        fields = [(f.name, _decoder(hints[f.name]), None if _required(f)
+                   else f.default_factory if f.default is dataclasses.MISSING
+                   else lambda d=f.default: d) for f in dataclasses.fields(hint)]
 
-        def record(value, name):
+        def record(value, name, seen):
             _expect(value, dict, name)
             # value[field] raises KeyError(field) for an absent required field
-            return hint(**{field: item(value[field], field)
-                           for field, item, required in fields if required or field in value})
-        return record
+            return hint(*[item(value[field], field, seen) if default is None or field in value
+                          else default() for field, item, default in fields])
+        if not (hint.__dataclass_params__.frozen and all(
+                hints[field] is str and default is None for field, _, default in fields)):
+            return record
+        # a leaf, shared in seen by raw value: only a str equals a str, so a hit skips no
+        # check; a miss raises nothing, as a file without repeats misses on every leaf
+        key = operator.itemgetter(*(field for field, *_ in fields))
+
+        def leaf(value, name, seen):
+            try:
+                k = hint, key(value)
+                found = seen.get(k)
+            except (KeyError, TypeError):  # not of its form: decoded in full, to raise
+                return record(value, name, seen)
+            if found is None:
+                found = seen[k] = record(value, name, seen)
+            return found
+        return leaf
     if isinstance(hint, type) and issubclass(hint, Enum):
         members = {m.value: m for m in hint}
 
-        def enum_member(value, name):
+        def enum_member(value, name, seen):
             try:
                 return members[value]
             except (KeyError, TypeError):
@@ -100,10 +119,9 @@ def _decoder(hint) -> Callable[[Any, str], Any]:
                     f"{name} must be one of {sorted(members)}, got {value!r}") from None
         return enum_member
     if hint is float:  # an int is widened; a bool is not a number
-        return lambda value, name: (float(value) if type(value) is int
-                                    else _expect(value, float, name))
+        return lambda v, name, seen: float(v) if type(v) is int else _expect(v, float, name)
     if hint in (str, int):
-        return lambda value, name: value if type(value) is hint else _expect(value, hint, name)
+        return lambda v, name, seen: v if type(v) is hint else _expect(v, hint, name)
     raise TypeError(f"no JSON form for {hint!r}")
 
 
@@ -112,7 +130,7 @@ def decode(cls: type[T], data) -> T:
 
     KeyError names an absent field; TypeError or ValueError a wrong value.
     """
-    return _decoder(cls)(data, cls.__name__)
+    return _decoder(cls)(data, cls.__name__, {})
 
 
 def write_jsonl(path: str | Path, records: Iterable) -> None:
@@ -121,8 +139,8 @@ def write_jsonl(path: str | Path, records: Iterable) -> None:
             fh.write(dumps(record) + "\n")
 
 
-def _check_encodable(data) -> None:
-    """Raise ValueError if a string of the JSON value holds a lone surrogate.
+def check_encodable(data, prefix: str = "") -> None:
+    """Raise ValueError, prefix first, if a string of the JSON value holds a lone surrogate.
 
     An unpaired \\uD800-\\uDFFF escape decodes to one; no UTF-8 file can hold
     it, so a record carrying it could not be written back.
@@ -130,7 +148,7 @@ def _check_encodable(data) -> None:
     try:
         json.dumps(data, ensure_ascii=False).encode("utf-8")
     except UnicodeEncodeError as exc:
-        raise ValueError(f"lone surrogate {exc.object[exc.start]!r} in a string") from None
+        raise ValueError(f"{prefix}lone surrogate {exc.object[exc.start]!r} in a string") from None
 
 
 def iter_jsonl(path: str | Path, cls: type[T]) -> Iterator[tuple[int, T]]:
@@ -144,6 +162,7 @@ def iter_jsonl(path: str | Path, cls: type[T]) -> Iterator[tuple[int, T]]:
         fh = open(path, "rb")
     except OSError as exc:
         raise UnreadableFile(f"cannot read {path}: {exc.strerror}") from None
+    seen: dict = {}  # the leaf records of this file only
     with fh:
         for lineno, line in enumerate(fh, 1):
             if not line.strip():
@@ -152,8 +171,8 @@ def iter_jsonl(path: str | Path, cls: type[T]) -> Iterator[tuple[int, T]]:
                 text = line.decode("utf-8")
                 data = json.loads(text)
                 if "\\u" in text:  # only a \u escape can make a lone surrogate
-                    _check_encodable(data)
-                record = decode(cls, data)
+                    check_encodable(data)
+                record = _decoder(cls)(data, cls.__name__, seen)
             except KeyError as exc:
                 raise CorruptInput(f"{path}:{lineno}: missing key {exc}") from None
             except (ValueError, TypeError, RecursionError) as exc:

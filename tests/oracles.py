@@ -6,8 +6,13 @@ linear algebra for PageRank, exhaustive set-partition enumeration for
 modularity, quadratic scans elsewhere.
 """
 
+import dataclasses
+import functools
+from enum import Enum
 from itertools import combinations
 import re
+import types
+import typing
 import unicodedata
 import xml.etree.ElementTree as ET
 
@@ -576,3 +581,65 @@ def parse_graphml(path):
     nodes = [(n.get("id"), attrs(n)) for n in graph.iter(ns + "node")]
     edges = [(e.get("source"), e.get("target"), attrs(e)) for e in graph.iter(ns + "edge")]
     return graph.get("edgedefault") == "directed", nodes, edges
+
+
+_JSON_NAMES = {str: "str", int: "int", float: "float", list: "a list", dict: "an object"}
+
+
+def _expect(value, cls, name):
+    if type(value) is not cls:
+        raise TypeError(f"{name} must be {_JSON_NAMES[cls]}, got {value!r}")
+    return value
+
+
+def _required(f):
+    return f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING
+
+
+@functools.cache
+def _decoder_reference(hint):
+    """decode(value, name) for one type hint: one closure per hint, recursing
+    into every field and item, and a new record for every object."""
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin in (typing.Union, types.UnionType):  # X | None
+        item = _decoder_reference(next(a for a in args if a is not type(None)))
+        return lambda value, name: None if value is None else item(value, name)
+    if origin in (list, tuple, frozenset):  # list[X], tuple[X, ...], frozenset[X]
+        item = _decoder_reference(args[0])
+        return lambda value, name: origin([item(v, name) for v in _expect(value, list, name)])
+    if origin is dict:  # dict[str, X]
+        item = _decoder_reference(args[1])
+        return lambda value, name: {k: item(v, f"{name}[{k!r}]")
+                                    for k, v in _expect(value, dict, name).items()}
+    if dataclasses.is_dataclass(hint):
+        hints = typing.get_type_hints(hint)
+        fields = [(f.name, _decoder_reference(hints[f.name]), _required(f))
+                  for f in dataclasses.fields(hint)]
+
+        def record(value, name):
+            _expect(value, dict, name)
+            # value[field] raises KeyError(field) for an absent required field
+            return hint(**{field: item(value[field], field)
+                           for field, item, required in fields if required or field in value})
+        return record
+    if isinstance(hint, type) and issubclass(hint, Enum):
+        members = {m.value: m for m in hint}
+
+        def enum_member(value, name):
+            try:
+                return members[value]
+            except (KeyError, TypeError):
+                raise ValueError(
+                    f"{name} must be one of {sorted(members)}, got {value!r}") from None
+        return enum_member
+    if hint is float:  # an int is widened; a bool is not a number
+        return lambda value, name: (float(value) if type(value) is int
+                                    else _expect(value, float, name))
+    if hint in (str, int):
+        return lambda value, name: value if type(value) is hint else _expect(value, hint, name)
+    raise TypeError(f"no JSON form for {hint!r}")
+
+
+def decode_reference(cls, data):
+    """jsonl.decode as it was before its flat decoders and shared leaf records."""
+    return _decoder_reference(cls)(data, cls.__name__)

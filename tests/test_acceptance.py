@@ -14,7 +14,7 @@ import time
 from contextlib import contextmanager
 
 from courtnet.cli import main as cli_main
-from courtnet.corpus import generate_synthetic_corpus
+from courtnet.synth import generate_synthetic_corpus
 from courtnet.extract import Outcome, classify_outcome, read_extracted
 from courtnet.networks import (
     OpposingEdge,

@@ -10,7 +10,7 @@ import pytest
 
 import courtnet
 from courtnet.cli import _build_parser, main
-from courtnet.corpus import DocumentTruth, generate_synthetic_corpus
+from courtnet.synth import DocumentTruth, generate_synthetic_corpus
 from courtnet.extract import Outcome
 from courtnet.jsonl import read_jsonl
 
@@ -36,6 +36,23 @@ def test_importing_the_cli_leaves_out_the_network_stack():
     done = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": src}, check=True)
     assert done.stdout == "[]\n"
+
+
+def test_graph_commands_load_neither_the_generator_nor_ingest(tmp_path):
+    # networks, rank and communities read extracted.jsonl and nothing before it
+    out = tmp_path / "out"
+    assert _run("synth", "--output-dir", out, "--n-docs", "20") == 0
+    assert _run("segment", "--output-dir", out) == 0
+    assert _run("extract", "--output-dir", out) == 0
+    code = ("import sys\nfrom courtnet.cli import main\n"
+            "for command in ('networks', 'rank', 'communities'):\n"
+            f"    assert main([command, '--output-dir', {str(out)!r}]) == 0\n"
+            "print(sorted(m for m in ('courtnet.synth', 'courtnet.corpus') if m in sys.modules))")
+    src = str(Path(courtnet.__file__).parents[1])
+    done = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, check=True)
+    assert done.stdout == "[]\n"
+    assert (out / "rankings.csv").exists() and (out / "communities.csv").exists()
 
 
 def test_missing_subcommand_is_a_config_error(capsys):
@@ -286,6 +303,46 @@ def test_lone_surrogate_in_corpus_exits_2_naming_the_line(tmp_path, capsys):
     lines[1] = json.dumps(row) + "\n"
     corpus.write_text("".join(lines), encoding="utf-8")
     assert _run("run", "--corpus-file", corpus, "--output-dir", run_out) == 0
+
+
+def test_lone_surrogate_in_config_exits_1_naming_the_key(tmp_path, capsys):
+    # no UTF-8 artifact could hold it, so it is refused before any stage writes
+    sources = tmp_path / "sources"
+    sources.mkdir()
+    (sources / "a.txt").write_text("APPELANT\nPAR CES MOTIFS\nConfirme.\n", encoding="utf-8")
+    out = tmp_path / "out"
+    config = tmp_path / "config.json"
+    for text, key in (('{"jurisdiction": "\\ud800"}', "jurisdiction"),
+                      ('{"mix": {"\\udc00": 1.0}}', "mix")):
+        config.write_text(text, encoding="utf-8")
+        assert _run("run", "--config", config, "--input-dir", sources, "--output-dir", out) == 1
+        assert f"config error: config file {config}: {key}: lone surrogate" in (
+            capsys.readouterr().err)
+        assert not out.exists()
+    assert _run("run", "--jurisdiction", "\ud800", "--input-dir", sources,
+                "--output-dir", out) == 1
+    err = capsys.readouterr().err
+    assert "config error: jurisdiction: lone surrogate '\\ud800'" in err
+    assert "config file" not in err
+    assert not out.exists()
+
+
+def test_a_path_from_non_utf8_argv_bytes_serves_the_staged_commands(tmp_path, capsys):
+    # argv's byte 0xff arrives as '\udcff'; such a path never goes into an artifact,
+    # but run_manifest.json records every field, so only `run` refuses it
+    if sys.getfilesystemencoding() != "utf-8" or sys.platform == "win32":
+        pytest.skip("needs a POSIX file system with UTF-8 file names")
+    out = tmp_path / "out\udcff"
+    assert _run("synth", "--output-dir", out, "--n-docs", "20") == 0
+    for command in ("segment", "extract", "networks", "rank", "communities", "flowgraph"):
+        assert _run(command, "--output-dir", out) == 0, command
+    assert (out / "rankings.csv").exists() and (out / "communities.csv").exists()
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_bytes((out / "corpus.jsonl").read_bytes())
+    run_out = tmp_path / "run\udcff"
+    assert _run("run", "--corpus-file", corpus, "--output-dir", run_out) == 1
+    assert "config error: output_dir: lone surrogate '\\udcff'" in capsys.readouterr().err
+    assert not run_out.exists()
 
 
 def test_corrupt_stage_files_exit_2_naming_the_line(tmp_path, capsys):

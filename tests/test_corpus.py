@@ -5,20 +5,18 @@ from hypothesis import given, settings, strategies as st
 
 from courtnet.corpus import (
     Document,
-    DocumentTruth,
     dedupe_documents,
-    generate_synthetic_corpus,
     ingest,
     normalize_newlines,
     read_corpus,
     strip_rtf,
     text_doc_id,
     write_corpus,
-    write_truth,
 )
 from courtnet.errors import EmptyDocument, EncodingError, InvalidMix, UnreadableFile
 from courtnet.extract import Outcome
 from courtnet.jsonl import read_jsonl
+from courtnet.synth import DocumentTruth, generate_synthetic_corpus, write_truth
 from courtnet.textmetrics import fold
 
 from oracles import strip_rtf_reference

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from courtnet.corpus import generate_synthetic_corpus
+from courtnet.synth import generate_synthetic_corpus
 from courtnet.extract import ArticleRef, Outcome
 from courtnet.graphio import write_dot, write_graphml
 from courtnet.networks import (

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from courtnet import segmenter
-from courtnet.corpus import Document, generate_synthetic_corpus
+from courtnet.corpus import Document
 from courtnet.errors import MissingConclusion, OutOfOrderMarkers
 from courtnet.jsonl import decode, dumps
 from courtnet.segmenter import (
@@ -21,6 +21,7 @@ from courtnet.segmenter import (
     split_sentences,
     write_flow,
 )
+from courtnet.synth import generate_synthetic_corpus
 
 from courtnet.textmetrics import fold
 
