@@ -23,6 +23,7 @@ import argparse
 import dataclasses
 import json
 import logging
+import os
 import sys
 import typing
 from dataclasses import dataclass, field
@@ -190,6 +191,12 @@ def ingest_sources(cfg: PipelineConfig) -> tuple[list, int]:
     return docs, dropped
 
 
+def _corpus_path(cfg: PipelineConfig) -> Path:
+    if cfg.corpus_file:
+        return Path(cfg.corpus_file)  # read_corpus names it if it cannot be read
+    return _input(cfg, "corpus.jsonl", "ingest or synth")
+
+
 def load_corpus(cfg: PipelineConfig) -> tuple[list, int]:
     """corpus_file, else the output directory's corpus.jsonl, duplicates dropped.
 
@@ -197,10 +204,7 @@ def load_corpus(cfg: PipelineConfig) -> tuple[list, int]:
     """
     from . import corpus as corpus_mod
 
-    if cfg.corpus_file:
-        path = Path(cfg.corpus_file)  # read_corpus names it if it cannot be read
-    else:
-        path = _input(cfg, "corpus.jsonl", "ingest or synth")
+    path = _corpus_path(cfg)
     docs = corpus_mod.read_corpus(path)
     if not docs:
         raise EmptyCorpus(f"{path}: corpus is empty")
@@ -402,9 +406,15 @@ def cmd_flowgraph(cfg: PipelineConfig) -> int:
     docs, _ = load_corpus(cfg)
     by_jur: dict[str, list] = {}
     for doc in docs:
+        if any(c in doc.jurisdiction for c in ("/", os.altsep, "\0") if c):
+            raise CorruptInput(
+                f"{_corpus_path(cfg)}: document {doc.doc_id}: jurisdiction "
+                f"{doc.jurisdiction!r} cannot be part of a file name")
         by_jur.setdefault(doc.jurisdiction, []).append(doc)
-    for jur in sorted(by_jur):
-        graph = segmenter_mod.build_flow_graph(by_jur[jur], cfg.jaro_threshold)
+    # every graph is built before any is written, so a failed build leaves no flow file
+    graphs = {jur: segmenter_mod.build_flow_graph(by_jur[jur], cfg.jaro_threshold)
+              for jur in sorted(by_jur)}
+    for jur, graph in graphs.items():
         segmenter_mod.write_flow(_out(cfg, f"flow_{jur}"), graph)
         logger.info(
             "flow graph %s: %d nodes, %d edges", jur, len(graph.nodes), len(graph.edges)
@@ -512,7 +522,12 @@ def _json_value(text: str):
         raise argparse.ArgumentTypeError(f"not a JSON value ({exc})") from None
 
 
-def _build_parser() -> _Parser:
+def _build_parser(command: str | None) -> _Parser:
+    """The parser, with the options of the named subcommand only.
+
+    A process runs one command, so the other subcommands get their name and
+    help, which is all that `courtnet --help` and a parse of this command read.
+    """
     parser = _Parser(prog="courtnet", description=__doc__)
     parser.add_argument(
         "--print-default-config", action="store_true",
@@ -520,8 +535,10 @@ def _build_parser() -> _Parser:
     )
     parser.add_argument("--verbose", action="store_true", help="log at INFO level")
     sub = parser.add_subparsers(dest="command")
-    for name, command in COMMANDS.items():
-        p = sub.add_parser(name, help=command.__doc__)
+    for name, cmd in COMMANDS.items():
+        p = sub.add_parser(name, help=cmd.__doc__)
+        if name != command:
+            continue
         # accepted after the subcommand too; SUPPRESS keeps a --verbose given before it
         p.add_argument("--verbose", action="store_true", default=argparse.SUPPRESS,
                        help="log at INFO level")
@@ -531,6 +548,16 @@ def _build_parser() -> _Parser:
             p.add_argument("--" + f.name.replace("_", "-"), dest=f.name,
                            type=_json_value if cls is dict else cls)
     return parser
+
+
+def _parse_args(argv: Sequence[str] | None) -> argparse.Namespace:
+    """argv parsed by the parser of its subcommand.
+
+    The options before the subcommand take no value, so it is the first
+    argument that is not an option.
+    """
+    argv = sys.argv[1:] if argv is None else list(argv)
+    return _build_parser(next((a for a in argv if not a.startswith("-")), None)).parse_args(argv)
 
 
 def _make_config(args: argparse.Namespace) -> PipelineConfig:
@@ -543,7 +570,7 @@ def _make_config(args: argparse.Namespace) -> PipelineConfig:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _parse_args(argv)
     logging.basicConfig(
         level=logging.INFO if args.verbose else logging.WARNING,
         format="%(levelname)s %(name)s: %(message)s",

@@ -47,3 +47,7 @@ class EmptyNetwork(CourtnetError):
 
 class NoDeterminedOutcomes(CourtnetError):
     """No determined outcomes to compute a rate over."""
+
+
+class WorkerFailed(CourtnetError):
+    """A forked worker process failed or was killed before it returned its result."""

@@ -9,16 +9,21 @@ hit the same marker.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import itertools
 import json
+import logging
+import os
 import re
+import time
+from array import array
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
 
 from . import graphio
-from .errors import MissingConclusion, OutOfOrderMarkers, UnreadableFile
+from .errors import MissingConclusion, OutOfOrderMarkers, UnreadableFile, WorkerFailed
 from .jsonl import decode
 from .textmetrics import (
     DEFAULT_THRESHOLD, _ceiling, _char_counts, _positions, _shared, check_threshold, fold, jaro,
@@ -26,6 +31,8 @@ from .textmetrics import (
 
 if TYPE_CHECKING:
     from .corpus import Document
+
+logger = logging.getLogger(__name__)
 
 CONCLUSION_HEADING = "PAR CES MOTIFS"
 
@@ -210,7 +217,8 @@ def _marker_hits(line: str | None, variants: _Variants, threshold: float) -> boo
             continue
         if counts is None:
             counts = _char_counts(line, variants.alphabet)
-        if (_ceiling(_shared(counts, fv_counts), n1, n2) > threshold
+            total = sum(counts)  # the variant's own count is n2: the alphabet is its characters
+        if (_ceiling(_shared(counts, fv_counts, total + n2), n1, n2) > threshold
                 and jaro(line, fv, positions) > threshold):
             return True
     return False
@@ -403,24 +411,37 @@ class _UnionFind:
             self.parent[ry] = rx
 
 
-def _contract(texts: list[str], threshold: float) -> list[int]:
-    """Single-linkage grouping of texts by pairwise Jaro above the threshold; returns roots.
+# Rows of the length-sorted scan a shard needs to pay for its fork (about 4 ms).
+# On the first rows of the seed-7 80-document classes, two shards of 32 rows
+# each ran at 0.8-1.3x the speed of one shard, two of 64 rows at 1.1-1.6x.
+_ROWS_PER_SHARD = 64
 
-    Texts i < j join when neither folds to the empty string and the Jaro
-    similarity of their folded forms exceeds the threshold; each root is
-    the smallest index of its group. Pairs are visited by ascending folded
-    length, and skipped only when their lengths or shared characters bound
-    the score at or below the threshold. The length bound only falls as the
-    longer text grows, so the scan for a text ends at the first length
-    failing it.
+
+def _shard_count(rows: int) -> int:
+    """One shard per CPU this process may run on, each of at least _ROWS_PER_SHARD rows.
+
+    1 where the platform has no fork or cannot say which CPUs the process may use.
     """
-    folded = [fold(t) for t in texts]
-    by_length = sorted((i for i, f in enumerate(folded) if f), key=lambda i: len(folded[i]))
-    alphabet = "".join(sorted(set().union(*folded)))
-    counts = [_char_counts(f, alphabet) for f in folded]
-    positions = [_positions(f) for f in folded]
-    uf = _UnionFind(len(texts))
-    for x, i in enumerate(by_length):
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    return max(1, min(len(os.sched_getaffinity(0)), rows // _ROWS_PER_SHARD))
+
+
+def _scan_rows(shard: int, shards: int, by_length: list[int], folded: list[str],
+               counts: list[list[int]], positions: list[dict[str, list[int]]],
+               threshold: float) -> array:
+    """The pairs that rows x = shard (mod shards) of the length-sorted scan join, flat.
+
+    Row x compares text by_length[x] with each longer text after it, and ends
+    at the first length that bounds the score at or below the threshold. A
+    pair is skipped when this shard has already joined its texts, or when
+    their shared characters bound the score; the rest are scored by Jaro.
+    Each joined pair is appended as (lo, hi), lo < hi.
+    """
+    uf = _UnionFind(len(folded))
+    joined = array("i")
+    for x in range(shard, len(by_length), shards):
+        i = by_length[x]
         li = len(folded[i])
         for j in by_length[x + 1:]:
             lj = len(folded[j])
@@ -429,9 +450,105 @@ def _contract(texts: list[str], threshold: float) -> list[int]:
             if uf.find(i) == uf.find(j):
                 continue
             lo, hi = min(i, j), max(i, j)
-            if (_ceiling(_shared(counts[lo], counts[hi]), li, lj) > threshold
+            # the alphabet holds every character, so each text's count sums to its length
+            if (_ceiling(_shared(counts[lo], counts[hi], li + lj), li, lj) > threshold
                     and jaro(folded[lo], folded[hi], positions[hi]) > threshold):
                 uf.union(lo, hi)
+                joined.extend((lo, hi))
+    return joined
+
+
+def _fork_shard(shard: int, scan_args: tuple) -> tuple[int, int]:
+    """Scan one shard in a forked child; returns its pid and the pipe it writes its pairs to.
+
+    The child inherits the scan's inputs, writes its pairs as raw array('i')
+    bytes and leaves through os._exit, 0 only when every byte was written.
+    The process must run no other thread: a fork copies only the calling one.
+    """
+    read_end, write_end = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_end)
+        os.close(write_end)
+        raise
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read_end)
+            with open(write_end, "wb") as pipe:
+                pipe.write(_scan_rows(shard, *scan_args))
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_end)
+    return pid, read_end
+
+
+def _joined_pairs(shards: int, scan_args: tuple) -> list[array]:
+    """Every shard's joined pairs: shard 0 scanned here, the others in forked children.
+
+    A child that fails or is killed raises WorkerFailed. Whatever ends this
+    call, an interrupt included, no child is left running or unreaped.
+    """
+    pids: dict[int, int] = {}
+    pipes: dict[int, int] = {}  # each child's read end, by shard
+    try:
+        for shard in range(1, shards):
+            pids[shard], pipes[shard] = _fork_shard(shard, scan_args)
+        joined = [_scan_rows(0, *scan_args)]
+        for shard in range(1, shards):
+            with open(pipes[shard], "rb", closefd=False) as pipe:
+                data = pipe.read()  # before waiting: a full pipe would block the child
+            os.close(pipes.pop(shard))
+            status = os.waitpid(pids[shard], 0)[1]
+            del pids[shard]
+            code = os.waitstatus_to_exitcode(status)
+            if code:
+                ended = f"exited {code}" if code > 0 else f"was killed by signal {-code}"
+                raise WorkerFailed(f"flow-graph contraction: shard {shard} of {shards} {ended}")
+            joined.append(array("i", data))
+        return joined
+    finally:
+        for read_end in pipes.values():
+            os.close(read_end)
+        if pids:
+            import signal  # only a failed or interrupted scan has children left to kill
+        for pid in pids.values():
+            # an interrupt can land between a child's reaping and its removal above
+            with contextlib.suppress(ProcessLookupError, ChildProcessError):
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+
+
+def _contract(texts: list[str], threshold: float, name: str = "texts") -> list[int]:
+    """Single-linkage grouping of texts by pairwise Jaro above the threshold; returns roots.
+
+    Texts i < j join when neither folds to the empty string and the Jaro
+    similarity of their folded forms exceeds the threshold; each root is
+    the smallest index of its group. Pairs are visited by ascending folded
+    length, and skipped only when their lengths or shared characters bound
+    the score at or below the threshold (see _scan_rows).
+
+    The rows of that scan are dealt to _shard_count shards, one per CPU the
+    process may run on; each shard but the first runs in a forked child.
+    The groups are the connected components of the pairs the shards join,
+    which do not depend on which shard found a pair or when, so the roots
+    are the same at any shard count. Logs name, texts, shards and seconds.
+    """
+    start = time.perf_counter()
+    folded = [fold(t) for t in texts]
+    by_length = sorted((i for i, f in enumerate(folded) if f), key=lambda i: len(folded[i]))
+    alphabet = "".join(sorted(set().union(*folded)))
+    counts = [_char_counts(f, alphabet) for f in folded]
+    positions = [_positions(f) for f in folded]
+    shards = _shard_count(len(by_length))
+    uf = _UnionFind(len(texts))
+    for pairs in _joined_pairs(shards, (shards, by_length, folded, counts, positions, threshold)):
+        for lo, hi in zip(pairs[::2], pairs[1::2]):
+            uf.union(lo, hi)
+    logger.info("contraction %s: %d texts, %d shards, %.3f s",
+                name, len(texts), shards, time.perf_counter() - start)
     return [uf.find(i) for i in range(len(texts))]
 
 
@@ -468,10 +585,12 @@ def build_flow_graph(corpus: Sequence["Document"], threshold: float = DEFAULT_TH
         occ_index.append([node_index(i, j, s) for j, s in enumerate(sentences)])
 
     # contract each class separately over distinct texts
+    jurisdictions = ",".join(sorted({doc.jurisdiction for doc in corpus}))
     roots = list(range(len(texts)))
     for is_long in (False, True):
         members = [idx for idx, c in enumerate(classes) if c == is_long]
-        group_roots = _contract([texts[idx] for idx in members], threshold)
+        group_roots = _contract([texts[idx] for idx in members], threshold,
+                                f"{jurisdictions} {'long' if is_long else 'short'}")
         for local, idx in enumerate(members):
             roots[idx] = members[group_roots[local]]
 

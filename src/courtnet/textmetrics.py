@@ -6,6 +6,7 @@ so that INTIMÉE, Intimee and intimée all compare equal.
 
 from __future__ import annotations
 
+import operator
 import unicodedata
 
 from .errors import InvalidThreshold
@@ -111,13 +112,16 @@ def _char_counts(text: str, alphabet: str) -> list[int]:
     return [text.count(ch) for ch in alphabet]
 
 
-def _shared(counts_a: list[int], counts_b: list[int]) -> int:
+def _shared(counts_a: list[int], counts_b: list[int], total: int) -> int:
     """Characters two texts share, counted with multiplicity.
 
     Both counts are over one alphabet that holds every character of at least
-    one of the texts. No Jaro assignment can match more characters than this.
+    one of the texts, and total is sum(counts_a) + sum(counts_b). No Jaro
+    assignment can match more characters than this. It is the sum of
+    min(a, b) over the alphabet, summed in C as (a + b - |a - b|) / 2: the
+    differences have the parity of the total, so the halving is exact.
     """
-    return sum(map(min, counts_a, counts_b))
+    return (total - sum(map(abs, map(operator.sub, counts_a, counts_b)))) >> 1
 
 
 def _ceiling(matches: int, n1: int, n2: int) -> float:

@@ -643,3 +643,29 @@ def _decoder_reference(hint):
 def decode_reference(cls, data):
     """jsonl.decode as it was before its flat decoders and shared leaf records."""
     return _decoder_reference(cls)(data, cls.__name__)
+
+
+def build_parser_reference():
+    """The CLI parser as it was built before each process added only its own
+    command's options: every config flag on every subcommand."""
+    import argparse
+
+    from courtnet import cli
+
+    parser = cli._Parser(prog="courtnet", description=cli.__doc__)
+    parser.add_argument(
+        "--print-default-config", action="store_true",
+        help="print the default configuration as JSON and exit",
+    )
+    parser.add_argument("--verbose", action="store_true", help="log at INFO level")
+    sub = parser.add_subparsers(dest="command")
+    for name, command in cli.COMMANDS.items():
+        p = sub.add_parser(name, help=command.__doc__)
+        p.add_argument("--verbose", action="store_true", default=argparse.SUPPRESS,
+                       help="log at INFO level")
+        p.add_argument("--config", help="JSON config file")
+        for f in dataclasses.fields(cli.PipelineConfig):
+            cls = cli._field_class(f.name)
+            p.add_argument("--" + f.name.replace("_", "-"), dest=f.name,
+                           type=cli._json_value if cls is dict else cls)
+    return parser

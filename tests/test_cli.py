@@ -9,10 +9,12 @@ from pathlib import Path
 import pytest
 
 import courtnet
-from courtnet.cli import _build_parser, main
+from courtnet.cli import COMMANDS, _parse_args, main
 from courtnet.synth import DocumentTruth, generate_synthetic_corpus
 from courtnet.extract import Outcome
 from courtnet.jsonl import read_jsonl
+
+from oracles import build_parser_reference
 
 
 def _run(*argv):
@@ -61,12 +63,37 @@ def test_missing_subcommand_is_a_config_error(capsys):
 
 
 def test_verbose_is_accepted_before_and_after_the_subcommand(tmp_path):
-    parse = _build_parser().parse_args
+    parse = _parse_args
     assert parse(["--verbose", "synth"]).verbose is True
     assert parse(["synth", "--verbose"]).verbose is True
     assert parse(["synth"]).verbose is False
     assert _run("synth", "--verbose", "--output-dir", tmp_path, "--n-docs", "3") == 0
     assert (tmp_path / "corpus.jsonl").exists()
+
+
+def test_parser_of_one_command_equals_the_full_parser(capsys):
+    # each command's parser alone gives the help text, error and Namespace
+    # that the parser holding every command's options gives
+    reference = build_parser_reference().parse_args
+
+    def outcome(parse, argv):
+        try:
+            result = vars(parse(argv))
+        except SystemExit as exc:
+            result = exc.code
+        return result, capsys.readouterr()
+
+    argvs = [[], ["--help"], ["--verbose"], ["--print-default-config"],
+             ["bogus"], ["--verbose", "bogus"]]
+    for command in COMMANDS:
+        argvs += [
+            [command], [command, "--help"], ["--verbose", command, "--help"],
+            ["--verbose", command, "--k", "4", "--mix", '{"douai": 1}', "--config", "c.json"],
+            [command, "--verbose", "--output-dir", "o", "--jaro-threshold", "0.5", "--seed", "3"],
+            [command, "--k", "three"], [command, "--bogus"],
+        ]
+    for argv in argvs:
+        assert outcome(_parse_args, argv) == outcome(reference, argv), argv
 
 
 def test_bad_parameter_values_exit_1(tmp_path):
@@ -269,6 +296,23 @@ def test_corpus_line_without_jurisdiction_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert f"{corpus}:2:" in err
     assert "jurisdiction" in err
+
+
+@pytest.mark.parametrize("label", ["../escaped", "x/y", "nul\0byte"])
+def test_flowgraph_refuses_a_jurisdiction_that_cannot_name_a_file(tmp_path, capsys, label):
+    # flow_<jurisdiction>.* would leave the output directory or name no file;
+    # the empty label is a file name and passes, but nothing may be written
+    out = tmp_path / "o"
+    assert _run("synth", "--output-dir", out, "--n-docs", "6") == 0
+    corpus = out / "corpus.jsonl"
+    rows = [json.loads(line) for line in corpus.read_text(encoding="utf-8").splitlines()]
+    rows[0]["jurisdiction"] = ""
+    rows[2]["jurisdiction"] = label
+    corpus.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
+    assert _run("flowgraph", "--output-dir", out) == 2
+    err = capsys.readouterr().err
+    assert "input error" in err and str(corpus) in err and rows[2]["doc_id"] in err
+    assert not list(tmp_path.rglob("flow_*"))
 
 
 def _with_field(path, lineno, keys, value):

@@ -1,11 +1,17 @@
 """Segmentation profiles, marker matching, sentences and the flow graph."""
 
 import json
+import logging
+import os
+import re
+import signal
+import time
 
 import pytest
 from hypothesis import given, strategies as st
 
 from courtnet import segmenter
+from courtnet.cli import main
 from courtnet.corpus import Document
 from courtnet.errors import MissingConclusion, OutOfOrderMarkers
 from courtnet.jsonl import decode, dumps
@@ -338,6 +344,76 @@ def _sentence_lists(draw):
 @given(_sentence_lists(), st.sampled_from([0.0, 0.8, 1.0]))
 def test_contract_roots_equal_all_pairs_reference(texts, threshold):
     assert segmenter._contract(texts, threshold) == contract_reference(texts, threshold)
+
+
+def _force_shards(mp, cpus):
+    """Make _contract deal its rows to `cpus` shards, given that many rows."""
+    mp.setattr(segmenter, "_ROWS_PER_SHARD", 1)
+    mp.setattr(segmenter.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+
+
+@pytest.mark.parametrize("cpus", [2, 3])
+@given(texts=_sentence_lists(), threshold=st.sampled_from([0.0, 0.8, 1.0]))
+def test_sharded_contract_roots_equal_all_pairs_reference(cpus, texts, threshold):
+    with pytest.MonkeyPatch.context() as mp:
+        _force_shards(mp, cpus)
+        assert segmenter._contract(texts, threshold) == contract_reference(texts, threshold)
+
+
+def test_flow_graph_is_the_same_at_one_and_two_shards(monkeypatch, caplog):
+    docs, _ = generate_synthetic_corpus(seed=7, n_docs=80)
+    caplog.set_level(logging.INFO, logger="courtnet.segmenter")
+    graphs, shards = [], []
+    for cpus in (1, 2):
+        monkeypatch.setattr(segmenter.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        caplog.clear()
+        graphs.append([build_flow_graph([d for d in docs if d.jurisdiction == jur])
+                       for jur in ("agen", "douai")])
+        shards.append(re.findall(r"long: \d+ texts, (\d+) shards", caplog.text))
+    assert graphs[0] == graphs[1]
+    assert shards == [["1", "1"], ["2", "2"]]
+
+
+def _scan_failing(how):
+    scan = segmenter._scan_rows
+
+    def failing(shard, *args):
+        if shard == 0:
+            return scan(shard, *args)
+        if how == "killed":
+            os.kill(os.getpid(), signal.SIGKILL)
+        raise RuntimeError("shard failed")
+    return failing
+
+
+@pytest.mark.parametrize("how", ["raises", "killed"])
+def test_failed_shard_exits_1_leaving_no_file_and_no_child(tmp_path, monkeypatch, capfd, how):
+    out = tmp_path / "out"
+    assert main(["synth", "--output-dir", str(out), "--n-docs", "10"]) == 0
+    monkeypatch.setattr(segmenter, "_scan_rows", _scan_failing(how))
+    _force_shards(monkeypatch, 2)
+    capfd.readouterr()
+    assert main(["flowgraph", "--output-dir", str(out)]) == 1
+    err = capfd.readouterr().err
+    assert "flow-graph contraction: shard 1 of 2" in err
+    assert "Traceback" not in err
+    assert not list(out.glob("flow_*"))
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_interrupt_in_the_parent_reaps_every_shard(monkeypatch):
+    def scan(shard, *args):
+        if shard == 0:
+            raise KeyboardInterrupt
+        time.sleep(60)  # still running when the parent is interrupted
+
+    monkeypatch.setattr(segmenter, "_scan_rows", scan)
+    _force_shards(monkeypatch, 3)
+    with pytest.raises(KeyboardInterrupt):
+        segmenter._contract(["abc", "abd", "abe"], 0.8)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def _segments_or_error(text, profile):
