@@ -2,19 +2,24 @@
 
 Subcommands cover each stage (synth, ingest, segment, extract, networks,
 rank, communities, flowgraph) plus `run`, which executes the whole pipeline.
-Each stage is one function: it takes in-memory inputs, writes its own
-artifacts to the output directory and returns its outputs. A staged
-subcommand loads its inputs from files and calls its stage; `run` calls the
-same stages in order and writes `run_manifest.json` last, so staged and `run`
-artifacts are byte-identical. `rank` and `communities` rebuild the graphs
-they need from `extracted.jsonl` and the network parameters; no stage reads
-GraphML back.
+One table of commands and one runner serve them all. Each value of the
+pipeline is computed once, on first use, and a value kept in an artifact
+(corpus, segments, extracted records) is read back from the output directory
+unless the command writes that artifact. So a staged command starts from the
+files of the stages before it, `run` passes everything on in memory, and both
+write the same bytes. `rank` and `communities` rebuild the graphs they need
+from `extracted.jsonl` and the network parameters.
+
+Artifacts appear only when a command succeeds: they are written into a
+`.courtnet-*` staging directory in the output directory, then moved into
+place, `run_manifest.json` last. `run` first removes an earlier manifest.
 
 Every `PipelineConfig` field is both a `--config` JSON key and a flag of
 every subcommand, typed by the field's annotation.
 
 Exit codes: 0 success, 1 configuration error or an unwritable artifact, 2
-missing, unreadable or corrupt input (a corrupt line is named as path:line).
+missing, unreadable or corrupt input (a corrupt line is named as path:line),
+130 interrupted.
 """
 
 from __future__ import annotations
@@ -24,9 +29,12 @@ import dataclasses
 import json
 import logging
 import os
+import shutil
 import sys
+import tempfile
 import typing
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Sequence
 
@@ -121,7 +129,7 @@ def _check_strings(cfg: PipelineConfig, names=("jurisdiction", "mix")) -> None:
         check_encodable(getattr(cfg, name), f"{name}: ")
 
 
-def validate_config(cfg: PipelineConfig) -> None:
+def validate_config(cfg: PipelineConfig, command: str) -> None:
     """Range-check every parameter before any work, with its owner's check."""
     _check_strings(cfg)
     _network_params(cfg)
@@ -130,6 +138,10 @@ def validate_config(cfg: PipelineConfig) -> None:
     check_threshold(cfg.jaro_threshold)
     jurisdiction_counts(cfg.n_docs, cfg.mix)
     _resolve_profile(cfg)
+    if command == "run":
+        if not (cfg.corpus_file or cfg.input_dir):
+            raise ValueError("run needs corpus_file or input_dir")
+        _check_strings(cfg, _FIELDS)  # run_manifest.json holds every field
 
 
 def _resolve_profile(cfg: PipelineConfig) -> segmenter_mod.KeywordProfile:
@@ -138,94 +150,163 @@ def _resolve_profile(cfg: PipelineConfig) -> segmenter_mod.KeywordProfile:
     return segmenter_mod.get_profile(cfg.profile)
 
 
-def _out(cfg: PipelineConfig, name: str) -> Path:
-    out = Path(cfg.output_dir)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise ValueError(f"output_dir {out} is not a usable directory: {exc}") from None
-    return out / name
-
-
-def _input(cfg: PipelineConfig, name: str, producer: str) -> Path:
-    path = Path(cfg.output_dir) / name
-    if not path.exists():
-        raise UnreadableFile(f"missing input {path}; run the '{producer}' stage first")
-    return path
-
-
 # ---------------------------------------------------------------------------
-# Stages: each writes its artifacts and returns its outputs
+# The pipeline's values, and the stages that write them
 
 
-def ingest_sources(cfg: PipelineConfig) -> tuple[list, int]:
-    """Every .txt/.rtf under input_dir, duplicates dropped, written as corpus.jsonl.
+class Pipeline:
+    """The values one command computes or reads, each at most once, on first use.
 
-    Returns the documents and the number of duplicates dropped.
+    A value kept in an artifact is computed only by a command that writes that
+    artifact; any other command reads it back from the output directory. Stages
+    write their artifacts through `out`, into the command's staging directory.
     """
-    from . import corpus as corpus_mod  # only the stages that read a corpus load it
 
-    if not cfg.input_dir:
-        raise ValueError("ingest needs input_dir")
-    root = Path(cfg.input_dir)
-    if not root.is_dir():
-        raise UnreadableFile(f"input directory not found: {root}")
-    docs = []
-    skipped = 0
-    for path in sorted(root.rglob("*")):
-        if path.suffix.lower() not in (".txt", ".rtf") or not path.is_file():
-            continue
-        try:
-            docs.append(corpus_mod.ingest(path, cfg.jurisdiction))
-        except (EmptyDocument, EncodingError, UnreadableFile) as exc:
-            skipped += 1
-            logger.warning("skipping %s: %s", path, exc)
-    if not docs:
-        raise EmptyCorpus(f"no ingestable documents under {root}")
-    docs, dropped = corpus_mod.dedupe_documents(docs)
-    corpus_mod.write_corpus(_out(cfg, "corpus.jsonl"), docs)
-    logger.info(
-        "ingested %d documents (%d unreadable skipped, %d duplicates dropped)",
-        len(docs), skipped, dropped,
-    )
-    return docs, dropped
+    def __init__(self, cfg: PipelineConfig, staging: Path, name: str):
+        self.cfg, self.writes, self.out = cfg, COMMANDS[name].writes, staging.joinpath
+        # ingest reads input_dir; run does too unless corpus_file, which wins, is set
+        self.ingests = name == "ingest" or name == "run" and not cfg.corpus_file
 
+    def _input(self, name: str, producer: str) -> Path:
+        path = Path(self.cfg.output_dir) / name
+        if not path.exists():
+            raise UnreadableFile(f"missing input {path}; run the '{producer}' stage first")
+        return path
 
-def _corpus_path(cfg: PipelineConfig) -> Path:
-    if cfg.corpus_file:
-        return Path(cfg.corpus_file)  # read_corpus names it if it cannot be read
-    return _input(cfg, "corpus.jsonl", "ingest or synth")
+    def corpus_path(self) -> Path:
+        if self.cfg.corpus_file:
+            return Path(self.cfg.corpus_file)  # read_corpus names it if it cannot be read
+        return self._input("corpus.jsonl", "ingest or synth")
 
+    @cached_property
+    def corpus(self) -> tuple[list, int]:
+        """(documents, duplicates dropped): input_dir's sources if this command
+        ingests, else corpus_file or the output directory's corpus.jsonl."""
+        from . import corpus as corpus_mod  # only the commands that read a corpus load it
 
-def load_corpus(cfg: PipelineConfig) -> tuple[list, int]:
-    """corpus_file, else the output directory's corpus.jsonl, duplicates dropped.
+        if not self.ingests:
+            path = self.corpus_path()
+            docs = corpus_mod.read_corpus(path)
+            if not docs:
+                raise EmptyCorpus(f"{path}: corpus is empty")
+            return corpus_mod.dedupe_documents(docs)
+        if not self.cfg.input_dir:
+            raise ValueError("ingest needs input_dir")
+        root = Path(self.cfg.input_dir)
+        if not root.is_dir():
+            raise UnreadableFile(f"input directory not found: {root}")
+        docs = []
+        skipped = 0
+        for path in sorted(root.rglob("*")):
+            if path.suffix.lower() not in (".txt", ".rtf") or not path.is_file():
+                continue
+            try:
+                docs.append(corpus_mod.ingest(path, self.cfg.jurisdiction))
+            except (EmptyDocument, EncodingError, UnreadableFile) as exc:
+                skipped += 1
+                logger.warning("skipping %s: %s", path, exc)
+        if not docs:
+            raise EmptyCorpus(f"no ingestable documents under {root}")
+        docs, dropped = corpus_mod.dedupe_documents(docs)
+        logger.info(
+            "ingested %d documents (%d unreadable skipped, %d duplicates dropped)",
+            len(docs), skipped, dropped,
+        )
+        return docs, dropped
 
-    Returns the documents and the number of duplicates dropped.
-    """
-    from . import corpus as corpus_mod
+    @cached_property
+    def segmented(self) -> tuple[dict, list]:
+        """({doc_id: judgment}, failures); failures are known only where segmented."""
+        docs = self.corpus[0]
+        segmented = {}
+        failures = []
+        if "segments.jsonl" in self.writes:
+            profile = _resolve_profile(self.cfg)
+            for doc in docs:
+                try:
+                    segmented[doc.doc_id] = segmenter_mod.segment(doc, profile)
+                except (MissingConclusion, OutOfOrderMarkers) as exc:
+                    failures.append((doc.doc_id, str(exc)))
+                    logger.warning("segmentation failed: %s", exc)
+            logger.info("segmented %d documents, %d failures", len(segmented), len(failures))
+            return segmented, failures
+        texts = {doc.doc_id: doc.text for doc in docs}
+        path = self._input("segments.jsonl", "segment")
+        for lineno, seg in iter_jsonl(path, segmenter_mod.SegmentedJudgment):
+            if seg.doc_id in texts:
+                try:
+                    seg.check_offsets(texts[seg.doc_id])
+                except ValueError as exc:
+                    raise CorruptInput(f"{path}:{lineno}: {exc}") from None
+            segmented[seg.doc_id] = seg
+        return segmented, failures
 
-    path = _corpus_path(cfg)
-    docs = corpus_mod.read_corpus(path)
-    if not docs:
-        raise EmptyCorpus(f"{path}: corpus is empty")
-    return corpus_mod.dedupe_documents(docs)
+    @cached_property
+    def records(self) -> list[ExtractionRecord]:
+        """One record per segmented document, sorted by id."""
+        if "extracted.jsonl" not in self.writes:
+            return read_extracted(self._input("extracted.jsonl", "extract"))
+        segmented = self.segmented[0]
+        records = sorted(
+            (_extract_one(doc, segmented[doc.doc_id])
+             for doc in self.corpus[0] if doc.doc_id in segmented),
+            key=lambda r: r.doc_id,
+        )
+        logger.info("extracted %d records", len(records))
+        return records
 
+    @cached_property
+    def results(self) -> tuple[list[CaseResult], dict[str, str]]:
+        """CaseResults for every record with counsel, plus display-name map."""
+        results = []
+        display: dict[str, str] = {}
+        for rec in sorted(self.records, key=lambda r: r.doc_id):
+            for name in rec.appellant_lawyers + rec.appellee_lawyers:
+                display.setdefault(name.canonical, name.display)
+            if not (rec.appellant_lawyers or rec.appellee_lawyers):
+                continue
+            results.append(CaseResult(
+                doc_id=rec.doc_id,
+                appellant_lawyers=tuple(n.canonical for n in rec.appellant_lawyers),
+                appellee_lawyers=tuple(n.canonical for n in rec.appellee_lawyers),
+                outcome=rec.outcome,
+            ))
+        return results, display
 
-def segment_corpus(cfg, docs):
-    """Segment every document into segments.jsonl; returns ({doc_id: judgment}, failures)."""
-    profile = _resolve_profile(cfg)
-    segmented = {}
-    failures = []
-    for doc in docs:
-        try:
-            segmented[doc.doc_id] = segmenter_mod.segment(doc, profile)
-        except (MissingConclusion, OutOfOrderMarkers) as exc:
-            failures.append((doc.doc_id, str(exc)))
-            logger.warning("segmentation failed: %s", exc)
-    write_jsonl(_out(cfg, "segments.jsonl"),
-                (segmented[doc_id] for doc_id in sorted(segmented)))
-    logger.info("segmented %d documents, %d failures", len(segmented), len(failures))
-    return segmented, failures
+    @cached_property
+    def determined(self) -> list[CaseResult]:
+        return [r for r in self.results[0] if r.outcome is not Outcome.UNDETERMINED]
+
+    @cached_property
+    def opposing(self) -> networks_mod.OpposingNetwork:
+        return networks_mod.build_opposing_network(self.determined, _network_params(self.cfg))
+
+    @cached_property
+    def collaboration(self) -> networks_mod.CollaborationGraph:
+        return networks_mod.build_collaboration_network(
+            self.determined, _network_params(self.cfg))
+
+    @cached_property
+    def cases(self) -> networks_mod.CaseGraph:
+        return networks_mod.build_case_graph(
+            {rec.doc_id: rec.articles for rec in self.records},
+            {rec.doc_id: rec.outcome for rec in self.records},
+            self.cfg.k,
+        )
+
+    @cached_property
+    def partition(self) -> networks_mod.CommunityPartition:
+        return networks_mod.detect_communities(self.cases)
+
+    @cached_property
+    def rows(self) -> list[ranking_mod.RankRow]:
+        """The ranking over the opposing network and the case results."""
+        if not self.opposing.nodes:
+            return []
+        return ranking_mod.rank_table(
+            self.results[0], self.opposing, display=self.results[1],
+            damping=self.cfg.damping, tol=self.cfg.tol, max_iter=self.cfg.max_iter,
+        )
 
 
 def _extract_one(doc, seg) -> ExtractionRecord:
@@ -243,267 +324,167 @@ def _extract_one(doc, seg) -> ExtractionRecord:
     )
 
 
-def extract_records(cfg, docs, segmented) -> list[ExtractionRecord]:
-    """One record per segmented document, sorted by id, written as extracted.jsonl."""
-    records = sorted(
-        (_extract_one(doc, segmented[doc.doc_id]) for doc in docs if doc.doc_id in segmented),
-        key=lambda r: r.doc_id,
-    )
-    write_extracted(_out(cfg, "extracted.jsonl"), records)
-    logger.info("extracted %d records", len(records))
-    return records
-
-
-def _case_results(records) -> tuple[list[CaseResult], dict[str, str]]:
-    """CaseResults for every record with counsel, plus display-name map."""
-    results = []
-    display: dict[str, str] = {}
-    for rec in sorted(records, key=lambda r: r.doc_id):
-        for name in rec.appellant_lawyers + rec.appellee_lawyers:
-            display.setdefault(name.canonical, name.display)
-        if not (rec.appellant_lawyers or rec.appellee_lawyers):
-            continue
-        results.append(CaseResult(
-            doc_id=rec.doc_id,
-            appellant_lawyers=tuple(n.canonical for n in rec.appellant_lawyers),
-            appellee_lawyers=tuple(n.canonical for n in rec.appellee_lawyers),
-            outcome=rec.outcome,
-        ))
-    return results, display
-
-
-def _determined(results) -> list[CaseResult]:
-    return [r for r in results if r.outcome is not Outcome.UNDETERMINED]
-
-
 def _network_params(cfg: PipelineConfig) -> NetworkParams:
     return NetworkParams(a=cfg.a, b=cfg.b, min_cases=cfg.min_cases, collab_min=cfg.collab_min)
 
 
-def _case_graph(cfg, records):
-    return networks_mod.build_case_graph(
-        {rec.doc_id: rec.articles for rec in records},
-        {rec.doc_id: rec.outcome for rec in records},
-        cfg.k,
-    )
+def _synth(p: Pipeline) -> None:
+    from . import corpus as corpus_mod, synth  # the generator is loaded for this command only
+
+    cfg = p.cfg
+    docs, truth = synth.generate_synthetic_corpus(seed=cfg.seed, n_docs=cfg.n_docs, mix=cfg.mix)
+    corpus_mod.write_corpus(p.out("corpus.jsonl"), docs)
+    synth.write_truth(p.out("truth.jsonl"), truth)
+    logger.info("wrote %d synthetic documents", len(docs))
 
 
-def build_networks(cfg, records, results=None):
-    """The three graphs, with the case graph's communities, as GraphML and DOT.
+def _corpus(p: Pipeline) -> None:
+    """corpus.jsonl, when the corpus comes from input_dir's sources."""
+    if p.ingests:
+        from . import corpus as corpus_mod
 
-    Returns (opposing, collaboration, cases, partition); results default to the records'.
-    """
-    results = _case_results(records)[0] if results is None else results
-    determined, params = _determined(results), _network_params(cfg)
-    opposing = networks_mod.build_opposing_network(determined, params)
-    collab = networks_mod.build_collaboration_network(determined, params)
-    cases = _case_graph(cfg, records)
-    partition = networks_mod.detect_communities(cases)
-    networks_mod.write_opposing(_out(cfg, "opposing"), opposing)
-    networks_mod.write_collaboration(_out(cfg, "collaboration"), collab)
-    networks_mod.write_case(_out(cfg, f"cases_k{cfg.k}"), cases, partition.assignment)
-    logger.info(
-        "networks: opposing %d/%d, collaboration %d/%d, cases %d/%d",
-        len(opposing.nodes), len(opposing.edges),
-        len(collab.nodes), len(collab.edges),
-        len(cases.nodes), len(cases.edges),
-    )
-    return opposing, collab, cases, partition
+        corpus_mod.write_corpus(p.out("corpus.jsonl"), p.corpus[0])
 
 
-def rank_lawyers(cfg, results, display, opposing) -> list[ranking_mod.RankRow]:
-    """The ranking over the opposing network and _case_results, written as rankings.csv."""
-    rows = []
-    if opposing.nodes:
-        rows = ranking_mod.rank_table(
-            results, opposing,
-            damping=cfg.damping, tol=cfg.tol, max_iter=cfg.max_iter,
-            display=display,
-        )
-    ranking_mod.write_rankings_csv(_out(cfg, "rankings.csv"), rows)
-    logger.info("ranked %d lawyers", len(rows))
-    return rows
+def _segments(p: Pipeline) -> None:
+    segmented = p.segmented[0]
+    write_jsonl(p.out("segments.jsonl"), (segmented[doc_id] for doc_id in sorted(segmented)))
 
 
-def write_communities(cfg, cases, partition) -> None:
-    """Size and appellant win rate of each community, written as communities.csv."""
-    networks_mod.write_communities_csv(_out(cfg, "communities.csv"), partition, cases.nodes)
-    logger.info("found %d communities", len(partition.sizes))
+def _extracted(p: Pipeline) -> None:
+    write_extracted(p.out("extracted.jsonl"), p.records)
+
+
+def _networks(p: Pipeline) -> None:
+    networks_mod.write_opposing(p.out("opposing"), p.opposing)
+    networks_mod.write_collaboration(p.out("collaboration"), p.collaboration)
+    networks_mod.write_case(p.out(f"cases_k{p.cfg.k}"), p.cases, p.partition.assignment)
+    logger.info("networks: opposing %d/%d, collaboration %d/%d, cases %d/%d",
+                len(p.opposing.nodes), len(p.opposing.edges), len(p.collaboration.nodes),
+                len(p.collaboration.edges), len(p.cases.nodes), len(p.cases.edges))
+
+
+def _communities(p: Pipeline) -> None:
+    """Size and appellant win rate of each community."""
+    networks_mod.write_communities_csv(p.out("communities.csv"), p.partition, p.cases.nodes)
+    logger.info("found %d communities", len(p.partition.sizes))
+
+
+def _rank(p: Pipeline) -> None:
+    ranking_mod.write_rankings_csv(p.out("rankings.csv"), p.rows)
+    logger.info("ranked %d lawyers", len(p.rows))
+
+
+def _flowgraph(p: Pipeline) -> None:
+    by_jur: dict[str, list] = {}
+    for doc in p.corpus[0]:
+        if any(c in doc.jurisdiction for c in ("/", os.altsep, "\0") if c):
+            raise CorruptInput(
+                f"{p.corpus_path()}: document {doc.doc_id}: jurisdiction "
+                f"{doc.jurisdiction!r} cannot be part of a file name")
+        by_jur.setdefault(doc.jurisdiction, []).append(doc)
+    for jur in sorted(by_jur):
+        graph = segmenter_mod.build_flow_graph(by_jur[jur], p.cfg.jaro_threshold)
+        segmenter_mod.write_flow(p.out(f"flow_{jur}"), graph)
+        logger.info("flow graph %s: %d nodes, %d edges", jur, len(graph.nodes), len(graph.edges))
+
+
+def _manifest(p: Pipeline) -> None:
+    """The configuration and the counts of every stage."""
+    docs, duplicates = p.corpus
+    records, display = p.records, p.results[1]
+    try:
+        rate = rejection_rate(rec.outcome for rec in records)
+    except CourtnetError:
+        rate = None
+    counts = {
+        "docs_ingested": len(docs),
+        "duplicates_dropped": duplicates,
+        "segmentation_failures": len(p.segmented[1]),
+        "docs_extracted": len(records),
+        "docs_skipped_no_lawyers": len(records) - len(p.results[0]),
+        "outcomes": {o.value: sum(rec.outcome is o for rec in records) for o in Outcome},
+        "rejection_rate": rate,
+        "lawyers_seen": len(display),
+        "lawyers_ranked": len(p.rows),
+        "opposing_nodes": len(p.opposing.nodes),
+        "opposing_edges": len(p.opposing.edges),
+        "collaboration_nodes": len(p.collaboration.nodes),
+        "collaboration_edges": len(p.collaboration.edges),
+        "case_nodes": len(p.cases.nodes),
+        "case_edges": len(p.cases.edges),
+        "communities": len(p.partition.sizes),
+    }
+    p.out("run_manifest.json").write_text(json.dumps(
+        {"config": dataclasses.asdict(p.cfg), "counts": counts},
+        indent=2, sort_keys=True, ensure_ascii=False) + "\n", encoding="utf-8")
+    logger.info("pipeline done: %d docs, %d ranked lawyers, %d communities",
+                len(docs), len(p.rows), len(p.partition.sizes))
 
 
 # ---------------------------------------------------------------------------
 # Commands
 
 
-def cmd_synth(cfg: PipelineConfig) -> int:
-    """generate a synthetic corpus with ground truth"""
-    from . import corpus as corpus_mod, synth  # the generator is loaded for this command only
-
-    docs, truth = synth.generate_synthetic_corpus(seed=cfg.seed, n_docs=cfg.n_docs, mix=cfg.mix)
-    corpus_mod.write_corpus(_out(cfg, "corpus.jsonl"), docs)
-    synth.write_truth(_out(cfg, "truth.jsonl"), truth)
-    logger.info("wrote %d synthetic documents", len(docs))
-    return 0
+class Command(typing.NamedTuple):
+    help: str
+    writes: tuple[str, ...]  # .* is .graphml and .dot; <k>, <jurisdiction> stand for values
+    stages: tuple[typing.Callable[[Pipeline], None], ...]
 
 
-def cmd_ingest(cfg: PipelineConfig) -> int:
-    """read .txt/.rtf sources into corpus.jsonl"""
-    ingest_sources(cfg)
-    return 0
+_GRAPHS = ("opposing.*", "collaboration.*", "cases_k<k>.*")
+
+COMMANDS = {
+    "synth": Command("generate a synthetic corpus with ground truth",
+                     ("corpus.jsonl", "truth.jsonl"), (_synth,)),
+    "ingest": Command("read .txt/.rtf sources into corpus.jsonl", ("corpus.jsonl",), (_corpus,)),
+    "segment": Command("cut corpus documents into segments", ("segments.jsonl",), (_segments,)),
+    "extract": Command("extract lawyers, articles and outcomes",
+                       ("extracted.jsonl",), (_extracted,)),
+    "networks": Command("build opposing, collaboration and case graphs", _GRAPHS, (_networks,)),
+    "rank": Command("compute the lawyer ranking table", ("rankings.csv",), (_rank,)),
+    "communities": Command("detect communities on the case graph",
+                           ("communities.csv",), (_communities,)),
+    "flowgraph": Command("build per-jurisdiction sentence flow graphs",
+                         ("flow_<jurisdiction>.*",), (_flowgraph,)),
+    # corpus.jsonl only when it ingests input_dir
+    "run": Command("run the whole pipeline and write all artifacts",
+                   ("corpus.jsonl", "segments.jsonl", "extracted.jsonl", *_GRAPHS,
+                    "communities.csv", "rankings.csv", "run_manifest.json"),
+                   (_corpus, _segments, _extracted, _networks, _communities, _rank,
+                    _manifest)),
+}
 
 
-def cmd_segment(cfg: PipelineConfig) -> int:
-    """cut corpus documents into segments"""
-    docs, _ = load_corpus(cfg)
-    segment_corpus(cfg, docs)
-    return 0
+def run_command(cfg: PipelineConfig, name: str) -> int:
+    """Run one command's stages into a staging directory, then move each artifact
+    into output_dir, run_manifest.json last.
 
-
-def cmd_extract(cfg: PipelineConfig) -> int:
-    """extract lawyers, articles and outcomes"""
-    docs, _ = load_corpus(cfg)
-    texts = {doc.doc_id: doc.text for doc in docs}
-    path = _input(cfg, "segments.jsonl", "segment")
-    segmented = {}
-    for lineno, seg in iter_jsonl(path, segmenter_mod.SegmentedJudgment):
-        if seg.doc_id in texts:
-            try:
-                seg.check_offsets(texts[seg.doc_id])
-            except ValueError as exc:
-                raise CorruptInput(f"{path}:{lineno}: {exc}") from None
-        segmented[seg.doc_id] = seg
-    extract_records(cfg, docs, segmented)
-    return 0
-
-
-def _records(cfg: PipelineConfig) -> list[ExtractionRecord]:
-    return read_extracted(_input(cfg, "extracted.jsonl", "extract"))
-
-
-def cmd_networks(cfg: PipelineConfig) -> int:
-    """build opposing, collaboration and case graphs"""
-    build_networks(cfg, _records(cfg))
-    return 0
-
-
-def cmd_rank(cfg: PipelineConfig) -> int:
-    """compute the lawyer ranking table"""
-    results, display = _case_results(_records(cfg))
-    opposing = networks_mod.build_opposing_network(_determined(results), _network_params(cfg))
-    rank_lawyers(cfg, results, display, opposing)
-    return 0
-
-
-def cmd_communities(cfg: PipelineConfig) -> int:
-    """detect communities on the case graph"""
-    cases = _case_graph(cfg, _records(cfg))
-    write_communities(cfg, cases, networks_mod.detect_communities(cases))
-    return 0
-
-
-def cmd_flowgraph(cfg: PipelineConfig) -> int:
-    """build per-jurisdiction sentence flow graphs"""
-    docs, _ = load_corpus(cfg)
-    by_jur: dict[str, list] = {}
-    for doc in docs:
-        if any(c in doc.jurisdiction for c in ("/", os.altsep, "\0") if c):
-            raise CorruptInput(
-                f"{_corpus_path(cfg)}: document {doc.doc_id}: jurisdiction "
-                f"{doc.jurisdiction!r} cannot be part of a file name")
-        by_jur.setdefault(doc.jurisdiction, []).append(doc)
-    # every graph is built before any is written, so a failed build leaves no flow file
-    graphs = {jur: segmenter_mod.build_flow_graph(by_jur[jur], cfg.jaro_threshold)
-              for jur in sorted(by_jur)}
-    for jur, graph in graphs.items():
-        segmenter_mod.write_flow(_out(cfg, f"flow_{jur}"), graph)
-        logger.info(
-            "flow graph %s: %d nodes, %d edges", jur, len(graph.nodes), len(graph.edges)
-        )
-    return 0
-
-
-def run_pipeline(cfg: PipelineConfig) -> dict:
-    """Every stage in order, then run_manifest.json; returns the manifest.
-
-    An earlier run's manifest is removed before the first stage, so a run that
-    fails leaves none beside its partial artifacts.
+    A command that fails or is interrupted leaves the old files as they were
+    and no staging directory; `run` removes an earlier manifest first.
     """
-    if not (cfg.corpus_file or cfg.input_dir):
-        raise ValueError("run needs corpus_file or input_dir")
-    _check_strings(cfg, _FIELDS)  # run_manifest.json holds every field
-    _out(cfg, "run_manifest.json").unlink(missing_ok=True)
-    if cfg.corpus_file:
-        docs, duplicates = load_corpus(cfg)
-    else:
-        docs, duplicates = ingest_sources(cfg)
-    segmented, failures = segment_corpus(cfg, docs)
-    records = extract_records(cfg, docs, segmented)
-    results, display = _case_results(records)
-    opposing, collab, cases, partition = build_networks(cfg, records, results)
-    write_communities(cfg, cases, partition)
-    rows = rank_lawyers(cfg, results, display, opposing)
-
-    outcome_counts = {o.value: 0 for o in Outcome}
-    for rec in records:
-        outcome_counts[rec.outcome.value] += 1
+    command = COMMANDS[name]
+    out = Path(cfg.output_dir)
     try:
-        rate = rejection_rate(rec.outcome for rec in records)
-    except CourtnetError:
-        rate = None
-    manifest = {
-        "config": dataclasses.asdict(cfg),
-        "counts": {
-            "docs_ingested": len(docs),
-            "duplicates_dropped": duplicates,
-            "segmentation_failures": len(failures),
-            "docs_extracted": len(records),
-            "docs_skipped_no_lawyers": sum(
-                1 for rec in records if not (rec.appellant_lawyers or rec.appellee_lawyers)
-            ),
-            "outcomes": outcome_counts,
-            "rejection_rate": rate,
-            "lawyers_seen": len(display),
-            "lawyers_ranked": len(rows),
-            "opposing_nodes": len(opposing.nodes),
-            "opposing_edges": len(opposing.edges),
-            "collaboration_nodes": len(collab.nodes),
-            "collaboration_edges": len(collab.edges),
-            "case_nodes": len(cases.nodes),
-            "case_edges": len(cases.edges),
-            "communities": len(partition.sizes),
-        },
-    }
-    _out(cfg, "run_manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True, ensure_ascii=False) + "\n",
-        encoding="utf-8",
-    )
-    return manifest
-
-
-def cmd_run(cfg: PipelineConfig) -> int:
-    """run the whole pipeline and write all artifacts"""
-    counts = run_pipeline(cfg)["counts"]
-    logger.info(
-        "pipeline done: %d docs, %d ranked lawyers, %d communities",
-        counts["docs_ingested"], counts["lawyers_ranked"], counts["communities"],
-    )
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ValueError(f"output_dir {out} is not a usable directory: {exc}") from None
+    if "run_manifest.json" in command.writes:
+        (out / "run_manifest.json").unlink(missing_ok=True)
+    staging = Path(tempfile.mkdtemp(prefix=".courtnet-", dir=out))
+    try:
+        pipeline = Pipeline(cfg, staging, name)
+        for stage in command.stages:
+            stage(pipeline)
+        for path in sorted(staging.iterdir(), key=lambda path: path.name == "run_manifest.json"):
+            os.replace(path, out / path.name)
+    finally:
+        shutil.rmtree(staging, ignore_errors=True)
     return 0
 
 
 # ---------------------------------------------------------------------------
 # Argument handling
-
-COMMANDS = {
-    "synth": cmd_synth,
-    "ingest": cmd_ingest,
-    "segment": cmd_segment,
-    "extract": cmd_extract,
-    "networks": cmd_networks,
-    "rank": cmd_rank,
-    "communities": cmd_communities,
-    "flowgraph": cmd_flowgraph,
-    "run": cmd_run,
-}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -536,7 +517,7 @@ def _build_parser(command: str | None) -> _Parser:
     parser.add_argument("--verbose", action="store_true", help="log at INFO level")
     sub = parser.add_subparsers(dest="command")
     for name, cmd in COMMANDS.items():
-        p = sub.add_parser(name, help=cmd.__doc__)
+        p = sub.add_parser(name, help=cmd.help)
         if name != command:
             continue
         # accepted after the subcommand too; SUPPRESS keeps a --verbose given before it
@@ -584,8 +565,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 1
     try:
         cfg = _make_config(args)
-        validate_config(cfg)
-        return COMMANDS[args.command](cfg)
+        validate_config(cfg, args.command)
+        return run_command(cfg, args.command)
+    except KeyboardInterrupt:
+        print("courtnet: interrupted", file=sys.stderr)
+        return 130
     except (UnreadableFile, CorruptInput, EmptyCorpus, FileNotFoundError) as exc:
         print(f"courtnet: input error: {exc}", file=sys.stderr)
         return 2

@@ -660,7 +660,7 @@ def build_parser_reference():
     parser.add_argument("--verbose", action="store_true", help="log at INFO level")
     sub = parser.add_subparsers(dest="command")
     for name, command in cli.COMMANDS.items():
-        p = sub.add_parser(name, help=command.__doc__)
+        p = sub.add_parser(name, help=command.help)
         p.add_argument("--verbose", action="store_true", default=argparse.SUPPRESS,
                        help="log at INFO level")
         p.add_argument("--config", help="JSON config file")

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import courtnet
+from courtnet import graphio, networks, segmenter
 from courtnet.cli import COMMANDS, _parse_args, main
 from courtnet.synth import DocumentTruth, generate_synthetic_corpus
 from courtnet.extract import Outcome
@@ -527,3 +528,71 @@ def test_output_dir_that_is_a_file_exits_1(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "config error" in err
     assert f"output_dir {blocker}" in err
+
+
+def _dot_fragment(path, **graph):
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("graph G {\n")
+    raise OSError("disk full")
+
+
+_write_case = networks.write_case
+
+
+def _write_case_then_fail(stem, *args):
+    _write_case(stem, *args)
+    raise OSError("disk full")
+
+
+def _interrupted(graph):
+    raise KeyboardInterrupt
+
+
+@pytest.mark.parametrize("module, name, fake, code, message", [
+    (graphio, "write_dot", _dot_fragment, 1, "courtnet: disk full"),
+    (networks, "write_case", _write_case_then_fail, 1, "courtnet: disk full"),
+    (networks, "detect_communities", _interrupted, 130, "courtnet: interrupted"),
+], ids=["write_dot", "write_case", "interrupt"])
+def test_failed_rerun_leaves_every_earlier_artifact_as_it_was(
+        tmp_path, monkeypatch, capsys, module, name, fake, code, message):
+    out = tmp_path / "out"
+    assert _run("synth", "--output-dir", tmp_path, "--n-docs", "30") == 0
+    corpus = tmp_path / "corpus.jsonl"
+    assert _run("run", "--corpus-file", corpus, "--output-dir", out) == 0
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    monkeypatch.setattr(module, name, fake)
+    capsys.readouterr()
+    # another `a` changes opposing.*, which are written before the failure
+    assert _run("run", "--corpus-file", corpus, "--output-dir", out, "--a", "3.5") == code
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert not list(out.glob(".courtnet-*"))
+    del before["run_manifest.json"]
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
+def test_each_command_computes_only_what_it_needs_once(tmp_path, monkeypatch):
+    calls = {}
+
+    def count(module, name):
+        real = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return real(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+
+    count(segmenter, "segment")
+    for name in ("build_case_graph", "detect_communities", "build_opposing_network"):
+        count(networks, name)
+    out = tmp_path / "out"
+    assert _run("synth", "--output-dir", out, "--n-docs", "40") == 0
+    assert _run("run", "--corpus-file", out / "corpus.jsonl", "--output-dir", out) == 0
+    docs = json.loads((out / "run_manifest.json").read_text())["counts"]["docs_ingested"]
+    assert calls == {"segment": docs, "build_case_graph": 1, "detect_communities": 1,
+                     "build_opposing_network": 1}
+    for command, want in (("rank", {"build_opposing_network": 1}),
+                          ("communities", {"build_case_graph": 1, "detect_communities": 1})):
+        calls.clear()
+        assert _run(command, "--output-dir", out) == 0
+        assert calls == want, command

@@ -2,9 +2,9 @@
 
 import pytest
 
-from courtnet.cli import PipelineConfig, build_networks, main
+from courtnet.cli import main
 from courtnet.corpus import Document, write_corpus
-from courtnet.extract import ArticleRef, ExtractionRecord, LawyerName, Outcome
+from courtnet.extract import ArticleRef, ExtractionRecord, LawyerName, Outcome, write_extracted
 from courtnet.graphio import write_graphml, write_dot
 
 from oracles import parse_graphml
@@ -214,8 +214,9 @@ def test_pipeline_graph_files_are_pinned(tmp_path):
                ["1103", "1240", "1353", "700"]),
         record("c3", [], [], Outcome.UNDETERMINED, ["700"]),
     ]
-    cfg = PipelineConfig(output_dir=str(tmp_path), min_cases=1, collab_min=1)
-    build_networks(cfg, records)
+    write_extracted(tmp_path / "extracted.jsonl", records)
+    assert main(["networks", "--min-cases", "1", "--collab-min", "1",
+                 "--output-dir", str(tmp_path)]) == 0
     corpus = tmp_path / "corpus.jsonl"
     write_corpus(corpus, [Document("f1", "x", "Vu A & B <appel>. Rejette.")])
     assert main(["flowgraph", "--corpus-file", str(corpus),

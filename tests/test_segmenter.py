@@ -397,7 +397,7 @@ def test_failed_shard_exits_1_leaving_no_file_and_no_child(tmp_path, monkeypatch
     err = capfd.readouterr().err
     assert "flow-graph contraction: shard 1 of 2" in err
     assert "Traceback" not in err
-    assert not list(out.glob("flow_*"))
+    assert not list(out.glob("flow_*")) and not list(out.glob(".courtnet-*"))
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
