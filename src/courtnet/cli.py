@@ -461,7 +461,10 @@ def run_command(cfg: PipelineConfig, name: str) -> int:
     into output_dir, run_manifest.json last.
 
     A command that fails or is interrupted leaves the old files as they were
-    and no staging directory; `run` removes an earlier manifest first.
+    and no staging directory; `run` removes an earlier manifest first. The
+    staging directory is named after the process, so that a later command
+    removes it if the process was killed (on POSIX, where os.kill(pid, 0)
+    tests a process; on Windows it would interrupt it).
     """
     command = COMMANDS[name]
     out = Path(cfg.output_dir)
@@ -471,12 +474,23 @@ def run_command(cfg: PipelineConfig, name: str) -> int:
         raise ValueError(f"output_dir {out} is not a usable directory: {exc}") from None
     if "run_manifest.json" in command.writes:
         (out / "run_manifest.json").unlink(missing_ok=True)
-    staging = Path(tempfile.mkdtemp(prefix=".courtnet-", dir=out))
+    for stale in out.glob(".courtnet-*-*") if os.name == "posix" else ():
+        try:
+            os.kill(int(stale.name.split("-")[1]), 0)
+        except ProcessLookupError:  # its command was killed
+            shutil.rmtree(stale, ignore_errors=True)
+        except (ValueError, OverflowError, OSError):  # no pid, or another user's live process
+            pass
+    staging = Path(tempfile.mkdtemp(prefix=f".courtnet-{os.getpid()}-", dir=out))
     try:
         pipeline = Pipeline(cfg, staging, name)
         for stage in command.stages:
             stage(pipeline)
-        for path in sorted(staging.iterdir(), key=lambda path: path.name == "run_manifest.json"):
+        staged = sorted(staging.iterdir(), key=lambda path: path.name == "run_manifest.json")
+        for dest in (out / path.name for path in staged):  # os.replace cannot overwrite these
+            if dest.is_dir() and not dest.is_symlink():
+                raise OSError(f"cannot replace {dest}: it is a directory")
+        for path in staged:
             os.replace(path, out / path.name)
     finally:
         shutil.rmtree(staging, ignore_errors=True)

@@ -41,8 +41,11 @@ def normalize_newlines(text: str) -> str:
 # ---------------------------------------------------------------------------
 # RTF stripping
 
-_RTF_CTRL_RE = re.compile(r"\\([a-zA-Z]+)(-?\d+)? ?")
-_RTF_TEXT_RE = re.compile(r"[^\\{}\r\n]+")  # a run of plain characters
+# One RTF token per match, one group per kind: a hex escape (\' and up to two
+# characters), a control word and its parameter, another control symbol or a
+# lone backslash, a brace, a run of plain text. A raw newline sets no group.
+_RTF_TOKEN_RE = re.compile(
+    r"\\('.{0,2})|\\([a-zA-Z]+)(-?\d+)? ?|(\\.?)|([{}])|([^\\{}\r\n]+)|[\r\n]", re.DOTALL)
 
 
 @functools.cache  # ingest strips latin-1 text, so 65,536 keys at most
@@ -52,6 +55,19 @@ def _cp1252(hh: str) -> str:
         return bytes([int(hh, 16)]).decode("cp1252")
     except (ValueError, UnicodeDecodeError):
         return ""
+
+
+def _rtf_int(param: str) -> int:
+    """A control-word parameter as an int, exact up to 20 digits.
+
+    A longer one, which int() may refuse, becomes 10**20 plus its last 20
+    digits, with its sign: equal modulo 65536, which is all \\uN reads, and
+    beyond any count of fallback units, which is all \\ucN reads.
+    """
+    digits = param.lstrip("-").lstrip("0")
+    if len(digits) > 20:
+        digits = "1" + digits[-20:]
+    return -int(digits or 0) if param[0] == "-" else int(digits or 0)
 
 
 # destination groups whose content is formatting, not text
@@ -73,83 +89,49 @@ def strip_rtf(source: str) -> str:
     unit and a group boundary ends the fallback.
     """
     out: list[str] = []
-    i = 0
     depth = 0
     skip_depth: int | None = None
     uc = 1                    # fallback units after each \uN
     outer_uc: list[int] = []  # uc of each enclosing group
     fallback = 0              # fallback units still to skip
-    n = len(source)
-    while i < n:
-        ch = source[i]
-        if ch == "{":
+    for hexa, word, param, symbol, brace, text in _RTF_TOKEN_RE.findall(source):
+        if text:
+            if fallback:  # each skipped character is one unit
+                skipped = min(fallback, len(text))
+                fallback -= skipped
+                text = text[skipped:]
+            if skip_depth is None:
+                out.append(text)
+        elif brace == "{":
             depth += 1
             outer_uc.append(uc)
             fallback = 0
-            i += 1
-            continue
-        if ch == "}":
+        elif brace:
             depth -= 1
             if outer_uc:
                 uc = outer_uc.pop()
             fallback = 0
-            i += 1
             if skip_depth is not None and depth < skip_depth:
                 skip_depth = None
-            continue
-        if ch in "\r\n":
-            i += 1
-            continue
-        if ch == "\\":
-            if fallback:  # an escape or a control word is one unit
-                fallback -= 1
-                if source[i + 1:i + 2] == "'":
-                    i += 4
-                else:
-                    m = _RTF_CTRL_RE.match(source, i)
-                    i = m.end() if m else i + 2
-                continue
-            m = _RTF_CTRL_RE.match(source, i)
-            if m:
-                word, param = m.groups()
-                if word == "u" and param:
-                    if skip_depth is None:
-                        out.append(chr(int(param) % 65536))
-                    fallback = uc
-                elif word == "uc" and param:
-                    uc = max(int(param), 0)
-                elif skip_depth is None:
-                    if word in ("par", "line"):
-                        out.append("\n")
-                    elif word == "tab":
-                        out.append(" ")
-                    elif word in _RTF_DESTINATIONS:
-                        skip_depth = depth
-                i = m.end()
-                continue
-            nxt = source[i + 1:i + 2]
-            if nxt == "'":
-                if skip_depth is None and i + 3 < n:
-                    out.append(_cp1252(source[i + 2:i + 4]))
-                i += 4
-            elif nxt and nxt in "\\{}~*":
-                if skip_depth is None:
-                    if nxt == "*":
-                        skip_depth = depth
-                    else:
-                        out.append(" " if nxt == "~" else nxt)
-                i += 2
-            else:
-                i += 1
-            continue
-        end = _RTF_TEXT_RE.match(source, i).end()
-        if fallback:  # each skipped character is one unit
-            skipped = min(fallback, end - i)
-            fallback -= skipped
-            i += skipped
-        if skip_depth is None:
-            out.append(source[i:end])
-        i = end
+        elif fallback and (hexa or word or symbol):  # an escape or a control word is one unit
+            fallback -= 1
+        elif word == "u" and param:
+            if skip_depth is None:
+                out.append(chr(_rtf_int(param) % 65536))
+            fallback = uc
+        elif word == "uc" and param:
+            uc = max(_rtf_int(param), 0)
+        elif skip_depth is None:
+            if word in ("par", "line"):
+                out.append("\n")
+            elif word == "tab" or symbol == "\\~":
+                out.append(" ")
+            elif word in _RTF_DESTINATIONS or symbol == "\\*":
+                skip_depth = depth
+            elif len(hexa) == 3:
+                out.append(_cp1252(hexa[1:]))
+            elif symbol[1:] not in "\r\n":  # \\, \{, \}, or a character after a lone backslash
+                out.append(symbol[1:])
     # \uN pairs make the characters past U+FFFF; a lone surrogate becomes U+FFFD
     return "".join(out).encode("utf-16-le", "surrogatepass").decode("utf-16-le", "replace")
 

@@ -172,33 +172,27 @@ class SegmentedJudgment:
                     f"needs 0 <= start <= end <= {len(text)}")
 
 
-def _lines_with_offsets(text: str) -> list[tuple[int, int, str]]:
-    """(start, end_including_newline, content) for each line."""
-    out = []
-    pos = 0
-    for raw in text.splitlines(keepends=True):
-        content = raw.rstrip("\r\n\v\f\x1c\x1d\x1e\x85  ")
-        out.append((pos, pos + len(raw), content))
-        pos += len(raw)
-    return out
+# A verdict memo this full is emptied before it grows further: some megabytes
+# at most for each set of variants, on a corpus where no line repeats.
+_VERDICTS_KEPT = 1 << 14
 
 
-@dataclass(frozen=True)
-class _Variants:
-    """A marker's variants folded, with the positions and counts of their characters."""
-    alphabet: str
-    folded: tuple[tuple[str, dict[str, list[int]], list[int]], ...]
+@functools.lru_cache(maxsize=32)  # a few sets of variants per profile
+def _matcher(variants: tuple[str, ...], threshold: float) -> tuple[dict[str, bool], str, tuple]:
+    """The verdict memo, alphabet and folded variants of one set of variants.
 
-
-@functools.lru_cache(maxsize=256)  # a few markers per profile, folded once each
-def _folded_variants(marker: Marker) -> _Variants:
-    folded = [fold(v) for v in marker.variants]
+    The memo maps a raw line to its _marker_hits verdict, a function of the
+    line and of these two values alone, so markers equal in variants share
+    one memo, and so do documents. Each folded variant comes with the
+    positions and counts of its characters over the alphabet, which is every
+    character of the folded variants.
+    """
+    folded = [fold(v) for v in variants]
     alphabet = "".join(sorted(set().union(*folded)))
-    return _Variants(alphabet, tuple((fv, _positions(fv), _char_counts(fv, alphabet))
-                                     for fv in folded))
+    return {}, alphabet, tuple((fv, _positions(fv), _char_counts(fv, alphabet)) for fv in folded)
 
 
-def _marker_hits(line: str | None, variants: _Variants, threshold: float) -> bool:
+def _marker_hits(line: str | None, alphabet: str, folded: tuple, threshold: float) -> bool:
     """Whether a folded stripped line (None when blank) is one of the marker's headings.
 
     A line hits when it starts with a folded variant or scores above the
@@ -209,34 +203,19 @@ def _marker_hits(line: str | None, variants: _Variants, threshold: float) -> boo
         return False
     n1 = len(line)
     counts = None
-    for fv, positions, fv_counts in variants.folded:
+    for fv, positions, fv_counts in folded:
         if line.startswith(fv):
             return True
         n2 = len(fv)  # not 0: the empty string is a prefix of every line
         if n1 == 0 or _ceiling(min(n1, n2), n1, n2) <= threshold:
             continue
         if counts is None:
-            counts = _char_counts(line, variants.alphabet)
+            counts = _char_counts(line, alphabet)
             total = sum(counts)  # the variant's own count is n2: the alphabet is its characters
         if (_ceiling(_shared(counts, fv_counts, total + n2), n1, n2) > threshold
                 and jaro(line, fv, positions) > threshold):
             return True
     return False
-
-
-# A memo this full is emptied before it grows further: some megabytes at most
-# for each set of variants, on a corpus where no line repeats.
-_VERDICTS_KEPT = 1 << 14
-
-
-@functools.lru_cache(maxsize=32)  # a few sets of variants per profile
-def _verdicts(variants: tuple[str, ...], threshold: float) -> dict[str, bool]:
-    """Memo of _marker_hits for one set of variants and threshold, keyed by raw line.
-
-    The verdict is a function of the line and of these two values alone, so
-    markers equal in variants share one memo, and so do documents.
-    """
-    return {}
 
 
 def _first_hit(lines: list[str], lo: int, hi: int, marker: Marker, threshold: float,
@@ -246,8 +225,7 @@ def _first_hit(lines: list[str], lo: int, hi: int, marker: Marker, threshold: fl
     folded holds the document's lines already folded (stripped; None when
     blank), so each line is folded at most once, and only on a memo miss.
     """
-    verdicts = _verdicts(marker.variants, threshold)
-    variants = _folded_variants(marker)
+    verdicts, alphabet, variants = _matcher(marker.variants, threshold)
     for li in range(lo, hi):
         line = lines[li]
         hit = verdicts.get(line)
@@ -259,7 +237,7 @@ def _first_hit(lines: list[str], lo: int, hi: int, marker: Marker, threshold: fl
                 folded_line = folded[line] = fold(stripped) if stripped else None
             if len(verdicts) >= _VERDICTS_KEPT:
                 verdicts.clear()
-            hit = verdicts[line] = _marker_hits(folded_line, variants, threshold)
+            hit = verdicts[line] = _marker_hits(folded_line, alphabet, variants, threshold)
         if hit:
             return li
     return None
@@ -363,9 +341,12 @@ def split_sentences(text: str) -> list[str]:
             if fold(word) in _NO_SPLIT_BEFORE_PERIOD:
                 continue
         breaks.add(i + 1)
-    for start, _, content in _lines_with_offsets(text):
+    start = 0
+    for line in text.splitlines(keepends=True):
+        content = line.rstrip("\r\n\v\f\x1c\x1d\x1e\x85\u2028\u2029")
         if _is_caps_line(content):
             breaks.add(start + len(content))
+        start += len(line)
     breaks.add(len(text))
 
     sentences = []

@@ -48,7 +48,6 @@ _FOLD_ALIGNED = _FoldTable(_fold_aligned_char)
 
 _ASCII = bytes(range(128))
 _LOWER_ASCII = bytes.maketrans(b"ABCDEFGHIJKLMNOPQRSTUVWXYZ", b"abcdefghijklmnopqrstuvwxyz")
-_SHORT = 48       # below this length one pass through the table is cheaper
 _MAX_PASSES = 16  # distinct non-ASCII characters, one str.replace pass each
 
 
@@ -60,18 +59,12 @@ def _fold_with(text: str, table: _FoldTable) -> str:
     and each distinct non-ASCII character that folds differently is replaced
     in one pass. That is exact when every replacement is ASCII, which no later
     pass touches, and linear because the passes are at most _MAX_PASSES.
-    Other texts, and texts whose UTF-8 form is mostly non-ASCII, go through
-    the table. Lone surrogates pass through unchanged.
+    Other texts go through the table. Lone surrogates pass through unchanged.
     """
     if text.isascii():
         return text.lower()
-    if len(text) < _SHORT:
-        return text.translate(table)
     data = text.encode("utf-8", "surrogatepass")
-    rest = data.translate(None, _ASCII)
-    if 2 * len(rest) > len(data):  # mostly non-ASCII: a script that folds to non-ASCII
-        return text.translate(table)
-    others = set(rest.decode("utf-8", "surrogatepass"))
+    others = set(data.translate(None, _ASCII).decode("utf-8", "surrogatepass"))
     if len(others) > _MAX_PASSES:
         return text.translate(table)
     out = data.translate(_LOWER_ASCII).decode("utf-8", "surrogatepass")

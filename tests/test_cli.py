@@ -2,6 +2,7 @@
 
 import json
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -569,6 +570,53 @@ def test_failed_rerun_leaves_every_earlier_artifact_as_it_was(
     assert not list(out.glob(".courtnet-*"))
     del before["run_manifest.json"]
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
+@pytest.mark.parametrize("command, blocked", [("run", "rankings.csv"),
+                                             ("networks", "cases_k3.dot")])
+def test_a_directory_in_place_of_an_artifact_fails_before_any_move(
+        tmp_path, capsys, command, blocked):
+    out = tmp_path / "out"
+    assert _run("synth", "--output-dir", tmp_path, "--n-docs", "30") == 0
+    corpus = tmp_path / "corpus.jsonl"
+    assert _run("run", "--corpus-file", corpus, "--output-dir", out) == 0
+    (out / blocked).unlink()
+    (out / blocked).mkdir()
+    before = {p.name: p.read_bytes() for p in out.iterdir() if p.is_file()}
+    capsys.readouterr()
+    # another `a` changes opposing.*, which both commands write
+    assert _run(command, "--corpus-file", corpus, "--output-dir", out, "--a", "3.5") == 1
+    if command == "run":
+        del before["run_manifest.json"]
+    assert {p.name: p.read_bytes() for p in out.iterdir() if p.is_file()} == before
+    assert not list(out.glob(".courtnet-*"))
+    err = capsys.readouterr().err
+    assert f"courtnet: cannot replace {out / blocked}" in err and "Traceback" not in err
+
+
+_KILLED_RUN = """
+import os, signal, sys
+from courtnet import cli
+cli.networks_mod.detect_communities = lambda graph: os.kill(os.getpid(), signal.SIGKILL)
+cli.main(sys.argv[1:])
+"""
+
+
+@pytest.mark.skipif(os.name != "posix", reason="pids are tested with os.kill(pid, 0)")
+def test_the_next_command_removes_a_killed_commands_staging_directory(tmp_path):
+    out = tmp_path / "out"
+    assert _run("synth", "--output-dir", tmp_path, "--n-docs", "10") == 0
+    src = str(Path(courtnet.__file__).parents[1])
+    killed = subprocess.run([sys.executable, "-c", _KILLED_RUN, "run", "--corpus-file",
+                             str(tmp_path / "corpus.jsonl"), "--output-dir", str(out)],
+                            env={**os.environ, "PYTHONPATH": src})
+    assert killed.returncode == -signal.SIGKILL
+    [left] = out.glob(".courtnet-*")
+    assert (left / "segments.jsonl").exists()
+    live = out / f".courtnet-{os.getpid()}-live"  # this process's pid: an owner that is alive
+    live.mkdir()
+    assert _run("synth", "--output-dir", out, "--n-docs", "5") == 0
+    assert not left.exists() and live.exists()
 
 
 def test_each_command_computes_only_what_it_needs_once(tmp_path, monkeypatch):

@@ -329,8 +329,8 @@ def test_marker_hits_equal_unpruned_reference(case, threshold):
     line, variants = case
     stripped = line.strip()
     folded = fold(stripped) if stripped else None
-    marker = segmenter._folded_variants(Marker("debate", tuple(variants)))
-    assert (segmenter._marker_hits(folded, marker, threshold)
+    _, alphabet, folded_variants = segmenter._matcher(tuple(variants), threshold)
+    assert (segmenter._marker_hits(folded, alphabet, folded_variants, threshold)
             == marker_hits_reference(line, variants, threshold))
 
 
@@ -463,7 +463,7 @@ def test_segment_over_repeated_lines_equals_unmemoised_reference(docs, fresh):
     # others, so later runs read verdicts that earlier ones left in the memo;
     # an empty memo makes the first run fold and test every line it reaches
     if fresh:
-        segmenter._verdicts.cache_clear()
+        segmenter._matcher.cache_clear()
     for text, order in docs:
         for pid in order[:3]:
             profile = MEMO_PROFILES[pid]
