@@ -62,7 +62,7 @@ from .extract import (
     rejection_rate,
     write_extracted,
 )
-from .jsonl import check_encodable, decode, iter_jsonl, write_jsonl
+from .jsonl import check_encodable, decode, iter_unique, write_jsonl
 from .mix import jurisdiction_counts
 from .networks import CaseResult, NetworkParams
 from .textmetrics import check_threshold
@@ -232,7 +232,7 @@ class Pipeline:
             return segmented, failures
         texts = {doc.doc_id: doc.text for doc in docs}
         path = self._input("segments.jsonl", "segment")
-        for lineno, seg in iter_jsonl(path, segmenter_mod.SegmentedJudgment):
+        for lineno, seg in iter_unique(path, segmenter_mod.SegmentedJudgment):
             if seg.doc_id in texts:
                 try:
                     seg.check_offsets(texts[seg.doc_id])
@@ -301,8 +301,6 @@ class Pipeline:
     @cached_property
     def rows(self) -> list[ranking_mod.RankRow]:
         """The ranking over the opposing network and the case results."""
-        if not self.opposing.nodes:
-            return []
         return ranking_mod.rank_table(
             self.results[0], self.opposing, display=self.results[1],
             damping=self.cfg.damping, tol=self.cfg.tol, max_iter=self.cfg.max_iter,
@@ -393,10 +391,6 @@ def _manifest(p: Pipeline) -> None:
     """The configuration and the counts of every stage."""
     docs, duplicates = p.corpus
     records, display = p.records, p.results[1]
-    try:
-        rate = rejection_rate(rec.outcome for rec in records)
-    except CourtnetError:
-        rate = None
     counts = {
         "docs_ingested": len(docs),
         "duplicates_dropped": duplicates,
@@ -404,7 +398,7 @@ def _manifest(p: Pipeline) -> None:
         "docs_extracted": len(records),
         "docs_skipped_no_lawyers": len(records) - len(p.results[0]),
         "outcomes": {o.value: sum(rec.outcome is o for rec in records) for o in Outcome},
-        "rejection_rate": rate,
+        "rejection_rate": rejection_rate(rec.outcome for rec in records),
         "lawyers_seen": len(display),
         "lawyers_ranked": len(p.rows),
         "opposing_nodes": len(p.opposing.nodes),
@@ -517,42 +511,29 @@ def _json_value(text: str):
         raise argparse.ArgumentTypeError(f"not a JSON value ({exc})") from None
 
 
-def _build_parser(command: str | None) -> _Parser:
-    """The parser, with the options of the named subcommand only.
-
-    A process runs one command, so the other subcommands get their name and
-    help, which is all that `courtnet --help` and a parse of this command read.
-    """
+def _build_parser() -> _Parser:
+    """The parser: every subcommand takes --verbose, --config and one flag per config field."""
     parser = _Parser(prog="courtnet", description=__doc__)
     parser.add_argument(
         "--print-default-config", action="store_true",
         help="print the default configuration as JSON and exit",
     )
     parser.add_argument("--verbose", action="store_true", help="log at INFO level")
+    # every subcommand's options, -h first as argparse puts it (subparsers take add_help=False)
+    options = argparse.ArgumentParser(add_help=False)
+    options.add_argument("-h", "--help", action="help", help="show this help message and exit")
+    # accepted after the subcommand too; SUPPRESS keeps a --verbose given before it
+    options.add_argument("--verbose", action="store_true", default=argparse.SUPPRESS,
+                         help="log at INFO level")
+    options.add_argument("--config", help="JSON config file")
+    for f in _FIELDS.values():
+        cls = _field_class(f.name)
+        options.add_argument("--" + f.name.replace("_", "-"), dest=f.name,
+                             type=_json_value if cls is dict else cls)
     sub = parser.add_subparsers(dest="command")
     for name, cmd in COMMANDS.items():
-        p = sub.add_parser(name, help=cmd.help)
-        if name != command:
-            continue
-        # accepted after the subcommand too; SUPPRESS keeps a --verbose given before it
-        p.add_argument("--verbose", action="store_true", default=argparse.SUPPRESS,
-                       help="log at INFO level")
-        p.add_argument("--config", help="JSON config file")
-        for f in _FIELDS.values():
-            cls = _field_class(f.name)
-            p.add_argument("--" + f.name.replace("_", "-"), dest=f.name,
-                           type=_json_value if cls is dict else cls)
+        sub.add_parser(name, help=cmd.help, parents=[options], add_help=False)
     return parser
-
-
-def _parse_args(argv: Sequence[str] | None) -> argparse.Namespace:
-    """argv parsed by the parser of its subcommand.
-
-    The options before the subcommand take no value, so it is the first
-    argument that is not an option.
-    """
-    argv = sys.argv[1:] if argv is None else list(argv)
-    return _build_parser(next((a for a in argv if not a.startswith("-")), None)).parse_args(argv)
 
 
 def _make_config(args: argparse.Namespace) -> PipelineConfig:
@@ -565,7 +546,7 @@ def _make_config(args: argparse.Namespace) -> PipelineConfig:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = _parse_args(argv)
+    args = _build_parser().parse_args(argv)
     logging.basicConfig(
         level=logging.INFO if args.verbose else logging.WARNING,
         format="%(levelname)s %(name)s: %(message)s",

@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .errors import EmptyDocument, EncodingError, UnreadableFile
-from .jsonl import read_jsonl, write_jsonl
+from .jsonl import iter_unique, write_jsonl
 
 logger = logging.getLogger(__name__)
 
@@ -185,5 +185,6 @@ def write_corpus(path: str | Path, docs: Iterable[Document]) -> None:
 
 
 def read_corpus(path: str | Path) -> list[Document]:
-    """The documents of a corpus file; a malformed line raises CorruptInput."""
-    return read_jsonl(path, Document)
+    """The documents of a corpus file; a malformed line, or one repeating an earlier
+    line's doc_id with another document, raises CorruptInput."""
+    return [doc for _, doc in iter_unique(path, Document, equal_repeats=True)]

@@ -41,13 +41,5 @@ class EmptyCorpus(CourtnetError):
     """No documents to process."""
 
 
-class EmptyNetwork(CourtnetError):
-    """Network has no nodes."""
-
-
-class NoDeterminedOutcomes(CourtnetError):
-    """No determined outcomes to compute a rate over."""
-
-
 class WorkerFailed(CourtnetError):
     """A forked worker process failed or was killed before it returned its result."""

@@ -16,8 +16,7 @@ from importlib import resources
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Mapping
 
-from .errors import NoDeterminedOutcomes
-from .jsonl import read_jsonl, write_jsonl
+from .jsonl import iter_unique, write_jsonl
 from .segmenter import SegmentedJudgment, split_sentences
 from .textmetrics import fold, fold_aligned
 
@@ -226,19 +225,12 @@ def classify_outcome(text: str) -> tuple[Outcome, int, int]:
     return Outcome.UNDETERMINED, confirm, reverse
 
 
-def rejection_rate(outcomes: Iterable[Outcome]) -> float:
-    """Share of determined outcomes that went to the appellee."""
-    confirmed = 0
-    determined = 0
-    for outcome in outcomes:
-        if outcome == Outcome.APPELLEE_WINS:
-            confirmed += 1
-            determined += 1
-        elif outcome == Outcome.APPELLANT_WINS:
-            determined += 1
-    if determined == 0:
-        raise NoDeterminedOutcomes("no determined outcomes")
-    return confirmed / determined
+def rejection_rate(outcomes: Iterable[Outcome]) -> float | None:
+    """Share of determined outcomes that went to the appellee; None without one."""
+    outcomes = list(outcomes)
+    confirmed = outcomes.count(Outcome.APPELLEE_WINS)
+    determined = confirmed + outcomes.count(Outcome.APPELLANT_WINS)
+    return confirmed / determined if determined else None
 
 
 @dataclass(frozen=True)
@@ -258,5 +250,6 @@ def write_extracted(path: str | Path, records: Iterable[ExtractionRecord]) -> No
 
 
 def read_extracted(path: str | Path) -> list[ExtractionRecord]:
-    """The records of an extracted.jsonl file; a malformed line raises CorruptInput."""
-    return read_jsonl(path, ExtractionRecord)
+    """The records of an extracted.jsonl file; a malformed line, or one repeating
+    an earlier line's doc_id, raises CorruptInput."""
+    return [rec for _, rec in iter_unique(path, ExtractionRecord)]

@@ -3,8 +3,9 @@
 Both writers take the same inputs: (name, type) schemas for node and edge
 attributes, type one of "string", "long", "double", and rows of (id, attrs)
 and (source, target, attrs). Each row's attrs holds a value for every schema
-name; other keys are ignored, so one row list serves both writers, DOT often
-with a shorter schema.
+name; other keys are ignored, so one row list serves both writers, and
+`write_graph` writes a graph's two files from one call, DOT with a subset of
+the schema.
 
 Each writer builds its formatters once per file, from its format and the
 schemas: ids are escaped (GraphML) or quoted (DOT) once each, and every
@@ -22,7 +23,7 @@ from __future__ import annotations
 
 import functools
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import AbstractSet, Callable, Iterable
 
 GRAPHML_NS = "http://graphml.graphdrawing.org/xmlns"
 
@@ -156,3 +157,13 @@ def write_dot(
             fh.write(f"  {quote(node_id)}{node_list(attrs)};\n")
         fh.writelines(_edge_text(edges, head, tail))
         fh.write("}\n")
+
+
+def write_graph(stem: str | Path, *, node_attrs: list[tuple[str, str]],
+                edge_attrs: list[tuple[str, str]], dot_omits: AbstractSet[str] = frozenset(),
+                **graph) -> None:
+    """`<stem>.graphml` with every schema attribute and `<stem>.dot` without those named
+    in dot_omits; graph holds the writers' other arguments, whose rows both read."""
+    write_graphml(f"{stem}.graphml", node_attrs=node_attrs, edge_attrs=edge_attrs, **graph)
+    write_dot(f"{stem}.dot", node_attrs=[a for a in node_attrs if a[0] not in dot_omits],
+              edge_attrs=[a for a in edge_attrs if a[0] not in dot_omits], **graph)

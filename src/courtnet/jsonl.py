@@ -180,6 +180,19 @@ def iter_jsonl(path: str | Path, cls: type[T]) -> Iterator[tuple[int, T]]:
             yield lineno, record
 
 
+def iter_unique(path: str | Path, cls: type[T], equal_repeats: bool = False
+                ) -> Iterator[tuple[int, T]]:
+    """iter_jsonl's pairs; a line repeating an earlier line's doc_id raises CorruptInput
+    naming path:line, unless equal_repeats and the two records are equal."""
+    first: dict[str, tuple[int, T]] = {}
+    for lineno, record in iter_jsonl(path, cls):
+        earlier = first.setdefault(record.doc_id, (lineno, record))
+        if earlier[0] != lineno and not (equal_repeats and earlier[1] == record):
+            raise CorruptInput(
+                f"{path}:{lineno}: doc_id {record.doc_id!r} repeats line {earlier[0]}")
+        yield lineno, record
+
+
 def read_jsonl(path: str | Path, cls: type[T]) -> list[T]:
     """The cls record of each non-blank line, in file order (see iter_jsonl)."""
     return [record for _, record in iter_jsonl(path, cls)]

@@ -7,9 +7,9 @@ linking decisions that cite enough common articles. Community detection runs
 on the unweighted skeleton of the case graph, read from its per-set rows.
 
 Each graph has one writer that streams `<stem>.graphml` and `<stem>.dot` from
-the same node and edge rows (see graphio). The DOT file gets a shorter schema,
-a subset of the GraphML one, since the writers ignore row keys outside the
-schema. The case graph holds no edge list and is written without edge rows:
+the same node and edge rows, in one `graphio.write_graph` call. The DOT file
+gets a subset of the GraphML schema, since the writers ignore row keys outside
+the schema. The case graph holds no edge list and is written without edge rows:
 an edge line's tail depends only on the target and the shared count, both held
 in the source's set row, so each file formats every distinct tail once, lists
 each set's tails once, and writes a source's edges as one join of its set's
@@ -244,7 +244,6 @@ class CaseGraph:
     """Cases as nodes with their outcome; edges link cases sharing at least k articles."""
     nodes: dict[str, Outcome]
     edges: CaseEdges
-    k: int
 
 
 def check_k(k: int) -> None:
@@ -296,7 +295,7 @@ def build_case_graph(
         twice_edges += len(members[s]) * (len(nbrs) - (len(refs) >= k))
     nodes = {d: outcomes.get(d, Outcome.UNDETERMINED) for d in doc_ids}
     edges = CaseEdges(doc_ids, set_of_doc, rows, twice_edges // 2)
-    return CaseGraph(nodes=nodes, edges=edges, k=k)
+    return CaseGraph(nodes=nodes, edges=edges)
 
 
 # ---------------------------------------------------------------------------
@@ -529,46 +528,33 @@ def write_communities_csv(
 # ---------------------------------------------------------------------------
 # GraphML / DOT export of the pipeline artifacts
 
-_LAWYER_STATS = [("total_cases", "long"), ("wins", "long"), ("losses", "long")]
-
-
 def write_opposing(stem: str | Path, net: OpposingNetwork) -> None:
     """`<stem>.graphml` and `<stem>.dot`; DOT edges show only the weight."""
-    nodes = [(l, vars(s)) for l, s in sorted(net.nodes.items())]
-    edges = [(e.source, e.target, vars(e))
-             for e in sorted(net.edges, key=lambda e: (e.source, e.target))]
-    graphio.write_graphml(
-        f"{stem}.graphml", directed=True, node_attrs=_LAWYER_STATS,
+    graphio.write_graph(
+        stem, directed=True,
+        node_attrs=[("total_cases", "long"), ("wins", "long"), ("losses", "long")],
         edge_attrs=[("weight", "double"), ("wins_fw", "double"), ("wins_bw", "double")],
-        nodes=nodes, edges=edges,
-    )
-    graphio.write_dot(
-        f"{stem}.dot", directed=True, node_attrs=_LAWYER_STATS,
-        edge_attrs=[("weight", "double")], nodes=nodes, edges=edges,
+        nodes=[(l, vars(s)) for l, s in sorted(net.nodes.items())],
+        edges=[(e.source, e.target, vars(e))
+               for e in sorted(net.edges, key=lambda e: (e.source, e.target))],
+        dot_omits={"wins_fw", "wins_bw"},
     )
 
 
 def write_collaboration(stem: str | Path, graph: CollaborationGraph) -> None:
     """`<stem>.graphml` and `<stem>.dot`; DOT edges show weight and collaborations."""
-    nodes = [(n, {}) for n in sorted(graph.nodes)]
-    edges = [(e.u, e.v, vars(e)) for e in sorted(graph.edges, key=lambda e: (e.u, e.v))]
-    graphio.write_graphml(
-        f"{stem}.graphml", directed=False, node_attrs=[],
+    graphio.write_graph(
+        stem, directed=False, node_attrs=[],
         edge_attrs=[("weight", "long"), ("wins", "long"),
                     ("losses", "long"), ("collaborations", "long")],
-        nodes=nodes, edges=edges,
-    )
-    graphio.write_dot(
-        f"{stem}.dot", directed=False, node_attrs=[],
-        edge_attrs=[("weight", "long"), ("collaborations", "long")],
-        nodes=nodes, edges=edges,
+        nodes=[(n, {}) for n in sorted(graph.nodes)],
+        edges=[(e.u, e.v, vars(e)) for e in sorted(graph.edges, key=lambda e: (e.u, e.v))],
+        dot_omits={"wins", "losses"},
     )
 
 
 def write_case(stem: str | Path, graph: CaseGraph, communities: Mapping[str, int]) -> None:
     """`<stem>.graphml` and `<stem>.dot`; only GraphML nodes carry the community."""
-    nodes = [(d, {"outcome": o.value, "community": communities[d]})
-             for d, o in sorted(graph.nodes.items())]
     view = graph.edges
     ids = view.doc_ids
 
@@ -592,13 +578,10 @@ def write_case(stem: str | Path, graph: CaseGraph, communities: Mapping[str, int
                 tails[s] = list(map(tail_of, nbrs, shared))
             h = head(ids[u])
             yield h + h.join(tails[s][start:])
-    edge_attrs = [("shared_articles", "long")]
-    graphio.write_graphml(
-        f"{stem}.graphml", directed=False,
-        node_attrs=[("outcome", "string"), ("community", "long")],
-        edge_attrs=edge_attrs, nodes=nodes, edges=edges,
-    )
-    graphio.write_dot(
-        f"{stem}.dot", directed=False, node_attrs=[("outcome", "string")],
-        edge_attrs=edge_attrs, nodes=nodes, edges=edges,
+    graphio.write_graph(
+        stem, directed=False, node_attrs=[("outcome", "string"), ("community", "long")],
+        edge_attrs=[("shared_articles", "long")],
+        nodes=[(d, {"outcome": o.value, "community": communities[d]})
+               for d, o in sorted(graph.nodes.items())],
+        edges=edges, dot_omits={"community"},
     )

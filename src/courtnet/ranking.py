@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from .errors import EmptyNetwork
 from .networks import CaseResult, OpposingNetwork, lawyer_tallies
 
 logger = logging.getLogger(__name__)
@@ -44,11 +43,11 @@ def pagerank(
     Power iteration on out-probabilities proportional to edge weights; the
     rank mass of dangling nodes is spread uniformly over all nodes. Stops
     when the L1 change drops below tol; hitting max_iter first logs a
-    warning and returns the last iterate.
+    warning and returns the last iterate. A network without nodes has no scores.
     """
-    if not network.nodes:
-        raise EmptyNetwork("opposing network has no nodes")
     check_pagerank_params(damping, tol, max_iter)
+    if not network.nodes:
+        return {}
 
     nodes = sorted(network.nodes)
     out_weight = {v: 0.0 for v in nodes}

@@ -588,10 +588,8 @@ def build_flow_graph(corpus: Sequence["Document"], threshold: float = DEFAULT_TH
 
 def write_flow(stem: str | Path, graph: FlowGraph) -> None:
     """`<stem>.graphml` and `<stem>.dot`, both with every attribute."""
-    node_attrs, edge_attrs = [("occurrences", "long")], [("count", "long")]
-    nodes = [(label, {"occurrences": n}) for label, n in sorted(graph.nodes.items())]
-    edges = [(a, b, {"count": c}) for (a, b), c in sorted(graph.edges.items())]
-    graphio.write_graphml(f"{stem}.graphml", directed=True, node_attrs=node_attrs,
-                          edge_attrs=edge_attrs, nodes=nodes, edges=edges)
-    graphio.write_dot(f"{stem}.dot", directed=True, node_attrs=node_attrs,
-                      edge_attrs=edge_attrs, nodes=nodes, edges=edges)
+    graphio.write_graph(
+        stem, directed=True, node_attrs=[("occurrences", "long")], edge_attrs=[("count", "long")],
+        nodes=[(label, {"occurrences": n}) for label, n in sorted(graph.nodes.items())],
+        edges=[(a, b, {"count": c}) for (a, b), c in sorted(graph.edges.items())],
+    )

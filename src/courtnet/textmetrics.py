@@ -56,10 +56,11 @@ def _fold_with(text: str, table: _FoldTable) -> str:
 
     ASCII folds to lower(). Otherwise the ASCII bytes of the UTF-8 form are
     lowered (every byte of a multi-byte character is >= 0x80, so none changes)
-    and each distinct non-ASCII character that folds differently is replaced
-    in one pass. That is exact when every replacement is ASCII, which no later
-    pass touches, and linear because the passes are at most _MAX_PASSES.
-    Other texts go through the table. Lone surrogates pass through unchanged.
+    and each distinct non-ASCII character is replaced by its fold in one pass.
+    That is exact because every character of a fold folds to itself (tests
+    check each code point), so no pass changes what an earlier one wrote, and
+    linear because the passes are at most _MAX_PASSES. Other texts go through
+    the table. Lone surrogates pass through unchanged.
     """
     if text.isascii():
         return text.lower()
@@ -69,11 +70,7 @@ def _fold_with(text: str, table: _FoldTable) -> str:
         return text.translate(table)
     out = data.translate(_LOWER_ASCII).decode("utf-8", "surrogatepass")
     for ch in others:
-        folded = table[ord(ch)]
-        if folded != ch:
-            if not folded.isascii():
-                return text.translate(table)
-            out = out.replace(ch, folded)
+        out = out.replace(ch, table[ord(ch)])
     return out
 
 

@@ -646,8 +646,8 @@ def decode_reference(cls, data):
 
 
 def build_parser_reference():
-    """The CLI parser as it was built before each process added only its own
-    command's options: every config flag on every subcommand."""
+    """The CLI parser as it was built before its subcommands shared one parent
+    parser of options: every config flag added to each subcommand in turn."""
     import argparse
 
     from courtnet import cli

@@ -11,7 +11,7 @@ import pytest
 
 import courtnet
 from courtnet import graphio, networks, segmenter
-from courtnet.cli import COMMANDS, _parse_args, main
+from courtnet.cli import COMMANDS, _build_parser, main
 from courtnet.synth import DocumentTruth, generate_synthetic_corpus
 from courtnet.extract import Outcome
 from courtnet.jsonl import read_jsonl
@@ -65,7 +65,7 @@ def test_missing_subcommand_is_a_config_error(capsys):
 
 
 def test_verbose_is_accepted_before_and_after_the_subcommand(tmp_path):
-    parse = _parse_args
+    parse = _build_parser().parse_args
     assert parse(["--verbose", "synth"]).verbose is True
     assert parse(["synth", "--verbose"]).verbose is True
     assert parse(["synth"]).verbose is False
@@ -74,8 +74,9 @@ def test_verbose_is_accepted_before_and_after_the_subcommand(tmp_path):
 
 
 def test_parser_of_one_command_equals_the_full_parser(capsys):
-    # each command's parser alone gives the help text, error and Namespace
-    # that the parser holding every command's options gives
+    # the parser whose subcommands share one parent of options gives the help
+    # text, error and Namespace of the parser that adds them to each subcommand
+    parse = _build_parser().parse_args
     reference = build_parser_reference().parse_args
 
     def outcome(parse, argv):
@@ -95,7 +96,7 @@ def test_parser_of_one_command_equals_the_full_parser(capsys):
             [command, "--k", "three"], [command, "--bogus"],
         ]
     for argv in argvs:
-        assert outcome(_parse_args, argv) == outcome(reference, argv), argv
+        assert outcome(parse, argv) == outcome(reference, argv), argv
 
 
 def test_bad_parameter_values_exit_1(tmp_path):
@@ -251,7 +252,8 @@ def test_dominant_lawyer_tops_the_win_rates(tmp_path):
     _, truth = generate_synthetic_corpus(seed=29, n_docs=400)
     import csv
 
-    rows = list(csv.DictReader(open(out / "rankings.csv", encoding="utf-8")))
+    with open(out / "rankings.csv", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
     rated = [(float(r["win_rate"]), r["lawyer_canonical"]) for r in rows if r["win_rate"]]
     top_rate, top_name = max(rated)
     assert top_name == truth.dominant_lawyer
@@ -441,6 +443,75 @@ def test_stage_file_that_is_a_directory_exits_naming_it(tmp_path, capsys, comman
     err = capsys.readouterr().err
     assert str(out / name) in err
     assert ("input error" in err) == (code == 2)
+
+
+def test_a_repeated_doc_id_in_extracted_jsonl_exits_2_naming_the_line(tmp_path, capsys):
+    # the repeat would count its case twice in rankings.csv
+    out = tmp_path / "out"
+    assert _run("synth", "--output-dir", out, "--n-docs", "20") == 0
+    assert _run("segment", "--output-dir", out) == 0
+    assert _run("extract", "--output-dir", out) == 0
+    extracted = out / "extracted.jsonl"
+    lines = extracted.read_text(encoding="utf-8").splitlines(keepends=True)
+    extracted.write_text("".join(lines + lines[:1]), encoding="utf-8")
+    for command in ("networks", "rank", "communities"):
+        assert _run(command, "--output-dir", out) == 2, command
+        assert f"{extracted}:{len(lines) + 1}: doc_id" in capsys.readouterr().err
+
+
+def test_a_repeated_doc_id_in_segments_jsonl_exits_2_naming_the_line(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert _run("synth", "--output-dir", out, "--n-docs", "5") == 0
+    assert _run("segment", "--output-dir", out) == 0
+    segments = out / "segments.jsonl"
+    lines = segments.read_text(encoding="utf-8").splitlines(keepends=True)
+    segments.write_text("".join(lines + lines[:1]), encoding="utf-8")
+    assert _run("extract", "--output-dir", out) == 2
+    assert f"{segments}:{len(lines) + 1}: doc_id" in capsys.readouterr().err
+    assert not (out / "extracted.jsonl").exists()
+
+
+def test_a_corpus_line_reusing_a_doc_id_with_another_text_exits_2(tmp_path, capsys):
+    # an identical repeated line is still a dropped duplicate
+    out = tmp_path / "out"
+    assert _run("synth", "--output-dir", out, "--n-docs", "5") == 0
+    corpus = out / "corpus.jsonl"
+    lines = corpus.read_text(encoding="utf-8").splitlines(keepends=True)
+    corpus.write_text("".join(lines + lines[:1]), encoding="utf-8")
+    assert _run("run", "--corpus-file", corpus, "--output-dir", out) == 0
+    counts = json.loads((out / "run_manifest.json").read_text(encoding="utf-8"))["counts"]
+    assert (counts["docs_ingested"], counts["duplicates_dropped"]) == (5, 1)
+    other = {**json.loads(lines[0]), "text": "Autre texte."}
+    corpus.write_text("".join(lines) + json.dumps(other) + "\n", encoding="utf-8")
+    assert _run("run", "--corpus-file", corpus, "--output-dir", out) == 2
+    assert f"{corpus}:6: doc_id" in capsys.readouterr().err
+    assert not (out / "run_manifest.json").exists()
+
+
+def test_a_run_without_a_determined_outcome_writes_a_null_rejection_rate(tmp_path):
+    sources = tmp_path / "sources"
+    sources.mkdir()
+    for name, counsel in (("a.txt", "Me Anne MARTIN"), ("b.txt", "Me Hugo TOUR")):
+        (sources / name).write_text(
+            f"APPELANT\nMonsieur A B\nreprésenté par {counsel}\n"
+            "PAR CES MOTIFS\nRenvoie l'affaire.\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert _run("run", "--input-dir", sources, "--output-dir", out) == 0
+    manifest = (out / "run_manifest.json").read_text(encoding="utf-8")
+    assert '"rejection_rate": null' in manifest
+    assert json.loads(manifest)["counts"]["outcomes"]["undetermined"] == 2
+
+
+def test_an_empty_opposing_network_writes_a_header_only_rankings_csv(tmp_path):
+    out = tmp_path / "out"
+    assert _run("synth", "--output-dir", out, "--n-docs", "20") == 0
+    assert _run("run", "--corpus-file", out / "corpus.jsonl", "--output-dir", out,
+                "--min-cases", "1000") == 0
+    assert (out / "rankings.csv").read_bytes() == (
+        b"lawyer_canonical,lawyer_display,experience,wins,losses,win_rate,pagerank\r\n")
+    counts = json.loads((out / "run_manifest.json").read_text(encoding="utf-8"))["counts"]
+    assert (counts["opposing_nodes"], counts["lawyers_ranked"]) == (0, 0)
+    assert counts["rejection_rate"] is not None
 
 
 # deeper than any Python's recursion limit for the json decoder

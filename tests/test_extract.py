@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from courtnet.corpus import Document
-from courtnet.errors import NoDeterminedOutcomes
 from courtnet.extract import (
     ArticleRef,
     ExtractionRecord,
@@ -212,10 +211,8 @@ def test_rejection_rate():
         Outcome.APPELLANT_WINS, Outcome.UNDETERMINED,
     ]
     assert rejection_rate(outcomes) == pytest.approx(2 / 3)
-    with pytest.raises(NoDeterminedOutcomes):
-        rejection_rate([Outcome.UNDETERMINED])
-    with pytest.raises(NoDeterminedOutcomes):
-        rejection_rate([])
+    assert rejection_rate([Outcome.UNDETERMINED]) is None
+    assert rejection_rate([]) is None
 
 
 def test_extraction_records_round_trip(tmp_path):

@@ -5,7 +5,6 @@ import random
 
 import pytest
 
-from courtnet.errors import EmptyNetwork
 from courtnet.extract import Outcome
 from courtnet.networks import (
     CaseResult,
@@ -69,8 +68,7 @@ def _rows_by_name():
 
 
 def test_pagerank_validation():
-    with pytest.raises(EmptyNetwork):
-        pagerank(_network([], []))
+    assert pagerank(_network([], [])) == {}
     with pytest.raises(ValueError):
         pagerank(_network(["a"], []), damping=0.0)
     with pytest.raises(ValueError):
