@@ -55,16 +55,14 @@ from .errors import (
 from .extract import (
     ExtractionRecord,
     Outcome,
-    classify_outcome,
-    extract_articles,
-    extract_lawyers,
+    extract_record,
     read_extracted,
     rejection_rate,
     write_extracted,
 )
 from .jsonl import check_encodable, decode, iter_unique, write_jsonl
 from .mix import jurisdiction_counts
-from .networks import CaseResult, NetworkParams
+from .networks import NetworkParams
 from .textmetrics import check_threshold
 
 logger = logging.getLogger(__name__)
@@ -245,46 +243,22 @@ class Pipeline:
     def records(self) -> list[ExtractionRecord]:
         """One record per segmented document, sorted by id."""
         if "extracted.jsonl" not in self.writes:
-            return read_extracted(self._input("extracted.jsonl", "extract"))
-        segmented = self.segmented[0]
-        records = sorted(
-            (_extract_one(doc, segmented[doc.doc_id])
-             for doc in self.corpus[0] if doc.doc_id in segmented),
-            key=lambda r: r.doc_id,
-        )
-        logger.info("extracted %d records", len(records))
-        return records
-
-    @cached_property
-    def results(self) -> tuple[list[CaseResult], dict[str, str]]:
-        """CaseResults for every record with counsel, plus display-name map."""
-        results = []
-        display: dict[str, str] = {}
-        for rec in sorted(self.records, key=lambda r: r.doc_id):
-            for name in rec.appellant_lawyers + rec.appellee_lawyers:
-                display.setdefault(name.canonical, name.display)
-            if not (rec.appellant_lawyers or rec.appellee_lawyers):
-                continue
-            results.append(CaseResult(
-                doc_id=rec.doc_id,
-                appellant_lawyers=tuple(n.canonical for n in rec.appellant_lawyers),
-                appellee_lawyers=tuple(n.canonical for n in rec.appellee_lawyers),
-                outcome=rec.outcome,
-            ))
-        return results, display
-
-    @cached_property
-    def determined(self) -> list[CaseResult]:
-        return [r for r in self.results[0] if r.outcome is not Outcome.UNDETERMINED]
+            records = read_extracted(self._input("extracted.jsonl", "extract"))
+        else:
+            segmented = self.segmented[0]
+            records = [extract_record(doc, segmented[doc.doc_id])
+                       for doc in self.corpus[0] if doc.doc_id in segmented]
+            logger.info("extracted %d records", len(records))
+        return sorted(records, key=lambda r: r.doc_id)
 
     @cached_property
     def opposing(self) -> networks_mod.OpposingNetwork:
-        return networks_mod.build_opposing_network(self.determined, _network_params(self.cfg))
+        return networks_mod.build_opposing_network(self.records, _network_params(self.cfg))
 
     @cached_property
     def collaboration(self) -> networks_mod.CollaborationGraph:
         return networks_mod.build_collaboration_network(
-            self.determined, _network_params(self.cfg))
+            self.records, _network_params(self.cfg))
 
     @cached_property
     def cases(self) -> networks_mod.CaseGraph:
@@ -300,26 +274,11 @@ class Pipeline:
 
     @cached_property
     def rows(self) -> list[ranking_mod.RankRow]:
-        """The ranking over the opposing network and the case results."""
+        """The ranking over the opposing network and the records."""
         return ranking_mod.rank_table(
-            self.results[0], self.opposing, display=self.results[1],
+            self.records, self.opposing,
             damping=self.cfg.damping, tol=self.cfg.tol, max_iter=self.cfg.max_iter,
         )
-
-
-def _extract_one(doc, seg) -> ExtractionRecord:
-    appellant, appellee = extract_lawyers(seg, doc)
-    articles = extract_articles(doc.text)
-    outcome, confirm, reverse = classify_outcome(seg.slice(doc.text, "conclusion"))
-    return ExtractionRecord(
-        doc_id=doc.doc_id,
-        appellant_lawyers=tuple(appellant),
-        appellee_lawyers=tuple(appellee),
-        articles=frozenset(articles),
-        outcome=outcome,
-        confirm_count=confirm,
-        reverse_count=reverse,
-    )
 
 
 def _network_params(cfg: PipelineConfig) -> NetworkParams:
@@ -390,16 +349,17 @@ def _flowgraph(p: Pipeline) -> None:
 def _manifest(p: Pipeline) -> None:
     """The configuration and the counts of every stage."""
     docs, duplicates = p.corpus
-    records, display = p.records, p.results[1]
+    records = p.records
     counts = {
         "docs_ingested": len(docs),
         "duplicates_dropped": duplicates,
         "segmentation_failures": len(p.segmented[1]),
         "docs_extracted": len(records),
-        "docs_skipped_no_lawyers": len(records) - len(p.results[0]),
+        "docs_skipped_no_lawyers": sum(
+            not (rec.appellant_lawyers or rec.appellee_lawyers) for rec in records),
         "outcomes": {o.value: sum(rec.outcome is o for rec in records) for o in Outcome},
         "rejection_rate": rejection_rate(rec.outcome for rec in records),
-        "lawyers_seen": len(display),
+        "lawyers_seen": len(networks_mod.lawyer_tallies(records)),
         "lawyers_ranked": len(p.rows),
         "opposing_nodes": len(p.opposing.nodes),
         "opposing_edges": len(p.opposing.edges),

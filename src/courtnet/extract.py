@@ -245,6 +245,22 @@ class ExtractionRecord:
     reverse_count: int
 
 
+def extract_record(doc: "Document", seg: SegmentedJudgment) -> ExtractionRecord:
+    """Counsel per side, cited articles and outcome of one segmented document."""
+    appellant, appellee = extract_lawyers(seg, doc)
+    articles = extract_articles(doc.text)
+    outcome, confirm, reverse = classify_outcome(seg.slice(doc.text, "conclusion"))
+    return ExtractionRecord(
+        doc_id=doc.doc_id,
+        appellant_lawyers=tuple(appellant),
+        appellee_lawyers=tuple(appellee),
+        articles=frozenset(articles),
+        outcome=outcome,
+        confirm_count=confirm,
+        reverse_count=reverse,
+    )
+
+
 def write_extracted(path: str | Path, records: Iterable[ExtractionRecord]) -> None:
     write_jsonl(path, sorted(records, key=lambda r: r.doc_id))
 

@@ -1,4 +1,4 @@
-"""Lawyer and case networks derived from extraction results.
+"""Lawyer and case networks derived from the extraction records.
 
 Three structures: a directed opposing network whose edges point from the
 less to the more successful of two opposing lawyers, an undirected
@@ -29,18 +29,9 @@ from pathlib import Path
 from typing import AbstractSet, Iterable, Mapping, Sequence
 
 from . import graphio
-from .extract import ArticleRef, Outcome
+from .extract import ArticleRef, ExtractionRecord, Outcome
 
 logger = logging.getLogger(__name__)
-
-
-@dataclass(frozen=True)
-class CaseResult:
-    """One decided appeal reduced to who stood where and who won."""
-    doc_id: str
-    appellant_lawyers: tuple[str, ...]
-    appellee_lawyers: tuple[str, ...]
-    outcome: Outcome
 
 
 @dataclass(frozen=True)
@@ -51,31 +42,29 @@ class NetworkParams:
     collab_min: int = 2    # minimum shared cases for a collaboration edge
 
     def __post_init__(self):
-        if not self.a > 0 or not self.b > 0:
-            raise ValueError(f"win weights must be positive, got a={self.a}, b={self.b}")
+        if not all(w > 0 and math.isfinite(w) for w in (self.a, self.b)):
+            raise ValueError(
+                f"win weights must be positive and finite, got a={self.a}, b={self.b}")
         if self.min_cases < 0 or self.collab_min < 0:
             raise ValueError("thresholds must be non-negative")
 
 
-def _check_results(results: Sequence[CaseResult]) -> None:
-    for r in results:
-        if r.outcome is Outcome.UNDETERMINED:
-            raise ValueError(f"{r.doc_id}: undetermined outcome in network input")
-        if not (r.appellant_lawyers or r.appellee_lawyers):
-            raise ValueError(f"{r.doc_id}: case result carries no lawyers")
+def _determined(records: Iterable[ExtractionRecord]) -> list[ExtractionRecord]:
+    """The records with a known outcome: the only ones the lawyer networks read."""
+    return [r for r in records if r.outcome is not Outcome.UNDETERMINED]
 
 
-def lawyer_tallies(results: Iterable[CaseResult]) -> dict[str, tuple[int, int, int]]:
-    """Per lawyer: (total cases, wins, losses).
+def lawyer_tallies(records: Iterable[ExtractionRecord]) -> dict[str, tuple[int, int, int]]:
+    """Per canonical lawyer name: (total cases, wins, losses).
 
     Total counts every case the lawyer appears in, undetermined ones
     included; wins and losses come from determined cases only. A lawyer
     listed on both sides of one case gets neither a win nor a loss from it.
     """
     stats: dict[str, list[int]] = {}
-    for r in results:
-        app = set(r.appellant_lawyers)
-        ape = set(r.appellee_lawyers)
+    for r in records:
+        app = {n.canonical for n in r.appellant_lawyers}
+        ape = {n.canonical for n in r.appellee_lawyers}
         for lawyer in app | ape:
             t = stats.setdefault(lawyer, [0, 0, 0])
             t[0] += 1
@@ -87,19 +76,18 @@ def lawyer_tallies(results: Iterable[CaseResult]) -> dict[str, tuple[int, int, i
 
 
 def pair_wins(
-    results: Sequence[CaseResult], params: NetworkParams | None = None
+    records: Sequence[ExtractionRecord], params: NetworkParams | None = None
 ) -> dict[tuple[str, str], float]:
-    """Directed win mass between opposing lawyers.
+    """Directed win mass between opposing lawyers, over the determined records.
 
     wins[(i, j)] accumulates params.a for every case i won over j from the
     appellant side and params.b for every case won from the appellee side.
     """
     params = params or NetworkParams()
-    _check_results(results)
     wins: dict[tuple[str, str], float] = {}
-    for r in results:
-        for i in dict.fromkeys(r.appellant_lawyers):
-            for j in dict.fromkeys(r.appellee_lawyers):
+    for r in _determined(records):
+        for i in dict.fromkeys(n.canonical for n in r.appellant_lawyers):
+            for j in dict.fromkeys(n.canonical for n in r.appellee_lawyers):
                 if i == j:
                     logger.warning(
                         "%s: %s appears on both sides, pair skipped", r.doc_id, i
@@ -157,17 +145,19 @@ def collapse(wins: Mapping[tuple[str, str], float]) -> list[OpposingEdge]:
 
 
 def build_opposing_network(
-    results: Sequence[CaseResult], params: NetworkParams | None = None
+    records: Sequence[ExtractionRecord], params: NetworkParams | None = None
 ) -> OpposingNetwork:
-    """Collapsed opposing network with low-volume lawyers pruned.
+    """Collapsed opposing network over the determined records, with
+    low-volume lawyers pruned.
 
-    Lawyers with fewer than params.min_cases cases are removed after edge
-    weighting, together with their incident edges; isolated survivors stay.
+    Lawyers with fewer than params.min_cases determined cases are removed
+    after edge weighting, together with their incident edges; isolated
+    survivors stay.
     """
     params = params or NetworkParams()
-    wins = pair_wins(results, params)
+    wins = pair_wins(records, params)
     edges = collapse(wins)
-    tallies = lawyer_tallies(results)
+    tallies = lawyer_tallies(_determined(records))
     keep = {l for l, (total, _, _) in tallies.items() if total >= params.min_cases}
     nodes = {l: LawyerStats(*tallies[l]) for l in sorted(keep)}
     edges = [e for e in edges if e.source in keep and e.target in keep]
@@ -191,23 +181,23 @@ class CollaborationGraph:
 
 
 def build_collaboration_network(
-    results: Sequence[CaseResult], params: NetworkParams | None = None
+    records: Sequence[ExtractionRecord], params: NetworkParams | None = None
 ) -> CollaborationGraph:
-    """Same-side pairs weighted by shared wins minus shared losses.
+    """Same-side pairs weighted by shared wins minus shared losses, over the
+    determined records.
 
     Pairs below params.collab_min shared cases are dropped; only lawyers
     incident to a surviving edge appear as nodes.
     """
     params = params or NetworkParams()
-    _check_results(results)
     stats: dict[tuple[str, str], list[int]] = {}
-    for r in results:
+    for r in _determined(records):
         for side, won_outcome in (
             (r.appellant_lawyers, Outcome.APPELLANT_WINS),
             (r.appellee_lawyers, Outcome.APPELLEE_WINS),
         ):
             won = r.outcome is won_outcome
-            for u, v in combinations(sorted(set(side)), 2):
+            for u, v in combinations(sorted({n.canonical for n in side}), 2):
                 s = stats.setdefault((u, v), [0, 0])
                 s[0 if won else 1] += 1
     edges: list[CollabEdge] = []

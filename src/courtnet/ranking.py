@@ -11,9 +11,10 @@ import csv
 import logging
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
-from .networks import CaseResult, OpposingNetwork, lawyer_tallies
+from .extract import ExtractionRecord
+from .networks import OpposingNetwork, lawyer_tallies
 
 logger = logging.getLogger(__name__)
 
@@ -93,23 +94,25 @@ class RankRow:
 
 
 def rank_table(
-    results: Sequence[CaseResult],
+    records: Sequence[ExtractionRecord],
     network: OpposingNetwork,
     damping: float = DEFAULT_DAMPING,
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
-    display: Mapping[str, str] | None = None,
 ) -> list[RankRow]:
     """One row per network survivor, sorted by PageRank then name.
 
-    `results` should be the full extraction output including undetermined
+    `records` should be the full extraction output including undetermined
     cases so that experience is complete; win/loss tallies ignore the
-    undetermined ones on their own. `display` maps canonical names to the
-    spelling to print, defaulting to the canonical form itself.
+    undetermined ones on their own. A lawyer is printed with the first
+    spelling the records give, or by canonical name if they give none.
     """
     scores = pagerank(network, damping=damping, tol=tol, max_iter=max_iter)
-    tallies = lawyer_tallies(results)
-    display = display or {}
+    tallies = lawyer_tallies(records)
+    display: dict[str, str] = {}
+    for r in records:
+        for name in r.appellant_lawyers + r.appellee_lawyers:
+            display.setdefault(name.canonical, name.display)
     rows = []
     for lawyer in sorted(network.nodes):
         total, wins, losses = tallies.get(lawyer, (0, 0, 0))

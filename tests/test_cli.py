@@ -106,6 +106,25 @@ def test_bad_parameter_values_exit_1(tmp_path):
     assert _run("segment", "--output-dir", tmp_path, "--profile", "marseille") == 1
 
 
+@pytest.mark.parametrize("how", ["flag", "config"])
+def test_an_infinite_win_weight_exits_1_before_any_write(tmp_path, capsys, how):
+    src = tmp_path / "src"
+    assert _run("synth", "--output-dir", src, "--n-docs", "40") == 0
+    if how == "flag":
+        weight = ["--a", "inf"]
+    else:
+        config = tmp_path / "config.json"
+        config.write_text('{"a": Infinity}', encoding="utf-8")
+        weight = ["--config", config]
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert _run("run", "--corpus-file", src / "corpus.jsonl", "--output-dir", out, *weight) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("courtnet: config error: win weights must be positive and finite")
+    assert "Traceback" not in err
+    assert not out.exists() or not any(out.iterdir())
+
+
 def test_bad_mix_exits_1(tmp_path, capsys):
     assert _run("synth", "--output-dir", tmp_path, "--mix", '{"douai": 0.4}') == 1
     assert "mix" in capsys.readouterr().err

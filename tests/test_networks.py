@@ -12,10 +12,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from courtnet.synth import generate_synthetic_corpus
-from courtnet.extract import ArticleRef, Outcome
+from courtnet.extract import ArticleRef, ExtractionRecord, LawyerName, Outcome, extract_record
 from courtnet.graphio import write_dot, write_graphml
+from courtnet.segmenter import get_profile, segment
 from courtnet.networks import (
-    CaseResult,
     CollabEdge,
     LawyerStats,
     NetworkParams,
@@ -46,11 +46,15 @@ from oracles import (
 
 
 def _case(doc_id, appellants, appellees, outcome):
-    return CaseResult(
+    """A record of counsel names spelled as their canonical form, citing nothing."""
+    return ExtractionRecord(
         doc_id=doc_id,
-        appellant_lawyers=tuple(appellants),
-        appellee_lawyers=tuple(appellees),
+        appellant_lawyers=tuple(LawyerName(name, name) for name in appellants),
+        appellee_lawyers=tuple(LawyerName(name, name) for name in appellees),
+        articles=frozenset(),
         outcome=outcome,
+        confirm_count=0,
+        reverse_count=0,
     )
 
 
@@ -93,6 +97,12 @@ def test_network_params_validation():
     with pytest.raises(ValueError):
         NetworkParams(b=-1.0)
     with pytest.raises(ValueError):
+        NetworkParams(a=math.inf)
+    with pytest.raises(ValueError):
+        NetworkParams(b=math.inf)
+    with pytest.raises(ValueError):
+        NetworkParams(a=math.nan)
+    with pytest.raises(ValueError):
         NetworkParams(min_cases=-1)
     with pytest.raises(ValueError):
         NetworkParams(collab_min=-2)
@@ -132,9 +142,8 @@ def test_pair_wins_weights():
     assert wins == {("x", "y"): 4.0, ("y", "x"): 3.0}
 
 
-def test_pair_wins_rejects_undetermined():
-    with pytest.raises(ValueError):
-        pair_wins([_case("c1", ["x"], ["y"], Outcome.UNDETERMINED)])
+def test_pair_wins_ignores_undetermined():
+    assert pair_wins([_case("c1", ["x"], ["y"], Outcome.UNDETERMINED)]) == {}
 
 
 def test_pair_wins_skips_lawyer_on_both_sides(caplog):
@@ -198,11 +207,30 @@ def test_collaboration_network():
     assert graph.nodes == ["x", "y"]
 
 
-def test_collaboration_requires_determined_outcomes():
-    with pytest.raises(ValueError):
-        build_collaboration_network(
-            [_case("c1", ["x", "y"], ["z"], Outcome.UNDETERMINED)]
-        )
+def test_collaboration_ignores_undetermined_outcomes():
+    graph = build_collaboration_network(
+        [_case("c1", ["x", "y"], ["z"], Outcome.UNDETERMINED)], NetworkParams(collab_min=1)
+    )
+    assert graph.nodes == [] and graph.edges == []
+
+
+def test_lawyer_networks_leave_undetermined_records_out():
+    # the seed-7 1k records as `run` extracts them, undetermined cases and
+    # records without counsel included
+    docs, _ = generate_synthetic_corpus(seed=7, n_docs=1000)
+    profile = get_profile("generic")
+    records = [extract_record(doc, segment(doc, profile)) for doc in docs]
+    determined = [r for r in records if r.outcome is not Outcome.UNDETERMINED]
+    assert len(determined) < len(records)
+    opposing = build_opposing_network(records)
+    assert opposing == build_opposing_network(determined)
+    assert opposing.nodes and opposing.edges
+    # node totals count determined cases only
+    assert sum(s.total_cases for s in opposing.nodes.values()) < sum(
+        total for total, _, _ in lawyer_tallies(records).values())
+    collaboration = build_collaboration_network(records)
+    assert collaboration == build_collaboration_network(determined)
+    assert collaboration.edges
 
 
 def _random_articles(rng, n_cases):

@@ -5,9 +5,8 @@ import random
 
 import pytest
 
-from courtnet.extract import Outcome
+from courtnet.extract import ExtractionRecord, LawyerName, Outcome
 from courtnet.networks import (
-    CaseResult,
     NetworkParams,
     OpposingEdge,
     OpposingNetwork,
@@ -19,12 +18,21 @@ from courtnet.ranking import pagerank, rank_table, write_rankings_csv
 from oracles import pagerank_reference
 
 
+def _names(names):
+    """Each name as given if a LawyerName, else spelled as its canonical form."""
+    return tuple(n if isinstance(n, LawyerName) else LawyerName(n, n) for n in names)
+
+
 def _case(doc_id, appellants, appellees, outcome):
-    return CaseResult(
+    """A record citing nothing."""
+    return ExtractionRecord(
         doc_id=doc_id,
-        appellant_lawyers=tuple(appellants),
-        appellee_lawyers=tuple(appellees),
+        appellant_lawyers=_names(appellants),
+        appellee_lawyers=_names(appellees),
+        articles=frozenset(),
         outcome=outcome,
+        confirm_count=0,
+        reverse_count=0,
     )
 
 
@@ -134,7 +142,7 @@ def test_pagerank_warns_when_not_converged(caplog):
 
 def test_rank_table_orders_and_annotates():
     results = [
-        _case("c1", ["x"], ["y"], Outcome.APPELLANT_WINS),
+        _case("c1", [LawyerName("x", "Me X")], ["y"], Outcome.APPELLANT_WINS),
         _case("c2", ["x"], ["y"], Outcome.APPELLANT_WINS),
         _case("c3", ["y"], ["x"], Outcome.APPELLANT_WINS),
         _case("c4", ["x"], ["y"], Outcome.UNDETERMINED),
@@ -143,7 +151,7 @@ def test_rank_table_orders_and_annotates():
         [r for r in results if r.outcome is not Outcome.UNDETERMINED],
         NetworkParams(min_cases=1),
     )
-    rows = rank_table(results, network, display={"x": "Me X"})
+    rows = rank_table(results, network)
     assert [r.lawyer_canonical for r in rows] == ["x", "y"]
     # the loser of the collapsed edge feeds the winner, who ranks higher
     assert rows[0].pagerank > rows[1].pagerank
