@@ -41,17 +41,7 @@ from typing import Sequence
 from . import networks as networks_mod
 from . import ranking as ranking_mod
 from . import segmenter as segmenter_mod
-from .errors import (
-    CorruptInput,
-    CourtnetError,
-    EmptyCorpus,
-    EmptyDocument,
-    EncodingError,
-    InvalidMix,
-    MissingConclusion,
-    OutOfOrderMarkers,
-    UnreadableFile,
-)
+from .errors import InputError, MissingConclusion, OutOfOrderMarkers
 from .extract import (
     ExtractionRecord,
     Outcome,
@@ -116,7 +106,7 @@ def load_config_file(path: str | Path) -> PipelineConfig:
         _check_strings(cfg)
         return cfg
     except OSError as exc:
-        raise UnreadableFile(f"config file {path}: {exc}") from exc
+        raise InputError(f"config file {path}: {exc}") from exc
     except (TypeError, ValueError, RecursionError) as exc:
         raise ValueError(f"config file {path}: {exc}") from None
 
@@ -168,7 +158,7 @@ class Pipeline:
     def _input(self, name: str, producer: str) -> Path:
         path = Path(self.cfg.output_dir) / name
         if not path.exists():
-            raise UnreadableFile(f"missing input {path}; run the '{producer}' stage first")
+            raise InputError(f"missing input {path}; run the '{producer}' stage first")
         return path
 
     def corpus_path(self) -> Path:
@@ -186,13 +176,13 @@ class Pipeline:
             path = self.corpus_path()
             docs = corpus_mod.read_corpus(path)
             if not docs:
-                raise EmptyCorpus(f"{path}: corpus is empty")
+                raise InputError(f"{path}: corpus is empty")
             return corpus_mod.dedupe_documents(docs)
         if not self.cfg.input_dir:
             raise ValueError("ingest needs input_dir")
         root = Path(self.cfg.input_dir)
         if not root.is_dir():
-            raise UnreadableFile(f"input directory not found: {root}")
+            raise InputError(f"input directory not found: {root}")
         docs = []
         skipped = 0
         for path in sorted(root.rglob("*")):
@@ -200,11 +190,11 @@ class Pipeline:
                 continue
             try:
                 docs.append(corpus_mod.ingest(path, self.cfg.jurisdiction))
-            except (EmptyDocument, EncodingError, UnreadableFile) as exc:
+            except InputError as exc:
                 skipped += 1
                 logger.warning("skipping %s: %s", path, exc)
         if not docs:
-            raise EmptyCorpus(f"no ingestable documents under {root}")
+            raise InputError(f"no ingestable documents under {root}")
         docs, dropped = corpus_mod.dedupe_documents(docs)
         logger.info(
             "ingested %d documents (%d unreadable skipped, %d duplicates dropped)",
@@ -235,7 +225,7 @@ class Pipeline:
                 try:
                     seg.check_offsets(texts[seg.doc_id])
                 except ValueError as exc:
-                    raise CorruptInput(f"{path}:{lineno}: {exc}") from None
+                    raise InputError(f"{path}:{lineno}: {exc}") from None
             segmented[seg.doc_id] = seg
         return segmented, failures
 
@@ -335,8 +325,9 @@ def _rank(p: Pipeline) -> None:
 def _flowgraph(p: Pipeline) -> None:
     by_jur: dict[str, list] = {}
     for doc in p.corpus[0]:
-        if any(c in doc.jurisdiction for c in ("/", os.altsep, "\0") if c):
-            raise CorruptInput(
+        name = f"flow_{doc.jurisdiction}.graphml"  # most file systems cap a name at 255 bytes
+        if any(c in name for c in ("/", os.altsep, "\0") if c) or len(name.encode()) > 255:
+            raise InputError(
                 f"{p.corpus_path()}: document {doc.doc_id}: jurisdiction "
                 f"{doc.jurisdiction!r} cannot be part of a file name")
         by_jur.setdefault(doc.jurisdiction, []).append(doc)
@@ -525,13 +516,13 @@ def main(argv: Sequence[str] | None = None) -> int:
     except KeyboardInterrupt:
         print("courtnet: interrupted", file=sys.stderr)
         return 130
-    except (UnreadableFile, CorruptInput, EmptyCorpus, FileNotFoundError) as exc:
+    except InputError as exc:
         print(f"courtnet: input error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, InvalidMix) as exc:
+    except ValueError as exc:
         print(f"courtnet: config error: {exc}", file=sys.stderr)
         return 1
-    except (CourtnetError, OSError) as exc:  # an OSError left here is a failed write
+    except OSError as exc:  # a failed write, or a failed flowgraph shard
         print(f"courtnet: {exc}", file=sys.stderr)
         return 1
 

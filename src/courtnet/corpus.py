@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .errors import EmptyDocument, EncodingError, UnreadableFile
+from .errors import InputError
 from .jsonl import iter_unique, write_jsonl
 
 logger = logging.getLogger(__name__)
@@ -142,17 +142,17 @@ def ingest(path: str | Path, jurisdiction: str) -> Document:
     try:
         raw = p.read_bytes()
     except OSError as exc:
-        raise UnreadableFile(f"{path}: {exc}") from exc
+        raise InputError(f"{path}: {exc}") from exc
     if raw.startswith(b"{\\rtf") or p.suffix.lower() == ".rtf":
         text = strip_rtf(raw.decode("latin-1"))
     else:
         try:
             text = raw.decode("utf-8")
         except UnicodeDecodeError as exc:
-            raise EncodingError(f"{path}: not valid UTF-8") from exc
+            raise InputError(f"{path}: not valid UTF-8") from exc
     text = normalize_newlines(text)
     if not text.strip():
-        raise EmptyDocument(f"{path}: no text content")
+        raise InputError(f"{path}: no text content")
     return Document(
         doc_id=text_doc_id(text),
         jurisdiction=jurisdiction,
@@ -186,5 +186,5 @@ def write_corpus(path: str | Path, docs: Iterable[Document]) -> None:
 
 def read_corpus(path: str | Path) -> list[Document]:
     """The documents of a corpus file; a malformed line, or one repeating an earlier
-    line's doc_id with another document, raises CorruptInput."""
+    line's doc_id with another document, raises InputError."""
     return [doc for _, doc in iter_unique(path, Document, equal_repeats=True)]

@@ -1,45 +1,19 @@
-"""Exception types raised across the pipeline."""
+"""Exception types, and the exit code `cli.main` gives each one that escapes a command.
+
+InputError exits 2. ValueError (a bad parameter, config key or win weight)
+and OSError (an artifact that cannot be written, or a `flowgraph` shard that
+failed, raised as ChildProcessError) exit 1. KeyboardInterrupt exits 130. A
+segmentation error never escapes: each document's is caught where it happens.
+"""
 
 
-class CourtnetError(Exception):
-    """Base class for all courtnet errors."""
+class InputError(Exception):
+    """Input missing, unreadable, empty or corrupt; it names the file, and path:line if it can."""
 
 
-class UnreadableFile(CourtnetError):
-    """Source file missing or not readable."""
-
-
-class EncodingError(CourtnetError):
-    """Source bytes are neither valid UTF-8 nor recognizable RTF."""
-
-
-class EmptyDocument(CourtnetError):
-    """Document text is empty after normalization."""
-
-
-class InvalidMix(CourtnetError):
-    """Jurisdiction mix does not describe a probability distribution."""
-
-
-class InvalidThreshold(CourtnetError, ValueError):
-    """Similarity threshold outside [0, 1]."""
-
-
-class MissingConclusion(CourtnetError):
+class MissingConclusion(Exception):
     """No conclusion marker found; the document cannot be segmented."""
 
 
-class OutOfOrderMarkers(CourtnetError):
+class OutOfOrderMarkers(Exception):
     """A mandatory marker appears before an earlier one in the profile order."""
-
-
-class CorruptInput(CourtnetError):
-    """An input line is not JSON or not its record's form; the message names path:line."""
-
-
-class EmptyCorpus(CourtnetError):
-    """No documents to process."""
-
-
-class WorkerFailed(CourtnetError):
-    """A forked worker process failed or was killed before it returned its result."""

@@ -267,5 +267,5 @@ def write_extracted(path: str | Path, records: Iterable[ExtractionRecord]) -> No
 
 def read_extracted(path: str | Path) -> list[ExtractionRecord]:
     """The records of an extracted.jsonl file; a malformed line, or one repeating
-    an earlier line's doc_id, raises CorruptInput."""
+    an earlier line's doc_id, raises InputError."""
     return [rec for _, rec in iter_unique(path, ExtractionRecord)]

@@ -24,7 +24,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, TypeVar
 
-from .errors import CorruptInput, UnreadableFile
+from .errors import InputError
 
 T = TypeVar("T")
 
@@ -154,14 +154,14 @@ def check_encodable(data, prefix: str = "") -> None:
 def iter_jsonl(path: str | Path, cls: type[T]) -> Iterator[tuple[int, T]]:
     """(line number, cls record) of each non-blank line, in file order.
 
-    A file that cannot be opened raises UnreadableFile naming the path. A line
+    A file that cannot be opened raises InputError naming the path. A line
     that is not UTF-8 JSON (nesting too deep and lone surrogates included), or
-    is not the JSON form of a cls record, raises CorruptInput naming path:line.
+    is not the JSON form of a cls record, raises InputError naming path:line.
     """
     try:
         fh = open(path, "rb")
     except OSError as exc:
-        raise UnreadableFile(f"cannot read {path}: {exc.strerror}") from None
+        raise InputError(f"cannot read {path}: {exc.strerror}") from None
     seen: dict = {}  # the leaf records of this file only
     with fh:
         for lineno, line in enumerate(fh, 1):
@@ -174,21 +174,21 @@ def iter_jsonl(path: str | Path, cls: type[T]) -> Iterator[tuple[int, T]]:
                     check_encodable(data)
                 record = _decoder(cls)(data, cls.__name__, seen)
             except KeyError as exc:
-                raise CorruptInput(f"{path}:{lineno}: missing key {exc}") from None
+                raise InputError(f"{path}:{lineno}: missing key {exc}") from None
             except (ValueError, TypeError, RecursionError) as exc:
-                raise CorruptInput(f"{path}:{lineno}: {exc}") from None
+                raise InputError(f"{path}:{lineno}: {exc}") from None
             yield lineno, record
 
 
 def iter_unique(path: str | Path, cls: type[T], equal_repeats: bool = False
                 ) -> Iterator[tuple[int, T]]:
-    """iter_jsonl's pairs; a line repeating an earlier line's doc_id raises CorruptInput
+    """iter_jsonl's pairs; a line repeating an earlier line's doc_id raises InputError
     naming path:line, unless equal_repeats and the two records are equal."""
     first: dict[str, tuple[int, T]] = {}
     for lineno, record in iter_jsonl(path, cls):
         earlier = first.setdefault(record.doc_id, (lineno, record))
         if earlier[0] != lineno and not (equal_repeats and earlier[1] == record):
-            raise CorruptInput(
+            raise InputError(
                 f"{path}:{lineno}: doc_id {record.doc_id!r} repeats line {earlier[0]}")
         yield lineno, record
 

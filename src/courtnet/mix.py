@@ -2,8 +2,6 @@
 
 from typing import Mapping
 
-from .errors import InvalidMix
-
 GENERATOR_LAYOUTS = ("douai", "agen")
 
 
@@ -12,15 +10,15 @@ def jurisdiction_counts(n_docs: int, mix: Mapping[str, float]) -> dict[str, int]
     if n_docs <= 0:
         raise ValueError(f"n_docs must be positive, got {n_docs}")
     if not mix:
-        raise InvalidMix("mix is empty")
+        raise ValueError("mix is empty")
     for jur, w in mix.items():
         if jur not in GENERATOR_LAYOUTS:
-            raise InvalidMix(f"unknown jurisdiction layout {jur!r}")
+            raise ValueError(f"unknown jurisdiction layout {jur!r}")
         if not (w > 0):
-            raise InvalidMix(f"weight for {jur!r} must be positive, got {w!r}")
+            raise ValueError(f"weight for {jur!r} must be positive, got {w!r}")
     total = sum(mix.values())
     if abs(total - 1.0) > 1e-9:
-        raise InvalidMix(f"mix weights must sum to 1, got {total!r}")
+        raise ValueError(f"mix weights must sum to 1, got {total!r}")
     keys = sorted(mix)
     counts = {k: int(n_docs * mix[k]) for k in keys}
     rest = n_docs - sum(counts.values())

@@ -127,16 +127,20 @@ def collapse(wins: Mapping[tuple[str, str], float]) -> list[OpposingEdge]:
 
     Weight is |delta| * ln(total + 1) where delta is the difference of the
     two win masses and total their sum; the edge points at the pair's
-    winner. Balanced pairs produce no edge.
+    winner. Balanced pairs produce no edge. A weight that is 0 or not finite
+    raises ValueError naming the pair: a or b is too small or too large.
     """
     edges: list[OpposingEdge] = []
     unordered = sorted({(min(i, j), max(i, j)) for i, j in wins})
     for x, y in unordered:
         wxy = wins.get((x, y), 0.0)
         wyx = wins.get((y, x), 0.0)
-        if wxy == wyx:
+        if wxy == wyx and math.isfinite(wxy):  # inf on both sides is an overflow, not a balance
             continue
         weight = abs(wxy - wyx) * math.log(wxy + wyx + 1.0)
+        if not 0.0 < weight < math.inf:
+            raise ValueError(f"opposing pair {x!r}, {y!r}: win masses {wxy!r} and {wyx!r} give"
+                             f" the weight {weight!r}; win weights a or b too small or too large")
         if wxy > wyx:
             edges.append(OpposingEdge(y, x, weight, wxy, wyx))
         else:

@@ -45,6 +45,7 @@ def pagerank(
     rank mass of dangling nodes is spread uniformly over all nodes. Stops
     when the L1 change drops below tol; hitting max_iter first logs a
     warning and returns the last iterate. A network without nodes has no scores.
+    An out-weight that overflows raises ValueError: w / inf would lose rank mass.
     """
     check_pagerank_params(damping, tol, max_iter)
     if not network.nodes:
@@ -56,6 +57,10 @@ def pagerank(
     for e in sorted(network.edges, key=lambda e: (e.source, e.target)):
         out_weight[e.source] += e.weight
         in_edges[e.target].append((e.source, e.weight))
+    heavy = [v for v in nodes if out_weight[v] == float("inf")]
+    if heavy:
+        raise ValueError(f"lawyer {heavy[0]!r}: opposing edge weights sum past the largest "
+                         "float; win weights a or b too large")
 
     n = len(nodes)
     rank = {v: 1.0 / n for v in nodes}

@@ -23,7 +23,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
 
 from . import graphio
-from .errors import MissingConclusion, OutOfOrderMarkers, UnreadableFile, WorkerFailed
+from .errors import InputError, MissingConclusion, OutOfOrderMarkers
 from .jsonl import decode
 from .textmetrics import (
     DEFAULT_THRESHOLD, _ceiling, _char_counts, _positions, _shared, check_threshold, fold, jaro,
@@ -133,7 +133,7 @@ def load_profile(path: str | Path) -> KeywordProfile:
     try:
         return decode(KeywordProfile, json.loads(Path(path).read_text(encoding="utf-8")))
     except OSError as exc:
-        raise UnreadableFile(f"profile file {path}: {exc}") from exc
+        raise InputError(f"profile file {path}: {exc}") from exc
     except KeyError as exc:
         raise ValueError(f"profile file {path}: missing key {exc}") from None
     except (TypeError, ValueError, RecursionError) as exc:
@@ -469,7 +469,7 @@ def _fork_shard(shard: int, scan_args: tuple) -> tuple[int, int]:
 def _joined_pairs(shards: int, scan_args: tuple) -> list[array]:
     """Every shard's joined pairs: shard 0 scanned here, the others in forked children.
 
-    A child that fails or is killed raises WorkerFailed. Whatever ends this
+    A child that fails or is killed raises ChildProcessError. Whatever ends this
     call, an interrupt included, no child is left running or unreaped.
     """
     pids: dict[int, int] = {}
@@ -487,7 +487,7 @@ def _joined_pairs(shards: int, scan_args: tuple) -> list[array]:
             code = os.waitstatus_to_exitcode(status)
             if code:
                 ended = f"exited {code}" if code > 0 else f"was killed by signal {-code}"
-                raise WorkerFailed(f"flow-graph contraction: shard {shard} of {shards} {ended}")
+                raise ChildProcessError(f"flow-graph contraction: shard {shard} of {shards} {ended}")
             joined.append(array("i", data))
         return joined
     finally:

@@ -9,7 +9,6 @@ from __future__ import annotations
 import operator
 import unicodedata
 
-from .errors import InvalidThreshold
 
 DEFAULT_THRESHOLD = 0.8
 
@@ -177,6 +176,6 @@ def jaro(a: str, b: str, positions_b: dict[str, list[int]] | None = None) -> flo
 
 
 def check_threshold(threshold: float) -> None:
-    """Raise InvalidThreshold unless 0 <= threshold <= 1."""
+    """Raise ValueError unless 0 <= threshold <= 1."""
     if not 0.0 <= threshold <= 1.0:
-        raise InvalidThreshold(f"threshold must be in [0, 1], got {threshold!r}")
+        raise ValueError(f"threshold must be in [0, 1], got {threshold!r}")

@@ -106,21 +106,32 @@ def test_bad_parameter_values_exit_1(tmp_path):
     assert _run("segment", "--output-dir", tmp_path, "--profile", "marseille") == 1
 
 
-@pytest.mark.parametrize("how", ["flag", "config"])
-def test_an_infinite_win_weight_exits_1_before_any_write(tmp_path, capsys, how):
+_BAD_WEIGHT = "win weights must be positive and finite"
+# a mass of 1e-17 is below 1.1e-16, so ln(mass + 1) is 0; a mass of 1e308 overflows the weight
+_EDGE = ("opposing pair 'agnes garnier', 'anne lambert': win masses 0.0 and {} give the "
+         "weight {}; win weights a or b too small or too large")
+
+
+@pytest.mark.parametrize("flags, config, message", [
+    pytest.param(["--a", "inf"], None, _BAD_WEIGHT, id="flag"),
+    pytest.param([], '{"a": Infinity}', _BAD_WEIGHT, id="config"),
+    pytest.param(["--a", "2", "--b", "1e-17"], None, _EDGE.format("1e-17", "0.0"),
+                 id="edge-weight-0"),
+    pytest.param(["--a", "1e308", "--b", "1e308"], None, _EDGE.format("1e+308", "inf"),
+                 id="edge-weight-inf"),
+])
+def test_an_infinite_win_weight_exits_1_before_any_write(tmp_path, capsys, flags, config,
+                                                          message):
     src = tmp_path / "src"
     assert _run("synth", "--output-dir", src, "--n-docs", "40") == 0
-    if how == "flag":
-        weight = ["--a", "inf"]
-    else:
-        config = tmp_path / "config.json"
-        config.write_text('{"a": Infinity}', encoding="utf-8")
-        weight = ["--config", config]
+    if config:
+        (tmp_path / "config.json").write_text(config, encoding="utf-8")
+        flags = ["--config", tmp_path / "config.json"]
     out = tmp_path / "out"
     capsys.readouterr()
-    assert _run("run", "--corpus-file", src / "corpus.jsonl", "--output-dir", out, *weight) == 1
+    assert _run("run", "--corpus-file", src / "corpus.jsonl", "--output-dir", out, *flags) == 1
     err = capsys.readouterr().err
-    assert err.startswith("courtnet: config error: win weights must be positive and finite")
+    assert err.startswith(f"courtnet: config error: {message}")
     assert "Traceback" not in err
     assert not out.exists() or not any(out.iterdir())
 
@@ -321,9 +332,10 @@ def test_corpus_line_without_jurisdiction_exits_2(tmp_path, capsys):
     assert "jurisdiction" in err
 
 
-@pytest.mark.parametrize("label", ["../escaped", "x/y", "nul\0byte"])
+@pytest.mark.parametrize("label", ["../escaped", "x/y", "nul\0byte", "x" * 300])
 def test_flowgraph_refuses_a_jurisdiction_that_cannot_name_a_file(tmp_path, capsys, label):
-    # flow_<jurisdiction>.* would leave the output directory or name no file;
+    # flow_<jurisdiction>.* would leave the output directory, name no file, or be a
+    # name longer than the 255 bytes most file systems hold;
     # the empty label is a file name and passes, but nothing may be written
     out = tmp_path / "o"
     assert _run("synth", "--output-dir", out, "--n-docs", "6") == 0

@@ -13,7 +13,7 @@ from courtnet.corpus import (
     text_doc_id,
     write_corpus,
 )
-from courtnet.errors import EmptyDocument, EncodingError, InvalidMix, UnreadableFile
+from courtnet.errors import InputError
 from courtnet.extract import Outcome
 from courtnet.jsonl import read_jsonl
 from courtnet.synth import DocumentTruth, generate_synthetic_corpus, write_truth
@@ -81,13 +81,13 @@ def test_ingest_rtf_by_header_sniff(tmp_path):
 def test_ingest_errors(tmp_path):
     empty = tmp_path / "empty.txt"
     empty.write_text("  \n\n ", encoding="utf-8")
-    with pytest.raises(EmptyDocument):
+    with pytest.raises(InputError, match="no text content"):
         ingest(empty, "douai")
     bad = tmp_path / "bad.txt"
     bad.write_bytes(b"juge \xff\xfe illisible")
-    with pytest.raises(EncodingError):
+    with pytest.raises(InputError, match="not valid UTF-8"):
         ingest(bad, "douai")
-    with pytest.raises(UnreadableFile):
+    with pytest.raises(InputError, match="absent.txt: .*No such file"):
         ingest(tmp_path / "absent.txt", "douai")
 
 
@@ -144,8 +144,10 @@ def test_generator_respects_the_mix():
 
 
 def test_generator_rejects_bad_mixes():
-    for mix in ({}, {"paris": 1.0}, {"douai": -0.2, "agen": 1.2}, {"douai": 0.6, "agen": 0.6}):
-        with pytest.raises(InvalidMix):
+    for mix, message in [({}, "mix is empty"), ({"paris": 1.0}, "unknown jurisdiction layout"),
+                         ({"douai": -0.2, "agen": 1.2}, "weight for 'douai' must be positive"),
+                         ({"douai": 0.6, "agen": 0.6}, "mix weights must sum to 1")]:
+        with pytest.raises(ValueError, match=message):
             generate_synthetic_corpus(seed=1, n_docs=4, mix=mix)
 
 

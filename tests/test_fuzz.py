@@ -5,7 +5,7 @@ import json
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from courtnet.corpus import Document, read_corpus, strip_rtf
-from courtnet.errors import CorruptInput, MissingConclusion, OutOfOrderMarkers, UnreadableFile
+from courtnet.errors import InputError, MissingConclusion, OutOfOrderMarkers
 from courtnet.segmenter import PROFILES, segment
 
 from test_corpus import RTF_TOKENS
@@ -55,7 +55,7 @@ def test_read_corpus_raises_only_input_errors(tmp_path, lines):
     path.write_bytes(b"\n".join(lines))
     try:
         docs = read_corpus(path)
-    except (UnreadableFile, CorruptInput):
+    except InputError:
         return
     assert all(isinstance(doc, Document) for doc in docs)
 

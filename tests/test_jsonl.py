@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from courtnet.cli import PipelineConfig
 from courtnet.corpus import Document
-from courtnet.errors import CorruptInput
+from courtnet.errors import InputError
 from courtnet.extract import ExtractionRecord, Outcome
 from courtnet.jsonl import decode, dumps, read_jsonl
 from courtnet.segmenter import PROFILES, KeywordProfile, SegmentedJudgment
@@ -140,7 +140,7 @@ def test_read_jsonl_equals_the_reference_line_by_line(cls, data):
         path.write_text("".join(json.dumps(v, ensure_ascii=False) + "\n" for v in values),
                         encoding="utf-8")
         if isinstance(expected, str):
-            with pytest.raises(CorruptInput) as info:
+            with pytest.raises(InputError) as info:
                 read_jsonl(path, cls)
             assert str(info.value) == f"{path}{expected}"
         else:

@@ -166,6 +166,20 @@ def test_collapse_direction_and_weight():
     assert collapse({("a", "b"): 3.0, ("b", "a"): 3.0}) == []
 
 
+@pytest.mark.parametrize("wins, weight", [
+    # balanced, but only because both masses overflowed
+    ({("x", "y"): math.inf, ("y", "x"): math.inf}, "nan"),
+    ({("x", "y"): 1e308, ("y", "x"): 0.0}, "inf"),
+    # masses summing below 1.1e-16 give ln(total + 1) = 0
+    ({("x", "y"): 6e-17, ("y", "x"): 4e-17}, "0.0"),
+    ({("x", "y"): 2e-17}, "0.0"),
+])
+def test_collapse_refuses_an_edge_weight_that_is_0_or_not_finite(wins, weight):
+    with pytest.raises(ValueError, match=rf"^opposing pair 'x', 'y': win masses .* give the "
+                                         rf"weight {weight}; win weights a or b too small"):
+        collapse(wins)
+
+
 def test_build_opposing_network_prunes_thin_nodes():
     results = [
         _case("c1", ["x"], ["y"], Outcome.APPELLANT_WINS),

@@ -87,6 +87,13 @@ def test_pagerank_validation():
         pagerank(_network(["a"], []), max_iter=0)
 
 
+def test_pagerank_refuses_an_out_weight_that_overflows():
+    # each weight is finite, but "a"'s out-weight sums past the largest float
+    network = _network(["a", "b", "c"], [("a", "b", 1e308), ("a", "c", 1e308), ("b", "c", 1.0)])
+    with pytest.raises(ValueError, match="lawyer 'a': opposing edge weights sum past"):
+        pagerank(network)
+
+
 def test_pagerank_uniform_on_a_cycle():
     ranks = pagerank(_network(["a", "b", "c"], [("a", "b", 1.0), ("b", "c", 1.0), ("c", "a", 1.0)]))
     for value in ranks.values():

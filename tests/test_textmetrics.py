@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from courtnet import textmetrics
-from courtnet.errors import InvalidThreshold
 from courtnet.segmenter import _contract
 from courtnet.textmetrics import DEFAULT_THRESHOLD, check_threshold, fold, fold_aligned, jaro
 
@@ -170,9 +169,9 @@ def test_contraction_threshold_is_strict():
 
 
 def test_contraction_rejects_bad_thresholds():
-    with pytest.raises(InvalidThreshold):
+    with pytest.raises(ValueError, match=r"threshold must be in \[0, 1\], got -0.1"):
         check_threshold(-0.1)
-    with pytest.raises(InvalidThreshold):
+    with pytest.raises(ValueError, match=r"threshold must be in \[0, 1\], got 1.0001"):
         check_threshold(1.0001)
     # the closed interval endpoints are allowed
     check_threshold(0.0)
