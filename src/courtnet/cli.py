@@ -2,13 +2,13 @@
 
 Subcommands cover each stage (synth, ingest, segment, extract, networks,
 rank, communities, flowgraph) plus `run`, which executes the whole pipeline.
-One table of commands and one runner serve them all. Each value of the
-pipeline is computed once, on first use, and a value kept in an artifact
+A command is a tuple of stages, and one runner serves them all. Each value of
+the pipeline is computed once, on first use, and a value kept in an artifact
 (corpus, segments, extracted records) is read back from the output directory
-unless the command writes that artifact. So a staged command starts from the
-files of the stages before it, `run` passes everything on in memory, and both
-write the same bytes. `rank` and `communities` rebuild the graphs they need
-from `extracted.jsonl` and the network parameters.
+unless one of the command's stages writes it. So a staged command starts from
+the files of the stages before it, `run` passes everything on in memory, and
+both write the same bytes. `rank` and `communities` rebuild the graphs they
+need from `extracted.jsonl` and the network parameters.
 
 Artifacts appear only when a command succeeds: they are written into a
 `.courtnet-*` staging directory in the output directory, then moved into
@@ -29,6 +29,7 @@ import dataclasses
 import json
 import logging
 import os
+import re
 import shutil
 import sys
 import tempfile
@@ -92,10 +93,6 @@ def _field_class(name: str) -> type:
     return next(t for t in typing.get_args(hint) or (hint,) if t is not type(None))
 
 
-def config_to_json(cfg: PipelineConfig) -> str:
-    return json.dumps(dataclasses.asdict(cfg), indent=2, sort_keys=True)
-
-
 def load_config_file(path: str | Path) -> PipelineConfig:
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -145,13 +142,13 @@ def _resolve_profile(cfg: PipelineConfig) -> segmenter_mod.KeywordProfile:
 class Pipeline:
     """The values one command computes or reads, each at most once, on first use.
 
-    A value kept in an artifact is computed only by a command that writes that
-    artifact; any other command reads it back from the output directory. Stages
-    write their artifacts through `out`, into the command's staging directory.
+    A value kept in an artifact is computed only by a command with the stage
+    that writes it; any other command reads it back from the output directory.
+    Stages write their artifacts through `out`, into the command's staging directory.
     """
 
     def __init__(self, cfg: PipelineConfig, staging: Path, name: str):
-        self.cfg, self.writes, self.out = cfg, COMMANDS[name].writes, staging.joinpath
+        self.cfg, self.stages, self.out = cfg, COMMANDS[name].stages, staging.joinpath
         # ingest reads input_dir; run does too unless corpus_file, which wins, is set
         self.ingests = name == "ingest" or name == "run" and not cfg.corpus_file
 
@@ -208,7 +205,7 @@ class Pipeline:
         docs = self.corpus[0]
         segmented = {}
         failures = []
-        if "segments.jsonl" in self.writes:
+        if _segments in self.stages:
             profile = _resolve_profile(self.cfg)
             for doc in docs:
                 try:
@@ -232,7 +229,7 @@ class Pipeline:
     @cached_property
     def records(self) -> list[ExtractionRecord]:
         """One record per segmented document, sorted by id."""
-        if "extracted.jsonl" not in self.writes:
+        if _extracted not in self.stages:
             records = read_extracted(self._input("extracted.jsonl", "extract"))
         else:
             segmented = self.segmented[0]
@@ -373,29 +370,19 @@ def _manifest(p: Pipeline) -> None:
 
 class Command(typing.NamedTuple):
     help: str
-    writes: tuple[str, ...]  # .* is .graphml and .dot; <k>, <jurisdiction> stand for values
     stages: tuple[typing.Callable[[Pipeline], None], ...]
 
 
-_GRAPHS = ("opposing.*", "collaboration.*", "cases_k<k>.*")
-
 COMMANDS = {
-    "synth": Command("generate a synthetic corpus with ground truth",
-                     ("corpus.jsonl", "truth.jsonl"), (_synth,)),
-    "ingest": Command("read .txt/.rtf sources into corpus.jsonl", ("corpus.jsonl",), (_corpus,)),
-    "segment": Command("cut corpus documents into segments", ("segments.jsonl",), (_segments,)),
-    "extract": Command("extract lawyers, articles and outcomes",
-                       ("extracted.jsonl",), (_extracted,)),
-    "networks": Command("build opposing, collaboration and case graphs", _GRAPHS, (_networks,)),
-    "rank": Command("compute the lawyer ranking table", ("rankings.csv",), (_rank,)),
-    "communities": Command("detect communities on the case graph",
-                           ("communities.csv",), (_communities,)),
-    "flowgraph": Command("build per-jurisdiction sentence flow graphs",
-                         ("flow_<jurisdiction>.*",), (_flowgraph,)),
-    # corpus.jsonl only when it ingests input_dir
+    "synth": Command("generate a synthetic corpus with ground truth", (_synth,)),
+    "ingest": Command("read .txt/.rtf sources into corpus.jsonl", (_corpus,)),
+    "segment": Command("cut corpus documents into segments", (_segments,)),
+    "extract": Command("extract lawyers, articles and outcomes", (_extracted,)),
+    "networks": Command("build opposing, collaboration and case graphs", (_networks,)),
+    "rank": Command("compute the lawyer ranking table", (_rank,)),
+    "communities": Command("detect communities on the case graph", (_communities,)),
+    "flowgraph": Command("build per-jurisdiction sentence flow graphs", (_flowgraph,)),
     "run": Command("run the whole pipeline and write all artifacts",
-                   ("corpus.jsonl", "segments.jsonl", "extracted.jsonl", *_GRAPHS,
-                    "communities.csv", "rankings.csv", "run_manifest.json"),
                    (_corpus, _segments, _extracted, _networks, _communities, _rank,
                     _manifest)),
 }
@@ -417,7 +404,7 @@ def run_command(cfg: PipelineConfig, name: str) -> int:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ValueError(f"output_dir {out} is not a usable directory: {exc}") from None
-    if "run_manifest.json" in command.writes:
+    if _manifest in command.stages:
         (out / "run_manifest.json").unlink(missing_ok=True)
     for stale in out.glob(".courtnet-*-*") if os.name == "posix" else ():
         try:
@@ -447,7 +434,12 @@ def run_command(cfg: PipelineConfig, name: str) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse that exits 1 on usage errors (config errors, per contract)."""
+    """argparse that exits 1 on usage errors (config errors, per contract); a
+    dash-led argument that float() reads, such as -1e-05 or -inf, is a value."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(?:\.?\d|inf|nan)", re.I)
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -504,7 +496,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         stream=sys.stderr,
     )
     if args.print_default_config:
-        print(config_to_json(PipelineConfig()))
+        print(json.dumps(dataclasses.asdict(PipelineConfig()), indent=2, sort_keys=True))
         return 0
     if not args.command:
         print("courtnet: a subcommand is required (see --help)", file=sys.stderr)

@@ -202,21 +202,23 @@ def extract_articles(
 CONFIRM_STEMS = ("confirme", "rejete", "irrecevable")
 REVERSE_STEMS = ("infirme", "rectifi", "reform")
 
-_TOKEN_RE = re.compile(r"[a-z0-9]+")
+_STEM_RE = re.compile(rf"(?<![a-z0-9])(?:({'|'.join(CONFIRM_STEMS)})|{'|'.join(REVERSE_STEMS)})")
 
 
 def classify_outcome(text: str) -> tuple[Outcome, int, int]:
     """Majority vote over outcome keyword stems in the operative part.
 
-    Returns (outcome, confirm_count, reverse_count); ties, including zero
-    counts, are Undetermined.
+    Each [a-z0-9] token of the folded text that starts with a stem counts
+    once: a stem matches only where no [a-z0-9] precedes it, and no two
+    stems match at one position. Returns (outcome, confirm_count,
+    reverse_count); ties, including zero counts, are Undetermined.
     """
     confirm = 0
     reverse = 0
-    for token in _TOKEN_RE.findall(fold(text)):
-        if token.startswith(CONFIRM_STEMS):
+    for stem in _STEM_RE.finditer(fold(text)):
+        if stem[1]:
             confirm += 1
-        elif token.startswith(REVERSE_STEMS):
+        else:
             reverse += 1
     if confirm > reverse:
         return Outcome.APPELLEE_WINS, confirm, reverse

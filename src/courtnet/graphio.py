@@ -8,20 +8,18 @@ name; other keys are ignored, so one row list serves both writers, and
 the schema.
 
 Each writer builds its formatters once per file, from its format and the
-schemas: ids are escaped (GraphML) or quoted (DOT) once each, and every
-attribute's text comes from its declared type. In both formats an edge line
-is head(source) + tail(target, attrs), so instead of rows a writer also takes
-a function of (head, tail) that returns the edge section's text. A caller
-whose sources share their tails can then format each tail once and join it
-under many heads (see networks.write_case). Lines are streamed to the file in
-the order given, with a fixed layout and no timestamps, so identical graphs
-serialize to identical bytes. No pipeline stage reads these files back, so
-there is no reader.
+schemas: every attribute's text comes from its declared type. In both formats
+an edge line is head(source) + tail(target, attrs), so instead of rows a
+writer also takes a function of (head, tail) that returns the edge section's
+text. A caller whose sources share their tails can then format each tail once
+and join it under many heads (see networks.write_case). Lines are streamed to
+the file in the order given, with a fixed layout and no timestamps, so
+identical graphs serialize to identical bytes. No pipeline stage reads these
+files back, so there is no reader.
 """
 
 from __future__ import annotations
 
-import functools
 from pathlib import Path
 from typing import AbstractSet, Callable, Iterable
 
@@ -91,15 +89,14 @@ def write_graphml(
     edges: Edges,
 ) -> None:
     """Write a graph as GraphML, declaring every schema attribute as a key."""
-    ident = functools.cache(_attr)  # each id is escaped once, not once per edge end
     node_end = _graphml_end("node", node_attrs, 0)
     edge_end = _graphml_end("edge", edge_attrs, len(node_attrs))
 
     def head(source: str) -> str:
-        return f'    <edge source="{ident(source)}" target="'
+        return f'    <edge source="{_attr(source)}" target="'
 
     def tail(target: str, attrs: dict) -> str:
-        return f'{ident(target)}"{edge_end(attrs)}'
+        return f'{_attr(target)}"{edge_end(attrs)}'
 
     with open(path, "w", encoding="utf-8") as fh:
         fh.write('<?xml version="1.0" encoding="UTF-8"?>\n')
@@ -111,7 +108,7 @@ def write_graphml(
         edgedefault = "directed" if directed else "undirected"
         fh.write(f'  <graph edgedefault="{edgedefault}">\n')
         for node_id, attrs in nodes:
-            fh.write(f'    <node id="{ident(node_id)}"{node_end(attrs)}')
+            fh.write(f'    <node id="{_attr(node_id)}"{node_end(attrs)}')
         fh.writelines(_edge_text(edges, head, tail))
         fh.write("  </graph>\n</graphml>\n")
 
@@ -140,21 +137,20 @@ def write_dot(
     edges: Edges,
 ) -> None:
     """Write a graph in DOT form, with each row's schema attributes in schema order."""
-    quote = functools.cache(_dot_quote)  # each id is quoted once, not once per edge end
     node_list = _dot_list(node_attrs)
     edge_list = _dot_list(edge_attrs)
     arrow = "->" if directed else "--"
 
     def head(source: str) -> str:
-        return f"  {quote(source)} {arrow} "
+        return f"  {_dot_quote(source)} {arrow} "
 
     def tail(target: str, attrs: dict) -> str:
-        return f"{quote(target)}{edge_list(attrs)};\n"
+        return f"{_dot_quote(target)}{edge_list(attrs)};\n"
 
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"{'digraph' if directed else 'graph'} G {{\n")
         for node_id, attrs in nodes:
-            fh.write(f"  {quote(node_id)}{node_list(attrs)};\n")
+            fh.write(f"  {_dot_quote(node_id)}{node_list(attrs)};\n")
         fh.writelines(_edge_text(edges, head, tail))
         fh.write("}\n")
 

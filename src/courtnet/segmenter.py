@@ -243,15 +243,31 @@ def _first_hit(lines: list[str], lo: int, hi: int, marker: Marker, threshold: fl
     return None
 
 
+def cut(marks: Sequence[tuple[str, int, int]], end: int) -> list[Segment]:
+    """The segments of a text of length `end` whose marker lines are marks.
+
+    marks holds (segment name, line start, line end) for each marker line, in
+    document order, the conclusion last. The header is everything before the
+    first marker line, and is left out when that is nothing. Every other
+    segment runs from the end of its marker line to the start of the next
+    marker line; the conclusion keeps its marker line and runs to the end.
+    """
+    first_start = marks[0][1]
+    segments = [Segment("header", 0, first_start)] if first_start > 0 else []
+    for idx, (name, line_start, line_end) in enumerate(marks):
+        if name == "conclusion":
+            segments.append(Segment(name, line_start, end))
+        else:
+            segments.append(Segment(name, line_end, marks[idx + 1][1]))
+    return segments
+
+
 def segment(doc: "Document", profile: KeywordProfile) -> SegmentedJudgment:
-    """Locate profile markers in order and cut the text into segments.
+    """Locate profile markers in order and cut the text into segments (see cut).
 
     Markers are matched line by line, each searched only after the previous
-    match. A segment runs from the end of its marker line to the start of the
-    next matched marker line; the conclusion keeps its marker line and runs to
-    the end of the text; everything before the first marker is the header.
-    Unmatched optional markers are simply omitted. A mandatory marker found
-    only before the current position raises OutOfOrderMarkers; an absent
+    match. Unmatched optional markers are simply omitted. A mandatory marker
+    found only before the current position raises OutOfOrderMarkers; an absent
     conclusion raises MissingConclusion.
     """
     text = doc.text
@@ -276,16 +292,8 @@ def segment(doc: "Document", profile: KeywordProfile) -> SegmentedJudgment:
             raise MissingConclusion(f"{doc.doc_id}: no conclusion marker found")
 
     starts = [0, *itertools.accumulate(map(len, lines))]  # line li ends at starts[li + 1]
-    segments: list[Segment] = []
-    first_start = starts[matched[0][1]]
-    if first_start > 0:
-        segments.append(Segment("header", 0, first_start))
-    for idx, (name, li) in enumerate(matched):
-        if name == "conclusion":
-            segments.append(Segment(name, starts[li], len(text)))
-        else:
-            segments.append(Segment(name, starts[li + 1], starts[matched[idx + 1][1]]))
-    return SegmentedJudgment(doc_id=doc.doc_id, segments=segments)
+    marks = [(name, starts[li], starts[li + 1]) for name, li in matched]
+    return SegmentedJudgment(doc_id=doc.doc_id, segments=cut(marks, len(text)))
 
 
 # Tokens that block a sentence split at a following period: honorifics and
@@ -543,42 +551,28 @@ def build_flow_graph(corpus: Sequence["Document"], threshold: float = DEFAULT_TH
     threshold (see _contract), long and short sentences never merging with
     each other. The first-seen node of each group provides the surviving label.
     """
-    doc_sentences = [split_sentences(doc.text) for doc in corpus]
+    doc_keys = [[(len(s.split()) >= LONG_SENTENCE_WORDS, s) for s in split_sentences(doc.text)]
+                for doc in corpus]
 
-    # one entry per distinct sentence text within each length class
-    order: dict[tuple[bool, str], int] = {}
-    texts: list[str] = []
-    labels: list[str] = []
-    classes: list[bool] = []
+    # each distinct (is_long, sentence) to its first-seen label, in first-seen order
+    labels: dict[tuple[bool, str], str] = {}
+    for i, keys in enumerate(doc_keys):
+        for j, (is_long, sentence) in enumerate(keys):
+            labels.setdefault((is_long, sentence), f"Long_Text_{i}_{j}" if is_long else sentence)
 
-    def node_index(i: int, j: int, sentence: str) -> int:
-        is_long = len(sentence.split()) >= LONG_SENTENCE_WORDS
-        key = (is_long, sentence)
-        if key not in order:
-            order[key] = len(texts)
-            texts.append(sentence)
-            labels.append(f"Long_Text_{i}_{j}" if is_long else sentence)
-            classes.append(is_long)
-        return order[key]
-
-    occ_index: list[list[int]] = []
-    for i, sentences in enumerate(doc_sentences):
-        occ_index.append([node_index(i, j, s) for j, s in enumerate(sentences)])
-
-    # contract each class separately over distinct texts
+    # contract each class separately over distinct texts; a group takes its root's label
     jurisdictions = ",".join(sorted({doc.jurisdiction for doc in corpus}))
-    roots = list(range(len(texts)))
-    for is_long in (False, True):
-        members = [idx for idx, c in enumerate(classes) if c == is_long]
-        group_roots = _contract([texts[idx] for idx in members], threshold,
-                                f"{jurisdictions} {'long' if is_long else 'short'}")
-        for local, idx in enumerate(members):
-            roots[idx] = members[group_roots[local]]
+    for long_class in (False, True):
+        members = [key for key in labels if key[0] == long_class]
+        roots = _contract([sentence for _, sentence in members], threshold,
+                          f"{jurisdictions} {'long' if long_class else 'short'}")
+        for key, root in zip(members, roots):
+            labels[key] = labels[members[root]]
 
     nodes: dict[str, int] = {}
     edges: dict[tuple[str, str], int] = {}
-    for doc_occ in occ_index:
-        path = [labels[roots[idx]] for idx in doc_occ]
+    for keys in doc_keys:
+        path = [labels[key] for key in keys]
         for label in path:
             nodes[label] = nodes.get(label, 0) + 1
         for a, b in zip(path, path[1:]):

@@ -12,7 +12,7 @@ from .corpus import Document, text_doc_id
 from .extract import ArticleRef, Outcome, canonical_name
 from .jsonl import write_jsonl
 from .mix import jurisdiction_counts
-from .segmenter import Segment
+from .segmenter import Segment, cut
 
 
 @dataclass(frozen=True)
@@ -136,18 +136,6 @@ class _Builder:
 
     def text(self) -> str:
         return "".join(self.parts)
-
-    def truth_segments(self) -> tuple[Segment, ...]:
-        segs: list[Segment] = []
-        first_start = self.markers[0][1]
-        if first_start > 0:
-            segs.append(Segment("header", 0, first_start))
-        for idx, (name, line_start, line_end) in enumerate(self.markers):
-            if name == "conclusion":
-                segs.append(Segment(name, line_start, self.pos))
-            else:
-                segs.append(Segment(name, line_end, self.markers[idx + 1][1]))
-        return tuple(segs)
 
 
 def _lawyer_pool(rng) -> list[str]:
@@ -373,7 +361,7 @@ def _gen_doc(rng, index, jurisdiction, pool, dominant, needs_loss):
         appellee_lawyers=tuple(ape_lawyers),
         outcome=outcome,
         articles=frozenset(ArticleRef(canon, num) for _, canon, num in articles),
-        segments=b.truth_segments(),
+        segments=tuple(cut(b.markers, b.pos)),
     )
     return doc, truth
 

@@ -295,6 +295,25 @@ def extract_articles_reference(text, code_table):
     return refs
 
 
+def classify_outcome_reference(text):
+    """(outcome value, confirm count, reverse count): extract.classify_outcome as
+    it was before it matched the stems with one regular expression. Every
+    [a-z0-9]+ token of the folded text that starts with a confirm stem counts
+    for confirmation, else one that starts with a reverse stem for reversal;
+    the majority decides, and a tie is undetermined."""
+    from courtnet.extract import CONFIRM_STEMS, REVERSE_STEMS
+
+    confirm = reverse = 0
+    for token in re.findall(r"[a-z0-9]+", fold_reference(text)):
+        if token.startswith(CONFIRM_STEMS):
+            confirm += 1
+        elif token.startswith(REVERSE_STEMS):
+            reverse += 1
+    if confirm == reverse:
+        return "undetermined", confirm, reverse
+    return ("appellee_wins" if confirm > reverse else "appellant_wins"), confirm, reverse
+
+
 def contract_reference(texts, threshold):
     """Single-linkage roots over every pair: texts i < j join when neither
     folds to the empty string and their Jaro similarity exceeds the

@@ -2,6 +2,7 @@
 
 import json
 import os
+import shutil
 import signal
 import subprocess
 import sys
@@ -106,6 +107,28 @@ def test_bad_parameter_values_exit_1(tmp_path):
     assert _run("segment", "--output-dir", tmp_path, "--profile", "marseille") == 1
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--tol", "-1e-05", "tol must be positive, got -1e-05"),
+    ("--tol", "-.5", "tol must be positive, got -0.5"),
+    ("--tol", "-nan", "tol must be positive, got nan"),
+    ("--a", "-inf", "win weights must be positive and finite, got a=-inf, b=1.0"),
+], ids=["exponent", "no-integer-part", "nan", "inf"])
+def test_a_negative_value_may_follow_its_flag_in_any_float_form(tmp_path, capsys, flag, value,
+                                                                message):
+    # argparse's own pattern (^-\d+$|^-\d*\.\d+$) would read -1e-05 or -inf as an option
+    errors = []
+    for argv in ([flag, value], [f"{flag}={value}"]):
+        assert _run("rank", "--output-dir", tmp_path, *argv) == 1
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1] == f"courtnet: config error: {message}\n"
+
+
+def test_dash_h_after_a_command_is_still_help(capsys):
+    with pytest.raises(SystemExit) as exc:
+        _build_parser().parse_args(["rank", "-h"])
+    assert exc.value.code == 0 and capsys.readouterr().out.startswith("usage: courtnet rank")
+
+
 _BAD_WEIGHT = "win weights must be positive and finite"
 # a mass of 1e-17 is below 1.1e-16, so ln(mass + 1) is 0; a mass of 1e308 overflows the weight
 _EDGE = ("opposing pair 'agnes garnier', 'anne lambert': win masses 0.0 and {} give the "
@@ -173,6 +196,70 @@ def test_staged_flow_produces_all_artifacts(tmp_path):
         "flow_douai.graphml", "flow_agen.graphml",
     ):
         assert (out / name).exists(), name
+
+
+@pytest.fixture(scope="module")
+def all_artifacts(tmp_path_factory):
+    """A directory of every stage file of a 30-document corpus, and a directory
+    of the corpus's texts as .txt sources."""
+    root = tmp_path_factory.mktemp("all")
+    out = root / "out"
+    assert _run("synth", "--output-dir", out, "--n-docs", "30") == 0
+    assert _run("run", "--corpus-file", out / "corpus.jsonl", "--output-dir", out) == 0
+    sources = root / "sources"
+    sources.mkdir()
+    for i, line in enumerate((out / "corpus.jsonl").read_text(encoding="utf-8").splitlines()):
+        (sources / f"{i}.txt").write_text(json.loads(line)["text"], encoding="utf-8")
+    return out, sources
+
+
+_GRAPH_FILES = {f"{name}.{ext}" for name in ("opposing", "collaboration", "cases_k3")
+                for ext in ("graphml", "dot")}
+_RUN_FILES = {"segments.jsonl", "extracted.jsonl", *_GRAPH_FILES, "communities.csv",
+              "rankings.csv", "run_manifest.json"}
+
+
+@pytest.mark.parametrize("argv, inputs, writes", [
+    (["synth", "--n-docs", "30"], set(), {"corpus.jsonl", "truth.jsonl"}),
+    (["ingest", "--input-dir"], set(), {"corpus.jsonl"}),
+    (["segment"], {"corpus.jsonl"}, {"segments.jsonl"}),
+    (["extract"], {"corpus.jsonl", "segments.jsonl"}, {"extracted.jsonl"}),
+    (["networks"], {"extracted.jsonl"}, _GRAPH_FILES),
+    (["rank"], {"extracted.jsonl"}, {"rankings.csv"}),
+    (["communities"], {"extracted.jsonl"}, {"communities.csv"}),
+    (["flowgraph"], {"corpus.jsonl"},
+     {f"flow_{jur}.{ext}" for jur in ("agen", "douai") for ext in ("graphml", "dot")}),
+    (["run", "--input-dir"], set(), {"corpus.jsonl", *_RUN_FILES}),
+    (["run", "--corpus-file"], set(), _RUN_FILES),
+], ids=["synth", "ingest", "segment", "extract", "networks", "rank", "communities", "flowgraph",
+        "run-input-dir", "run-corpus-file"])
+def test_each_command_writes_its_artifacts_and_no_other_file(tmp_path, all_artifacts, argv,
+                                                              inputs, writes):
+    full, sources = all_artifacts
+    out = tmp_path / "out"
+    out.mkdir()
+    for name in inputs:
+        shutil.copy(full / name, out / name)
+    if argv[-1] == "--input-dir":
+        argv = [*argv, sources]
+    elif argv[-1] == "--corpus-file":
+        argv = [*argv, full / "corpus.jsonl"]
+    assert _run(*argv, "--output-dir", out) == 0
+    assert {p.name for p in out.iterdir()} - inputs == writes
+
+
+def test_extract_reads_segments_jsonl_and_does_not_segment_again(tmp_path, all_artifacts):
+    full, _ = all_artifacts
+    out = tmp_path / "out"
+    out.mkdir()
+    shutil.copy(full / "corpus.jsonl", out / "corpus.jsonl")
+    dropped, *kept = (full / "segments.jsonl").read_text(encoding="utf-8").splitlines(True)
+    (out / "segments.jsonl").write_text("".join(kept), encoding="utf-8")
+    assert _run("extract", "--output-dir", out) == 0
+    ids = [json.loads(line)["doc_id"]
+           for line in (out / "extracted.jsonl").read_text(encoding="utf-8").splitlines()]
+    assert ids == [json.loads(line)["doc_id"] for line in kept]
+    assert json.loads(dropped)["doc_id"] not in ids
 
 
 def test_stage_with_missing_input_exits_2(tmp_path, capsys):

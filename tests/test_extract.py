@@ -21,7 +21,7 @@ from courtnet.extract import (
 )
 from courtnet.segmenter import get_profile, segment
 
-from oracles import extract_articles_reference
+from oracles import classify_outcome_reference, extract_articles_reference
 
 
 def _segmented(text, jurisdiction="douai"):
@@ -203,6 +203,22 @@ def test_classify_outcome_stem_boundaries():
     # accents fold away before matching
     assert classify_outcome("L'appel est déclaré irrecevable.")[0] is Outcome.APPELLEE_WINS
     assert classify_outcome("Le jugement est infirmé.")[0] is Outcome.APPELLANT_WINS
+
+
+# Stems and their accented and capitalised forms, and what can touch a stem:
+# digits, letters, characters that fold to two (ß, ﬁ), combining accents,
+# apostrophes, hyphens and spaces.
+OUTCOME_PIECES = ["confirme", "Confirmé", "CONFIRMÉ", "confirmée", "rejete", "rejeté", "REJETÉE",
+                  "irrecevable", "Irrecevable", "infirme", "Infirmé", "INFIRMEE", "rectifi",
+                  "Rectifié", "reform", "Réformé", "RÉFORME", "1", "42", "e", "é", "E", "s",
+                  "ß", "ﬁ", "\u0301", "\u0327", "'", "’", "-", " ", "\n", "."]
+
+
+@settings(max_examples=500)
+@given(st.lists(st.sampled_from(OUTCOME_PIECES), max_size=12).map("".join))
+def test_outcome_stems_equal_the_token_loop_reference(text):
+    outcome, confirm, reverse = classify_outcome(text)
+    assert (outcome.value, confirm, reverse) == classify_outcome_reference(text)
 
 
 def test_rejection_rate():
