@@ -20,6 +20,7 @@ files back, so there is no reader.
 
 from __future__ import annotations
 
+import re
 from pathlib import Path
 from typing import AbstractSet, Callable, Iterable
 
@@ -29,9 +30,18 @@ GRAPHML_NS = "http://graphml.graphdrawing.org/xmlns"
 Edges = Iterable[tuple[str, str, dict]] | Callable[[Callable, Callable], Iterable[str]]
 
 
+# Characters XML 1.0 allows in no form, not even as a character reference:
+# the C0 controls but tab, newline and carriage return, and U+FFFE, U+FFFF.
+# None is printable.
+_NOT_XML = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ufffe\uffff]")
+
+
 def _text(value) -> str:
-    """The value escaped for XML element text: '&', '<' and '>'."""
-    return str(value).replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+    """The value escaped for XML element text: '&', '<' and '>'; _NOT_XML as U+FFFD."""
+    text = str(value)
+    if not text.isprintable():
+        text = _NOT_XML.sub("\ufffd", text)
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
 def _attr(value) -> str:

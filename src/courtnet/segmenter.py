@@ -26,7 +26,7 @@ from . import graphio
 from .errors import InputError, MissingConclusion, OutOfOrderMarkers
 from .jsonl import decode
 from .textmetrics import (
-    DEFAULT_THRESHOLD, _ceiling, _char_counts, _positions, _shared, check_threshold, fold, jaro,
+    DEFAULT_THRESHOLD, _ceiling, _char_counts, _jaro, _positions, _shared, check_threshold, fold,
 )
 
 if TYPE_CHECKING:
@@ -178,32 +178,36 @@ _VERDICTS_KEPT = 1 << 14
 
 
 @functools.lru_cache(maxsize=32)  # a few sets of variants per profile
-def _matcher(variants: tuple[str, ...], threshold: float) -> tuple[dict[str, bool], str, tuple]:
+def _matcher(variants: tuple[str, ...], threshold: float) -> tuple[dict[str, bool], dict, tuple]:
     """The verdict memo, alphabet and folded variants of one set of variants.
 
     The memo maps a raw line to its _marker_hits verdict, a function of the
     line and of these two values alone, so markers equal in variants share
-    one memo, and so do documents. Each folded variant comes with the
-    positions and counts of its characters over the alphabet, which is every
-    character of the folded variants.
+    one memo, and so do documents. The alphabet maps every character of the
+    folded variants to its code; len(alphabet) codes any other character.
+    Each folded variant comes with its codes, their positions and its
+    character counts over the alphabet.
     """
     folded = [fold(v) for v in variants]
-    alphabet = "".join(sorted(set().union(*folded)))
-    return {}, alphabet, tuple((fv, _positions(fv), _char_counts(fv, alphabet)) for fv in folded)
+    alphabet = {ch: c for c, ch in enumerate(sorted(set().union(*folded)))}
+    coded = [list(map(alphabet.__getitem__, fv)) for fv in folded]
+    return {}, alphabet, tuple((fv, codes, _positions(codes, len(alphabet) + 1),
+                                _char_counts(fv, alphabet)) for fv, codes in zip(folded, coded))
 
 
-def _marker_hits(line: str | None, alphabet: str, folded: tuple, threshold: float) -> bool:
+def _marker_hits(line: str | None, alphabet: dict, folded: tuple, threshold: float) -> bool:
     """Whether a folded stripped line (None when blank) is one of the marker's headings.
 
     A line hits when it starts with a folded variant or scores above the
     threshold against one. The length and shared-character bounds skip only
-    variants the line cannot score above the threshold against.
+    variants the line cannot score above the threshold against; the line is
+    coded only for the first variant they pass.
     """
     if line is None:
         return False
     n1 = len(line)
-    counts = None
-    for fv, positions, fv_counts in folded:
+    counts = codes = None
+    for fv, fv_codes, positions, fv_counts in folded:
         if line.startswith(fv):
             return True
         n2 = len(fv)  # not 0: the empty string is a prefix of every line
@@ -212,8 +216,10 @@ def _marker_hits(line: str | None, alphabet: str, folded: tuple, threshold: floa
         if counts is None:
             counts = _char_counts(line, alphabet)
             total = sum(counts)  # the variant's own count is n2: the alphabet is its characters
-        if (_ceiling(_shared(counts, fv_counts, total + n2), n1, n2) > threshold
-                and jaro(line, fv, positions) > threshold):
+        if _ceiling(_shared(counts, fv_counts, total + n2), n1, n2) <= threshold:
+            continue
+        codes = codes or list(map(alphabet.get, line, itertools.repeat(len(alphabet))))
+        if _jaro(codes, fv_codes, positions) > threshold:
             return True
     return False
 
@@ -416,34 +422,40 @@ def _shard_count(rows: int) -> int:
     return max(1, min(len(os.sched_getaffinity(0)), rows // _ROWS_PER_SHARD))
 
 
-def _scan_rows(shard: int, shards: int, by_length: list[int], folded: list[str],
-               counts: list[list[int]], positions: list[dict[str, list[int]]],
-               threshold: float) -> array:
+def _scan_rows(shard: int, shards: int, by_length: list[int], codes: list[list[int]],
+               counts: list[list[int]], positions: list[list[tuple]], threshold: float) -> array:
     """The pairs that rows x = shard (mod shards) of the length-sorted scan join, flat.
 
-    Row x compares text by_length[x] with each longer text after it, and ends
-    at the first length that bounds the score at or below the threshold. A
-    pair is skipped when this shard has already joined its texts, or when
-    their shared characters bound the score; the rest are scored by Jaro.
-    Each joined pair is appended as (lo, hi), lo < hi.
+    Row x compares text by_length[x] with each longer text after it, up to
+    its end: the first length that bounds the score at or below the
+    threshold. That bound, _ceiling(li, li, lj), does not decrease in li,
+    nor li along the scan, so each row takes up its end from this shard's
+    previous row. A pair is skipped when this shard has already joined its
+    texts, or when their shared characters bound the score; the rest are
+    scored by Jaro. Each joined pair is appended as (lo, hi), lo < hi.
     """
-    uf = _UnionFind(len(folded))
+    uf = _UnionFind(len(codes))
     joined = array("i")
+    lengths = [len(codes[i]) for i in by_length]
+    end = 0
     for x in range(shard, len(by_length), shards):
         i = by_length[x]
-        li = len(folded[i])
-        for j in by_length[x + 1:]:
-            lj = len(folded[j])
-            if _ceiling(li, li, lj) <= threshold:
-                break
-            if uf.find(i) == uf.find(j):
+        li = lengths[x]
+        end = max(end, x + 1)
+        while end < len(lengths) and _ceiling(li, li, lengths[end]) > threshold:
+            end += 1
+        root = uf.find(i)
+        for j in by_length[x + 1:end]:
+            if uf.find(j) == root:
                 continue
             lo, hi = min(i, j), max(i, j)
+            lj = len(codes[j])
             # the alphabet holds every character, so each text's count sums to its length
             if (_ceiling(_shared(counts[lo], counts[hi], li + lj), li, lj) > threshold
-                    and jaro(folded[lo], folded[hi], positions[hi]) > threshold):
+                    and _jaro(codes[lo], codes[hi], positions[hi]) > threshold):
                 uf.union(lo, hi)
                 joined.extend((lo, hi))
+                root = uf.find(i)
     return joined
 
 
@@ -528,12 +540,13 @@ def _contract(texts: list[str], threshold: float, name: str = "texts") -> list[i
     start = time.perf_counter()
     folded = [fold(t) for t in texts]
     by_length = sorted((i for i, f in enumerate(folded) if f), key=lambda i: len(folded[i]))
-    alphabet = "".join(sorted(set().union(*folded)))
+    alphabet = {ch: c for c, ch in enumerate(sorted(set().union(*folded)))}
     counts = [_char_counts(f, alphabet) for f in folded]
-    positions = [_positions(f) for f in folded]
+    codes = [list(map(alphabet.__getitem__, f)) for f in folded]
+    positions = [_positions(c, len(alphabet)) for c in codes]
     shards = _shard_count(len(by_length))
     uf = _UnionFind(len(texts))
-    for pairs in _joined_pairs(shards, (shards, by_length, folded, counts, positions, threshold)):
+    for pairs in _joined_pairs(shards, (shards, by_length, codes, counts, positions, threshold)):
         for lo, hi in zip(pairs[::2], pairs[1::2]):
             uf.union(lo, hi)
     logger.info("contraction %s: %d texts, %d shards, %.3f s",

@@ -2,6 +2,10 @@
 
 Everything here operates on folded text: case-folded with diacritics stripped,
 so that INTIMÉE, Intimee and intimée all compare equal.
+
+Jaro has one kernel, _jaro, over texts coded as lists of integers (each
+character's place in an alphabet the caller chooses); a text scored many
+times is coded, and its positions listed by _positions, once.
 """
 
 from __future__ import annotations
@@ -88,16 +92,22 @@ def fold_aligned(text: str) -> str:
     return _fold_with(text, _FOLD_ALIGNED)
 
 
-def _positions(text: str) -> dict[str, list[int]]:
-    """Each character of the text mapped to its positions, ascending."""
-    positions: dict[str, list[int]] = {}
-    for i, ch in enumerate(text):
-        positions.setdefault(ch, []).append(i)
+_END = float("inf")  # closes each position tuple: no position reaches it
+
+
+def _positions(codes: list[int], size: int) -> list[tuple]:
+    """For each code below size, its positions in codes ascending, closed by _END."""
+    found: dict[int, list[int]] = {}
+    for i, c in enumerate(codes):
+        found.setdefault(c, []).append(i)
+    positions = [(_END,)] * size  # one tuple, shared by every absent code
+    for c, at in found.items():
+        positions[c] = (*at, _END)
     return positions
 
 
-def _char_counts(text: str, alphabet: str) -> list[int]:
-    """How often each character of the alphabet occurs in the text."""
+def _char_counts(text: str, alphabet: dict[str, int]) -> list[int]:
+    """How often each character of the alphabet (its keys, in order) occurs in the text."""
     return [text.count(ch) for ch in alphabet]
 
 
@@ -122,7 +132,7 @@ def _ceiling(matches: int, n1: int, n2: int) -> float:
     return (matches / n1 + matches / n2 + 1.0) / 3.0
 
 
-def jaro(a: str, b: str, positions_b: dict[str, list[int]] | None = None) -> float:
+def jaro(a: str, b: str) -> float:
     """Jaro similarity in [0, 1] of two strings, compared as given (fold them first).
 
     Characters match when equal and at most max(len)//2 - 1 positions apart,
@@ -130,13 +140,22 @@ def jaro(a: str, b: str, positions_b: dict[str, list[int]] | None = None) -> flo
     the window). The transposition count is half the number of matched
     characters appearing in a different order, rounded down. Equal strings
     give 1.0; otherwise no matches at all, including either string being
-    empty, gives 0.0. positions_b is _positions(b) if given.
+    empty, gives 0.0. Both strings are coded over the characters they hold.
+    """
+    code = {ch: c for c, ch in enumerate(set(a).union(b))}
+    codes_b = list(map(code.__getitem__, b))
+    return _jaro(list(map(code.__getitem__, a)), codes_b, _positions(codes_b, len(code)))
 
-    For one character, the greedy assignment picks positions of b that only
-    increase: each pick is the first unmatched equal position at or after
-    i - window, and the lower end of the window only rises. So one pointer
-    per character into its positions in b finds the same matches as a scan
-    of the window.
+
+def _jaro(a: list[int], b: list[int], positions_b: list[tuple]) -> float:
+    """jaro() of texts coded one to one over one alphabet; positions_b is _positions(b, size).
+
+    Every code of a is below size. For one code, the greedy assignment
+    picks positions of b that only increase: each pick is the first
+    unmatched equal position at or after i - window, and the lower end of
+    the window only rises. So one pointer per code into its positions in b
+    finds the same matches as a scan of the window. _END stops every
+    pointer, so none needs a bounds check.
     """
     n1, n2 = len(a), len(b)
     if a == b:
@@ -144,34 +163,30 @@ def jaro(a: str, b: str, positions_b: dict[str, list[int]] | None = None) -> flo
     if n1 == 0 or n2 == 0:
         return 0.0
     window = max(max(n1, n2) // 2 - 1, 0)
-    if positions_b is None:
-        positions_b = _positions(b)
-
-    pointer = dict.fromkeys(positions_b, 0)
-    matched_a = []  # the matched characters of a, in order
-    matched_b = []  # the matched positions of b, in the order of a
-    for i, ch in enumerate(a):
-        positions = positions_b.get(ch)
-        if positions is None:
-            continue
-        k = pointer[ch]
-        end = len(positions)
-        while k < end and positions[k] < i - window:
+    span = 2 * window
+    pointer = [0] * len(positions_b)
+    matched = []  # the matched positions of b, in the order of a
+    for lo, c in enumerate(a, -window):  # lo = i - window
+        positions = positions_b[c]
+        k = pointer[c]
+        p = positions[k]
+        while p < lo:
             k += 1
-        if k < end and positions[k] <= i + window:
-            matched_a.append(ch)
-            matched_b.append(positions[k])
+            p = positions[k]
+        if p <= lo + span:
+            matched.append(p)
             k += 1
-        pointer[ch] = k
-    m = len(matched_b)
+        pointer[c] = k
+    m = len(matched)
     if m == 0:
         return 0.0
 
-    # Walk both matched sequences in order; each positional mismatch is half
-    # a transposition, floored at the end.
-    matched_b.sort()
-    diff = sum(ch != b[j] for ch, j in zip(matched_a, matched_b))
-    t = diff // 2
+    # A matched position of b holds the code it matched, so b read at the
+    # matched positions gives the matched codes of a in the order of a, and
+    # at the sorted ones those of b in the order of b. Each positional
+    # mismatch is half a transposition, floored at the end.
+    code_at = b.__getitem__
+    t = sum(map(operator.ne, map(code_at, matched), map(code_at, sorted(matched)))) // 2
     return (m / n1 + m / n2 + (m - t) / m) / 3.0
 
 

@@ -223,3 +223,27 @@ def test_pipeline_graph_files_are_pinned(tmp_path):
                  "--output-dir", str(tmp_path)]) == 0
     for name, want in PINNED_GRAPH_FILES.items():
         assert (tmp_path / name).read_bytes() == want.encode("utf-8"), name
+
+
+def test_characters_xml_forbids_become_u_fffd_and_every_graphml_parses(tmp_path):
+    # Word writes \v for a manual line break; \x01 stands for any other C0
+    # control. XML 1.0 allows neither, not even as a character reference.
+    sources = tmp_path / "sources"
+    sources.mkdir()
+    for i, (appellant, appellee) in enumerate((("Paul HENRY", "Claire DUPONT"),
+                                               ("Jean RENAUD", "Anne PETIT"))):
+        (sources / f"{i}.txt").write_text(
+            f"APPELANT\nMonsieur {appellant}\nreprésenté par Me Anne MAR\x01TIN\n\n"
+            f"INTIMÉ\nMadame {appellee}\nreprésentée par Me Hugo TOUR\n\n"
+            "PAR CES MOTIFS\nConfirme\vle jugement.\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["run", "--input-dir", str(sources), "--output-dir", str(out)]) == 0
+    assert main(["flowgraph", "--output-dir", str(out)]) == 0
+    written = sorted(p.name for p in out.glob("*.graphml"))
+    assert written == ["cases_k3.graphml", "collaboration.graphml", "flow_generic.graphml",
+                       "opposing.graphml"]
+    ids = {name: {node_id for node_id, _ in parse_graphml(out / name)[1]} for name in written}
+    assert "Confirme�le jugement." in ids["flow_generic.graphml"]
+    assert any("�" in node_id for node_id in ids["opposing.graphml"])
+    # DOT is unchanged: it takes both characters as they are
+    assert "Confirme\vle jugement." in (out / "flow_generic.dot").read_text(encoding="utf-8")

@@ -336,14 +336,38 @@ def test_marker_hits_equal_unpruned_reference(case, threshold):
 
 @st.composite
 def _sentence_lists(draw):
-    # few letters, so that many pairs score near the threshold
+    # few letters, so that many pairs score near the threshold; texts of 0 to
+    # 60 characters in one list, so that rows end at different places
     alphabet = draw(st.sampled_from(["ab", "ab é\u0301", "abcd ", "aeiouy"]))
-    return draw(st.lists(st.text(alphabet, max_size=20), max_size=14))
+    text = st.one_of(st.text(alphabet, max_size=8), st.text(alphabet, min_size=8, max_size=60))
+    return draw(st.lists(text, max_size=14))
+
+
+def _check_joins(mp):
+    """Make each shard check that every pair it joins merges two of its groups."""
+    scan = segmenter._scan_rows
+
+    def checked(shard, shards, by_length, codes, *args):
+        pairs = scan(shard, shards, by_length, codes, *args)
+        root = list(range(len(codes)))
+
+        def find(x):
+            while root[x] != x:
+                x = root[x]
+            return x
+        for lo, hi in zip(pairs[::2], pairs[1::2]):
+            rlo, rhi = find(lo), find(hi)
+            assert rlo != rhi, f"shard {shard} joined {lo} and {hi} twice"
+            root[max(rlo, rhi)] = min(rlo, rhi)
+        return pairs
+    mp.setattr(segmenter, "_scan_rows", checked)
 
 
 @given(_sentence_lists(), st.sampled_from([0.0, 0.8, 1.0]))
 def test_contract_roots_equal_all_pairs_reference(texts, threshold):
-    assert segmenter._contract(texts, threshold) == contract_reference(texts, threshold)
+    with pytest.MonkeyPatch.context() as mp:
+        _check_joins(mp)
+        assert segmenter._contract(texts, threshold) == contract_reference(texts, threshold)
 
 
 def _force_shards(mp, cpus):
@@ -355,8 +379,10 @@ def _force_shards(mp, cpus):
 @pytest.mark.parametrize("cpus", [2, 3])
 @given(texts=_sentence_lists(), threshold=st.sampled_from([0.0, 0.8, 1.0]))
 def test_sharded_contract_roots_equal_all_pairs_reference(cpus, texts, threshold):
+    # a shard that fails its check exits 1, and _contract raises ChildProcessError
     with pytest.MonkeyPatch.context() as mp:
         _force_shards(mp, cpus)
+        _check_joins(mp)
         assert segmenter._contract(texts, threshold) == contract_reference(texts, threshold)
 
 

@@ -5,7 +5,7 @@ import random
 import string
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from courtnet import textmetrics
 from courtnet.segmenter import _contract
@@ -125,7 +125,35 @@ def test_jaro_equals_reference_exactly(pair):
     assert _folded_jaro(s1, s2) == expected
     a, b = fold(s1), fold(s2)
     assert jaro(a, b) == expected
-    assert jaro(a, b, textmetrics._positions(b)) == expected
+    code = {ch: c for c, ch in enumerate(sorted(set(a + b)))}
+    codes_a, codes_b = ([code[ch] for ch in text] for text in (a, b))
+    positions_b = textmetrics._positions(codes_b, len(code))
+    assert textmetrics._jaro(codes_a, codes_b, positions_b) == expected
+
+
+# Codes below and above 256; each stands for a CJK ideograph, which folds to itself.
+KERNEL_CODES = [0, 1, 2, 7, 255, 256, 300, 4000]
+
+
+@st.composite
+def _code_pairs(draw):
+    codes = st.sampled_from(draw(st.lists(st.sampled_from(KERNEL_CODES), min_size=1,
+                                          max_size=4, unique=True)))
+    return draw(st.lists(codes, max_size=30)), draw(st.lists(codes, max_size=30))
+
+
+@given(_code_pairs(), st.integers(0, 3))
+@example(([5], [5]), 0)  # one code each
+@example(([5], [6]), 2)  # a code absent from b
+@example(([1, 2, 3], [3, 2, 1]), 0)  # window 0
+@example(([256, 1, 300], [1, 300]), 1)
+def test_kernel_on_codes_equals_reference(pair, spare):
+    a, b = pair
+    size = max(a + b, default=-1) + 1 + spare  # spare codes that neither text holds
+    text_a, text_b = ("".join(chr(0x4E00 + c) for c in codes) for codes in pair)
+    assert fold(text_a) == text_a and fold(text_b) == text_b
+    got = textmetrics._jaro(a, b, textmetrics._positions(b, size))
+    assert got == jaro_reference(text_a, text_b)
 
 
 @pytest.mark.parametrize("s1,s2,expected", KNOWN_PAIRS)
