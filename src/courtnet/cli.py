@@ -49,7 +49,6 @@ from .extract import (
     extract_record,
     read_extracted,
     rejection_rate,
-    write_extracted,
 )
 from .jsonl import check_encodable, decode, iter_unique, write_jsonl
 from .mix import jurisdiction_counts
@@ -189,7 +188,7 @@ class Pipeline:
                 docs.append(corpus_mod.ingest(path, self.cfg.jurisdiction))
             except InputError as exc:
                 skipped += 1
-                logger.warning("skipping %s: %s", path, exc)
+                logger.warning("skipping %s", exc)  # exc names the path
         if not docs:
             raise InputError(f"no ingestable documents under {root}")
         docs, dropped = corpus_mod.dedupe_documents(docs)
@@ -296,7 +295,7 @@ def _segments(p: Pipeline) -> None:
 
 
 def _extracted(p: Pipeline) -> None:
-    write_extracted(p.out("extracted.jsonl"), p.records)
+    write_jsonl(p.out("extracted.jsonl"), p.records)
 
 
 def _networks(p: Pipeline) -> None:
@@ -305,7 +304,7 @@ def _networks(p: Pipeline) -> None:
     networks_mod.write_case(p.out(f"cases_k{p.cfg.k}"), p.cases, p.partition.assignment)
     logger.info("networks: opposing %d/%d, collaboration %d/%d, cases %d/%d",
                 len(p.opposing.nodes), len(p.opposing.edges), len(p.collaboration.nodes),
-                len(p.collaboration.edges), len(p.cases.nodes), len(p.cases.edges))
+                len(p.collaboration.edges), len(p.cases.nodes), p.cases.edge_count)
 
 
 def _communities(p: Pipeline) -> None:
@@ -354,7 +353,7 @@ def _manifest(p: Pipeline) -> None:
         "collaboration_nodes": len(p.collaboration.nodes),
         "collaboration_edges": len(p.collaboration.edges),
         "case_nodes": len(p.cases.nodes),
-        "case_edges": len(p.cases.edges),
+        "case_edges": p.cases.edge_count,
         "communities": len(p.partition.sizes),
     }
     p.out("run_manifest.json").write_text(json.dumps(

@@ -16,7 +16,8 @@ from importlib import resources
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Mapping
 
-from .jsonl import iter_unique, write_jsonl
+from .graphio import xml_safe
+from .jsonl import iter_unique
 from .segmenter import SegmentedJudgment, split_sentences
 from .textmetrics import fold, fold_aligned
 
@@ -97,8 +98,8 @@ def _capture_after(sentence: str, start: int) -> str | None:
 
 
 def canonical_name(display: str) -> str:
-    """Folded, whitespace-collapsed name without a leading Me or Maître."""
-    words = fold(display).split()
+    """Folded, xml_safe, whitespace-collapsed name without a leading Me or Maître."""
+    words = fold(xml_safe(display)).split()
     while words and words[0] in _HONORIFICS:
         words = words[1:]
     return " ".join(words)
@@ -261,10 +262,6 @@ def extract_record(doc: "Document", seg: SegmentedJudgment) -> ExtractionRecord:
         confirm_count=confirm,
         reverse_count=reverse,
     )
-
-
-def write_extracted(path: str | Path, records: Iterable[ExtractionRecord]) -> None:
-    write_jsonl(path, sorted(records, key=lambda r: r.doc_id))
 
 
 def read_extracted(path: str | Path) -> list[ExtractionRecord]:

@@ -36,12 +36,14 @@ Edges = Iterable[tuple[str, str, dict]] | Callable[[Callable, Callable], Iterabl
 _NOT_XML = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ufffe\uffff]")
 
 
+def xml_safe(text: str) -> str:
+    """The text with each character XML 1.0 forbids as U+FFFD: how a free-text id is made."""
+    return text if text.isprintable() else _NOT_XML.sub("\ufffd", text)
+
+
 def _text(value) -> str:
-    """The value escaped for XML element text: '&', '<' and '>'; _NOT_XML as U+FFFD."""
-    text = str(value)
-    if not text.isprintable():
-        text = _NOT_XML.sub("\ufffd", text)
-    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+    """The value escaped for XML element text: '&', '<' and '>'; xml_safe first."""
+    return xml_safe(str(value)).replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
 def _attr(value) -> str:

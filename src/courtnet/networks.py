@@ -3,8 +3,9 @@
 Three structures: a directed opposing network whose edges point from the
 less to the more successful of two opposing lawyers, an undirected
 collaboration network over same-side pairs, and an undirected case graph
-linking decisions that cite enough common articles. Community detection runs
-on the unweighted skeleton of the case graph, read from its per-set rows.
+linking decisions that cite enough common articles; `_sides` says who won each
+determined case. Community detection runs on the unweighted skeleton of the
+case graph, read from its per-set rows.
 
 Each graph has one writer that streams `<stem>.graphml` and `<stem>.dot` from
 the same node and edge rows, in one `graphio.write_graph` call. The DOT file
@@ -26,7 +27,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import chain, combinations, islice
 from pathlib import Path
-from typing import AbstractSet, Iterable, Mapping, Sequence
+from typing import AbstractSet, Iterable, Iterator, Mapping, Sequence
 
 from . import graphio
 from .extract import ArticleRef, ExtractionRecord, Outcome
@@ -49,9 +50,17 @@ class NetworkParams:
             raise ValueError("thresholds must be non-negative")
 
 
-def _determined(records: Iterable[ExtractionRecord]) -> list[ExtractionRecord]:
-    """The records with a known outcome: the only ones the lawyer networks read."""
-    return [r for r in records if r.outcome is not Outcome.UNDETERMINED]
+def _sides(records: Iterable[ExtractionRecord]) -> Iterator[tuple[ExtractionRecord, list, list]]:
+    """(record, winners, losers) for each determined record, in record order.
+
+    Each side is the record's canonical counsel names, in order and without
+    repeats; the appellants win an appellant win, the appellees the others.
+    """
+    for r in records:
+        if r.outcome is not Outcome.UNDETERMINED:
+            app = list(dict.fromkeys(n.canonical for n in r.appellant_lawyers))
+            ape = list(dict.fromkeys(n.canonical for n in r.appellee_lawyers))
+            yield (r, app, ape) if r.outcome is Outcome.APPELLANT_WINS else (r, ape, app)
 
 
 def lawyer_tallies(records: Iterable[ExtractionRecord]) -> dict[str, tuple[int, int, int]]:
@@ -82,21 +91,20 @@ def pair_wins(
 
     wins[(i, j)] accumulates params.a for every case i won over j from the
     appellant side and params.b for every case won from the appellee side.
+    A lawyer on both sides of a case is warned about and skipped.
     """
     params = params or NetworkParams()
     wins: dict[tuple[str, str], float] = {}
-    for r in _determined(records):
-        for i in dict.fromkeys(n.canonical for n in r.appellant_lawyers):
-            for j in dict.fromkeys(n.canonical for n in r.appellee_lawyers):
+    for r, winners, losers in _sides(records):
+        mass = params.a if r.outcome is Outcome.APPELLANT_WINS else params.b
+        for i in winners:
+            for j in losers:
                 if i == j:
                     logger.warning(
                         "%s: %s appears on both sides, pair skipped", r.doc_id, i
                     )
                     continue
-                if r.outcome is Outcome.APPELLANT_WINS:
-                    wins[(i, j)] = wins.get((i, j), 0.0) + params.a
-                else:
-                    wins[(j, i)] = wins.get((j, i), 0.0) + params.b
+                wins[(i, j)] = wins.get((i, j), 0.0) + mass
     return wins
 
 
@@ -161,7 +169,7 @@ def build_opposing_network(
     params = params or NetworkParams()
     wins = pair_wins(records, params)
     edges = collapse(wins)
-    tallies = lawyer_tallies(_determined(records))
+    tallies = lawyer_tallies(r for r, _, _ in _sides(records))
     keep = {l for l, (total, _, _) in tallies.items() if total >= params.min_cases}
     nodes = {l: LawyerStats(*tallies[l]) for l in sorted(keep)}
     edges = [e for e in edges if e.source in keep and e.target in keep]
@@ -194,16 +202,12 @@ def build_collaboration_network(
     incident to a surviving edge appear as nodes.
     """
     params = params or NetworkParams()
-    stats: dict[tuple[str, str], list[int]] = {}
-    for r in _determined(records):
-        for side, won_outcome in (
-            (r.appellant_lawyers, Outcome.APPELLANT_WINS),
-            (r.appellee_lawyers, Outcome.APPELLEE_WINS),
-        ):
-            won = r.outcome is won_outcome
-            for u, v in combinations(sorted({n.canonical for n in side}), 2):
+    stats: dict[tuple[str, str], list[int]] = {}  # per pair: [wins, losses]
+    for _, winners, losers in _sides(records):
+        for lost, side in enumerate((winners, losers)):
+            for u, v in combinations(sorted(side), 2):
                 s = stats.setdefault((u, v), [0, 0])
-                s[0 if won else 1] += 1
+                s[lost] += 1
     edges: list[CollabEdge] = []
     for u, v in sorted(stats):
         wins_, losses = stats[(u, v)]
@@ -215,29 +219,20 @@ def build_collaboration_network(
 
 
 @dataclass(frozen=True, eq=False)
-class CaseEdges:
-    """The case graph's edges, held per article set; len() is the edge count.
+class CaseGraph:
+    """Cases as nodes with their outcome; edges link cases sharing at least k articles.
 
-    Documents citing the same article set have the same neighbours, so the
-    edges are held per distinct set, as the sorted indices (into `doc_ids`)
-    of its neighbouring documents and the articles shared with each.
-    Document u's neighbours are its set's row without u, and its edges the
-    entries of that row past u.
+    `nodes` maps each document id to its outcome, in sorted id order, and a
+    document's index is its place there. Documents citing the same article
+    set have the same neighbours, so the edges are held per distinct set, as
+    the sorted indices of its neighbouring documents and the articles shared
+    with each. Document u's neighbours are its set's row without u, and its
+    edges the entries of that row past u.
     """
-    doc_ids: list[str]
+    nodes: dict[str, Outcome]
     set_of_doc: array                 # each document's set number
     rows: list[tuple[array, array]]   # per set: neighbouring documents, shared counts
-    count: int
-
-    def __len__(self) -> int:
-        return self.count
-
-
-@dataclass
-class CaseGraph:
-    """Cases as nodes with their outcome; edges link cases sharing at least k articles."""
-    nodes: dict[str, Outcome]
-    edges: CaseEdges
+    edge_count: int
 
 
 def check_k(k: int) -> None:
@@ -257,7 +252,7 @@ def build_case_graph(
     bucketed by their article set, and the articles shared between two
     distinct sets are counted through an inverted index over the sets. No
     state is kept per case pair: each set holds at most one entry per case,
-    and no edge list is stored (see CaseEdges).
+    and no edge list is stored (see CaseGraph).
     """
     check_k(k)
     doc_ids = sorted(articles)
@@ -288,8 +283,7 @@ def build_case_graph(
         # a set of at least k articles neighbours itself, so holds its own documents
         twice_edges += len(members[s]) * (len(nbrs) - (len(refs) >= k))
     nodes = {d: outcomes.get(d, Outcome.UNDETERMINED) for d in doc_ids}
-    edges = CaseEdges(doc_ids, set_of_doc, rows, twice_edges // 2)
-    return CaseGraph(nodes=nodes, edges=edges)
+    return CaseGraph(nodes, set_of_doc, rows, twice_edges // 2)
 
 
 # ---------------------------------------------------------------------------
@@ -478,12 +472,11 @@ def detect_communities(graph: CaseGraph) -> CommunityPartition:
     Deterministic: nodes are swept in ascending id order, ties go to the
     smallest community id, moves need a gain above 1e-9, and the final ids
     are numbered by each community's smallest member. Each document shares
-    its set's row of the edge view, which holds no repeated edge.
+    its set's row, which holds no repeated edge.
     """
-    view = graph.edges
-    rows = [dict.fromkeys(nbrs, 1) for nbrs, _ in view.rows]
-    labels = _dense_renumber(_louvain(rows, view.set_of_doc))
-    return CommunityPartition(dict(zip(view.doc_ids, labels)))
+    rows = [dict.fromkeys(nbrs, 1) for nbrs, _ in graph.rows]
+    labels = _dense_renumber(_louvain(rows, graph.set_of_doc))
+    return CommunityPartition(dict(zip(graph.nodes, labels)))
 
 
 def community_win_rate(
@@ -549,11 +542,10 @@ def write_collaboration(stem: str | Path, graph: CollaborationGraph) -> None:
 
 def write_case(stem: str | Path, graph: CaseGraph, communities: Mapping[str, int]) -> None:
     """`<stem>.graphml` and `<stem>.dot`; only GraphML nodes carry the community."""
-    view = graph.edges
-    ids = view.doc_ids
+    ids = list(graph.nodes)
 
     def edges(head, tail):
-        """Each source's edge lines as one string, in the view's sorted order.
+        """Each source's edge lines as one string, in sorted order.
 
         A set's tails are listed the first time one of its documents is a
         source, and each distinct (target, shared) tail is formatted once;
@@ -563,8 +555,8 @@ def write_case(stem: str | Path, graph: CaseGraph, communities: Mapping[str, int
         def tail_of(v: int, count: int) -> str:
             return tail(ids[v], {"shared_articles": count})
         tails: dict[int, list[str]] = {}
-        for u, s in enumerate(view.set_of_doc):
-            nbrs, shared = view.rows[s]
+        for u, s in enumerate(graph.set_of_doc):
+            nbrs, shared = graph.rows[s]
             start = bisect_right(nbrs, u)
             if start == len(nbrs):
                 continue
@@ -576,6 +568,6 @@ def write_case(stem: str | Path, graph: CaseGraph, communities: Mapping[str, int
         stem, directed=False, node_attrs=[("outcome", "string"), ("community", "long")],
         edge_attrs=[("shared_articles", "long")],
         nodes=[(d, {"outcome": o.value, "community": communities[d]})
-               for d, o in sorted(graph.nodes.items())],
+               for d, o in graph.nodes.items()],
         edges=edges, dot_omits={"community"},
     )

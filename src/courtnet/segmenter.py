@@ -27,6 +27,7 @@ from .errors import InputError, MissingConclusion, OutOfOrderMarkers
 from .jsonl import decode
 from .textmetrics import (
     DEFAULT_THRESHOLD, _ceiling, _char_counts, _jaro, _positions, _shared, check_threshold, fold,
+    jaro,
 )
 
 if TYPE_CHECKING:
@@ -183,16 +184,13 @@ def _matcher(variants: tuple[str, ...], threshold: float) -> tuple[dict[str, boo
 
     The memo maps a raw line to its _marker_hits verdict, a function of the
     line and of these two values alone, so markers equal in variants share
-    one memo, and so do documents. The alphabet maps every character of the
-    folded variants to its code; len(alphabet) codes any other character.
-    Each folded variant comes with its codes, their positions and its
-    character counts over the alphabet.
+    one memo, and so do documents. The alphabet holds every character of the
+    folded variants, and each folded variant comes with its character counts
+    over it, for the shared-character bound.
     """
     folded = [fold(v) for v in variants]
     alphabet = {ch: c for c, ch in enumerate(sorted(set().union(*folded)))}
-    coded = [list(map(alphabet.__getitem__, fv)) for fv in folded]
-    return {}, alphabet, tuple((fv, codes, _positions(codes, len(alphabet) + 1),
-                                _char_counts(fv, alphabet)) for fv, codes in zip(folded, coded))
+    return {}, alphabet, tuple((fv, _char_counts(fv, alphabet)) for fv in folded)
 
 
 def _marker_hits(line: str | None, alphabet: dict, folded: tuple, threshold: float) -> bool:
@@ -200,14 +198,14 @@ def _marker_hits(line: str | None, alphabet: dict, folded: tuple, threshold: flo
 
     A line hits when it starts with a folded variant or scores above the
     threshold against one. The length and shared-character bounds skip only
-    variants the line cannot score above the threshold against; the line is
-    coded only for the first variant they pass.
+    variants the line cannot score above the threshold against; a variant
+    that passes both is scored by jaro.
     """
     if line is None:
         return False
     n1 = len(line)
-    counts = codes = None
-    for fv, fv_codes, positions, fv_counts in folded:
+    counts = None
+    for fv, fv_counts in folded:
         if line.startswith(fv):
             return True
         n2 = len(fv)  # not 0: the empty string is a prefix of every line
@@ -216,10 +214,8 @@ def _marker_hits(line: str | None, alphabet: dict, folded: tuple, threshold: flo
         if counts is None:
             counts = _char_counts(line, alphabet)
             total = sum(counts)  # the variant's own count is n2: the alphabet is its characters
-        if _ceiling(_shared(counts, fv_counts, total + n2), n1, n2) <= threshold:
-            continue
-        codes = codes or list(map(alphabet.get, line, itertools.repeat(len(alphabet))))
-        if _jaro(codes, fv_codes, positions) > threshold:
+        if (_ceiling(_shared(counts, fv_counts, total + n2), n1, n2) > threshold
+                and jaro(line, fv) > threshold):
             return True
     return False
 
@@ -564,8 +560,9 @@ def build_flow_graph(corpus: Sequence["Document"], threshold: float = DEFAULT_TH
     threshold (see _contract), long and short sentences never merging with
     each other. The first-seen node of each group provides the surviving label.
     """
-    doc_keys = [[(len(s.split()) >= LONG_SENTENCE_WORDS, s) for s in split_sentences(doc.text)]
-                for doc in corpus]
+    # str.split takes \v, \f and \x1c-\x1f for spaces: count words before xml_safe
+    doc_keys = [[(len(s.split()) >= LONG_SENTENCE_WORDS, graphio.xml_safe(s))
+                 for s in split_sentences(doc.text)] for doc in corpus]
 
     # each distinct (is_long, sentence) to its first-seen label, in first-seen order
     labels: dict[tuple[bool, str], str] = {}

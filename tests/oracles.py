@@ -10,6 +10,7 @@ import dataclasses
 import functools
 from enum import Enum
 from itertools import combinations
+import math
 import re
 import types
 import typing
@@ -420,6 +421,59 @@ def best_partition_reference(n, edges):
             groups.setdefault(c, set()).add(v)
         as_sets.append(frozenset(frozenset(g) for g in groups.values()))
     return best_q, as_sets
+
+
+def lawyer_half_reference(records, a, b, min_cases, collab_min):
+    """The lawyer tallies, pair wins, opposing and collaboration networks of
+    extraction records, from the docstrings of networks.lawyer_tallies,
+    pair_wins, collapse, build_opposing_network and build_collaboration_network.
+
+    Each record is read side by side. A side won a determined case when it
+    is the appellant side and the appellant won, or the appellee side and
+    the appellee won. Returns a dict: "tallies" {lawyer: (total, wins,
+    losses)}, "wins" {(winner, loser): mass}, "opposing" (nodes as
+    {lawyer: (total, wins, losses)} in name order, edges as (source,
+    target, weight, wins_fw, wins_bw) in pair order) and "collaboration"
+    (node list, edges as (u, v, weight, wins, losses, collaborations)).
+    """
+    tallies, determined_tallies, wins, together = {}, {}, {}, {}
+    for record in records:
+        appellants = {n.canonical for n in record.appellant_lawyers}
+        appellees = {n.canonical for n in record.appellee_lawyers}
+        determined = record.outcome.value != "undetermined"
+        appellant_won = record.outcome.value == "appellant_wins"
+        for lawyer in appellants | appellees:
+            tables = (tallies, determined_tallies) if determined else (tallies,)
+            for t in (table.setdefault(lawyer, [0, 0, 0]) for table in tables):
+                t[0] += 1
+                if determined and (lawyer in appellants) != (lawyer in appellees):
+                    t[1 if (lawyer in appellants) == appellant_won else 2] += 1
+        if not determined:
+            continue
+        for on_appellant_side, side in ((True, appellants), (False, appellees)):
+            side_won = on_appellant_side == appellant_won
+            for u, v in combinations(sorted(side), 2):
+                together.setdefault((u, v), [0, 0])[0 if side_won else 1] += 1
+        for i in appellants:
+            for j in appellees:
+                if i != j:
+                    pair, mass = ((i, j), a) if appellant_won else ((j, i), b)
+                    wins[pair] = wins.get(pair, 0.0) + mass
+    kept = sorted(l for l, t in determined_tallies.items() if t[0] >= min_cases)
+    edges = []
+    for x, y in sorted({tuple(sorted(pair)) for pair in wins}):
+        wxy, wyx = wins.get((x, y), 0.0), wins.get((y, x), 0.0)
+        if wxy != wyx and x in kept and y in kept:
+            weight = abs(wxy - wyx) * math.log(wxy + wyx + 1.0)
+            edges.append((y, x, weight, wxy, wyx) if wxy > wyx else (x, y, weight, wyx, wxy))
+    collab_edges = [(u, v, w - l, w, l, w + l) for (u, v), (w, l) in sorted(together.items())
+                    if w + l >= collab_min]
+    return {
+        "tallies": {l: tuple(t) for l, t in tallies.items()},
+        "wins": wins,
+        "opposing": ({l: tuple(determined_tallies[l]) for l in kept}, edges),
+        "collaboration": (sorted({n for e in collab_edges for n in e[:2]}), collab_edges),
+    }
 
 
 def case_edges_reference(articles, k):

@@ -1,6 +1,8 @@
 """Command line stages, exit codes and the pipeline manifest."""
 
+import hashlib
 import json
+import logging
 import os
 import shutil
 import signal
@@ -319,6 +321,17 @@ def test_ingest_reads_txt_and_rtf(tmp_path):
     # the duplicate text collapses, the markdown file is ignored
     assert len(lines) == 2
     assert all(json.loads(line)["jurisdiction"] == "douai" for line in lines)
+
+
+def test_ingest_names_a_skipped_file_once(tmp_path, caplog):
+    src = tmp_path / "src"
+    src.mkdir()
+    (src / "good.txt").write_text("APPELANT\nPAR CES MOTIFS\nConfirme.\n", encoding="utf-8")
+    (src / "bad.txt").write_bytes(b"APPELANT \xff\n")
+    with caplog.at_level(logging.WARNING, logger="courtnet.cli"):
+        assert _run("ingest", "--input-dir", src, "--output-dir", tmp_path / "out") == 0
+    [message] = [r.getMessage() for r in caplog.records if "skipping" in r.getMessage()]
+    assert message == f"skipping {src / 'bad.txt'}: not valid UTF-8"
 
 
 def test_run_manifest_matches_truth(tmp_path):
@@ -677,6 +690,36 @@ def test_staged_output_equals_run(tmp_path):
     )
     for name in staged_files:
         assert (staged / name).read_bytes() == (whole / name).read_bytes(), name
+
+
+# sha256 of each artifact of `run` at non-default network parameters over the
+# 200-document seed-7 corpus; run_manifest.json is left out, as it holds the
+# corpus path. The CI benchmark job pins the default parameters only.
+_PINNED_RUN_SHA256 = {
+    "segments.jsonl": "8b1cebf7754f6a29dca8fbf5d07a0e3ee8ee58ed007bf62b55e1b2ae57c3021f",
+    "extracted.jsonl": "ea79f20ea6cd3057ca02e69d186375c9d6760a0e67e8b4f1c9653b600d95633d",
+    "opposing.dot": "7a89e3d9dcb7d1695282a9abab1e52e332d41a72f0d0e4d8039531e43d986ef8",
+    "opposing.graphml": "208660e708fa5c39f99f2a581b22120da579c0c7708a151041f19c2904efc03d",
+    "collaboration.dot": "418ff40584e661f31f1f93386f3d5e2a01cf33a30a7e0ffda0938c719ceb0a38",
+    "collaboration.graphml": "8ceca6714c68f27783b56477bfeb8f9132747d7a032eab47615761f3c8fc9caa",
+    "cases_k2.dot": "1a6856a212b5b0d0aa77afbb386923e323f28ec248d626fd7ab4b3e3e962cd93",
+    "cases_k2.graphml": "8321c329d8d06cbb634b4de93549c008fbacb23036cbff6e1abecf44cb2c78a5",
+    "communities.csv": "b1d74e3a62013514d5fd9e4519800f4b227a49357d5189f3dd3fe0aa03b7720b",
+    "rankings.csv": "ad092bb224543badfe659a4a04f2067a32d24af98f40a9c0945900e0cffe5eb0",
+}
+
+
+def test_run_at_non_default_parameters_writes_the_pinned_bytes(tmp_path):
+    assert _run("synth", "--n-docs", "200", "--seed", "7", "--output-dir", tmp_path) == 0
+    corpus = tmp_path / "corpus.jsonl"
+    assert hashlib.sha256(corpus.read_bytes()).hexdigest() == (
+        "06ad3468f8e929cca98ade4d6558746f5507934b17343a76a20ed064d1974c4d")
+    out = tmp_path / "out"
+    assert _run("run", "--corpus-file", corpus, "--a", "0.3", "--b", "0.7", "--min-cases", "1",
+                "--collab-min", "1", "--k", "2", "--output-dir", out) == 0
+    got = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+           for path in out.iterdir() if path.name != "run_manifest.json"}
+    assert got == _PINNED_RUN_SHA256
 
 
 _AGEN_PROFILE = {

@@ -1,11 +1,14 @@
 """GraphML and DOT serialization, read back by an independent parser."""
 
+import re
+
 import pytest
 
 from courtnet.cli import main
 from courtnet.corpus import Document, write_corpus
-from courtnet.extract import ArticleRef, ExtractionRecord, LawyerName, Outcome, write_extracted
+from courtnet.extract import ArticleRef, ExtractionRecord, LawyerName, Outcome
 from courtnet.graphio import write_graphml, write_dot
+from courtnet.jsonl import write_jsonl
 
 from oracles import parse_graphml
 
@@ -214,7 +217,7 @@ def test_pipeline_graph_files_are_pinned(tmp_path):
                ["1103", "1240", "1353", "700"]),
         record("c3", [], [], Outcome.UNDETERMINED, ["700"]),
     ]
-    write_extracted(tmp_path / "extracted.jsonl", records)
+    write_jsonl(tmp_path / "extracted.jsonl", records)
     assert main(["networks", "--min-cases", "1", "--collab-min", "1",
                  "--output-dir", str(tmp_path)]) == 0
     corpus = tmp_path / "corpus.jsonl"
@@ -225,25 +228,42 @@ def test_pipeline_graph_files_are_pinned(tmp_path):
         assert (tmp_path / name).read_bytes() == want.encode("utf-8"), name
 
 
+def _dot_node_ids(path):
+    """The node ids of a DOT file as the writer quotes them: one per node line."""
+    lines = path.read_text(encoding="utf-8").splitlines()
+    quoted = (re.match(r'  "((?:[^"\\]|\\.)*)"(?: \[|;)', line) for line in lines)
+    return [re.sub(r"\\(.)", r"\1", m[1]) for m in quoted if m]
+
+
 def test_characters_xml_forbids_become_u_fffd_and_every_graphml_parses(tmp_path):
-    # Word writes \v for a manual line break; \x01 stands for any other C0
-    # control. XML 1.0 allows neither, not even as a character reference.
+    # Word writes \v for a manual line break; \x01 and \x02 stand for any
+    # other C0 control. XML 1.0 allows neither, not even as a character
+    # reference. The two spellings of one counsel, and the two short
+    # sentences A\x01. and A\x02. (Jaro 0.78, so not contracted), are each
+    # one id in both formats.
     sources = tmp_path / "sources"
     sources.mkdir()
-    for i, (appellant, appellee) in enumerate((("Paul HENRY", "Claire DUPONT"),
-                                               ("Jean RENAUD", "Anne PETIT"))):
+    for i, (appellant, appellee, c) in enumerate((("Paul HENRY", "Claire DUPONT", "\x01"),
+                                                  ("Jean RENAUD", "Anne PETIT", "\x02"))):
         (sources / f"{i}.txt").write_text(
-            f"APPELANT\nMonsieur {appellant}\nreprésenté par Me Anne MAR\x01TIN\n\n"
+            f"APPELANT\nMonsieur {appellant}\nreprésenté par Me Anne MAR{c}TIN\n\n"
             f"INTIMÉ\nMadame {appellee}\nreprésentée par Me Hugo TOUR\n\n"
-            "PAR CES MOTIFS\nConfirme\vle jugement.\n", encoding="utf-8")
+            f"PAR CES MOTIFS\nConfirme\vle jugement.\nA{c}.\n", encoding="utf-8")
     out = tmp_path / "out"
     assert main(["run", "--input-dir", str(sources), "--output-dir", str(out)]) == 0
     assert main(["flowgraph", "--output-dir", str(out)]) == 0
     written = sorted(p.name for p in out.glob("*.graphml"))
     assert written == ["cases_k3.graphml", "collaboration.graphml", "flow_generic.graphml",
                        "opposing.graphml"]
-    ids = {name: {node_id for node_id, _ in parse_graphml(out / name)[1]} for name in written}
+    ids = {}
+    for name in written:
+        ids[name] = [node_id for node_id, _ in parse_graphml(out / name)[1]]
+        assert len(set(ids[name])) == len(ids[name]), name
+        assert ids[name] == _dot_node_ids(out / name.replace(".graphml", ".dot")), name
     assert "Confirme�le jugement." in ids["flow_generic.graphml"]
-    assert any("�" in node_id for node_id in ids["opposing.graphml"])
-    # DOT is unchanged: it takes both characters as they are
-    assert "Confirme\vle jugement." in (out / "flow_generic.dot").read_text(encoding="utf-8")
+    assert ids["flow_generic.graphml"].count("A�.") == 1
+    assert ids["opposing.graphml"] == ["anne mar�tin", "hugo tour"]
+    rows = (out / "rankings.csv").read_text(encoding="utf-8").splitlines()
+    assert [row.split(",")[2] for row in rows if row.startswith("anne mar")] == ["2"]
+    # DOT holds the U+FFFD of the ids too
+    assert "Confirme�le jugement." in (out / "flow_generic.dot").read_text(encoding="utf-8")

@@ -9,7 +9,7 @@ from itertools import combinations
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from courtnet.synth import generate_synthetic_corpus
 from courtnet.extract import ArticleRef, ExtractionRecord, LawyerName, Outcome, extract_record
@@ -39,6 +39,7 @@ from oracles import (
     best_partition_reference,
     case_edges_reference,
     communities_reference,
+    lawyer_half_reference,
     louvain_level_reference,
     modularity_reference,
     parse_graphml,
@@ -74,12 +75,12 @@ def _case_graph_of(nodes, edges):
 def _edges(graph):
     """(u, v, shared articles) of each case-graph edge in sorted order: for
     each document u, the entries of its set's row past u."""
-    view = graph.edges
-    for u, s in enumerate(view.set_of_doc):
-        nbrs, shared = view.rows[s]
+    ids = list(graph.nodes)
+    for u, s in enumerate(graph.set_of_doc):
+        nbrs, shared = graph.rows[s]
         for v, count in zip(nbrs, shared):
             if v > u:
-                yield view.doc_ids[u], view.doc_ids[v], count
+                yield ids[u], ids[v], count
 
 
 def _groups(partition):
@@ -247,6 +248,34 @@ def test_lawyer_networks_leave_undetermined_records_out():
     assert collaboration.edges
 
 
+_SIDE = st.lists(st.sampled_from(["x", "y", "z", "w"]), max_size=3)  # repeats and empty sides
+
+
+@settings(max_examples=150)
+@example(records=[_case("c0", ["x", "y", "x"], ["x", "z"], Outcome.APPELLANT_WINS),
+                  _case("c1", ["z"], ["y", "y"], Outcome.APPELLEE_WINS),
+                  _case("c2", ["x"], ["z"], Outcome.UNDETERMINED),
+                  _case("c3", [], [], Outcome.APPELLEE_WINS)],
+         a=0.3, b=0.7, min_cases=1, collab_min=1)
+@given(records=st.lists(st.tuples(_SIDE, _SIDE, st.sampled_from(Outcome)), max_size=40).map(
+           lambda drawn: [_case(f"c{i:02d}", *r) for i, r in enumerate(drawn)]),
+       a=st.floats(0.1, 5.0), b=st.floats(0.1, 5.0),
+       min_cases=st.integers(0, 3), collab_min=st.integers(0, 3))
+def test_lawyer_half_equals_the_per_side_reference(records, a, b, min_cases, collab_min):
+    params = NetworkParams(a=a, b=b, min_cases=min_cases, collab_min=collab_min)
+    want = lawyer_half_reference(records, a, b, min_cases, collab_min)
+    assert lawyer_tallies(records) == want["tallies"]
+    assert pair_wins(records, params) == want["wins"]
+    opposing = build_opposing_network(records, params)
+    assert ({l: (s.total_cases, s.wins, s.losses) for l, s in opposing.nodes.items()},
+            [(e.source, e.target, e.weight, e.wins_fw, e.wins_bw) for e in opposing.edges]
+            ) == want["opposing"]
+    assert list(opposing.nodes) == list(want["opposing"][0])
+    collaboration = build_collaboration_network(records, params)
+    assert (collaboration.nodes, [tuple(vars(e).values()) for e in collaboration.edges]
+            ) == want["collaboration"]
+
+
 def _random_articles(rng, n_cases):
     themes = [ArticleRef("code", str(num)) for num in range(12)]
     return {
@@ -271,7 +300,7 @@ def test_case_graph_edges_shrink_as_k_grows():
     rng = random.Random(31)
     articles = _random_articles(rng, 60)
     outcomes = {doc: Outcome.APPELLANT_WINS for doc in articles}
-    sizes = [len(build_case_graph(articles, outcomes, k).edges) for k in (1, 2, 3, 4)]
+    sizes = [build_case_graph(articles, outcomes, k).edge_count for k in (1, 2, 3, 4)]
     assert sizes == sorted(sizes, reverse=True)
 
 
@@ -296,7 +325,7 @@ def test_case_graph_edges_equal_quadratic_scan_in_order(articles, k):
     want = [(u, v, shared) for (u, v), shared in sorted(case_edges_reference(articles, k).items())]
     got = list(_edges(graph))
     assert got == want
-    assert len(graph.edges) == len(want)
+    assert graph.edge_count == len(want)
     assert list(_edges(graph)) == got
     assert [(u, v) for u, v, _ in got] == list(case_edges_reference(articles, k))
 
@@ -306,13 +335,12 @@ def test_case_adjacency_equals_rows_built_from_the_edges(articles, k):
     # isolated documents, empty sets and sets of fewer than k articles, which
     # hold none of their own documents, all occur in the drawn maps
     graph = build_case_graph(articles, {}, k)
-    view = graph.edges
-    index = {doc_id: i for i, doc_id in enumerate(view.doc_ids)}
+    index = {doc_id: i for i, doc_id in enumerate(graph.nodes)}
     want = [[] for _ in index]
     for u, v in case_edges_reference(articles, k):
         want[index[u]].append(index[v])
         want[index[v]].append(index[u])
-    got = [[v for v in view.rows[s][0] if v != u] for u, s in enumerate(view.set_of_doc)]
+    got = [[v for v in graph.rows[s][0] if v != u] for u, s in enumerate(graph.set_of_doc)]
     assert got == [sorted(row) for row in want]
 
 
@@ -352,7 +380,7 @@ def test_case_communities_on_the_seed_7_1k_graph_equal_dict_based_reference():
     _, truth = generate_synthetic_corpus(seed=7, n_docs=1000)
     articles = {d: t.articles for d, t in truth.entries.items()}
     graph = build_case_graph(articles, {}, 3)
-    assert len(graph.edges) == 47_862
+    assert graph.edge_count == 47_862
     want = communities_reference(sorted(articles), case_edges_reference(articles, 3))
     assert detect_communities(graph).assignment == want
 
@@ -398,9 +426,9 @@ def _crowded_article_maps(draw):
 def test_level_on_shared_set_rows_equals_per_candidate_reference(articles, k):
     # sets of fewer than k articles leave their documents out of their own
     # row (own 0); larger sets list them (own 1)
-    view = build_case_graph(articles, {}, k).edges
-    rows = [dict.fromkeys(nbrs, 1) for nbrs, _ in view.rows]
-    _assert_level_equals_reference(rows, view.set_of_doc, [0] * len(view.set_of_doc))
+    graph = build_case_graph(articles, {}, k)
+    rows = [dict.fromkeys(nbrs, 1) for nbrs, _ in graph.rows]
+    _assert_level_equals_reference(rows, graph.set_of_doc, [0] * len(graph.set_of_doc))
 
 
 @st.composite
@@ -434,7 +462,7 @@ def test_case_graph_memory_does_not_grow_with_the_pair_count():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(graph.edges) > 40_000
+    assert graph.edge_count > 40_000
     assert peak < 5 * 2**20
 
 
@@ -515,7 +543,7 @@ def test_case_graph_of_an_edge_list_has_its_distinct_edges(graph):
     assert list(case_graph.nodes) == sorted(nodes)
     walked = list(_edges(case_graph))
     assert walked == sorted({(min(u, v), max(u, v), 1) for u, v in edges if u != v})
-    assert len(case_graph.edges) == len(walked)
+    assert case_graph.edge_count == len(walked)
 
 
 @given(_edge_lists())
