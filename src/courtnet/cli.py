@@ -10,9 +10,14 @@ the files of the stages before it, `run` passes everything on in memory, and
 both write the same bytes. `rank` and `communities` rebuild the graphs they
 need from `extracted.jsonl` and the network parameters.
 
+Each input is decided once, where it enters: `Pipeline` checks every
+parameter before the output directory is touched, and the corpus keeps one
+document per text, in doc_id order, whatever the order of its source.
+
 Artifacts appear only when a command succeeds: they are written into a
 `.courtnet-*` staging directory in the output directory, then moved into
-place, `run_manifest.json` last. `run` first removes an earlier manifest.
+place, `run_manifest.json` last. Every command first removes an earlier
+manifest, so none describes artifacts that a later command rewrote.
 
 Every `PipelineConfig` field is both a `--config` JSON key and a flag of
 every subcommand, typed by the field's annotation.
@@ -113,27 +118,6 @@ def _check_strings(cfg: PipelineConfig, names=("jurisdiction", "mix")) -> None:
         check_encodable(getattr(cfg, name), f"{name}: ")
 
 
-def validate_config(cfg: PipelineConfig, command: str) -> None:
-    """Range-check every parameter before any work, with its owner's check."""
-    _check_strings(cfg)
-    _network_params(cfg)
-    networks_mod.check_k(cfg.k)
-    ranking_mod.check_pagerank_params(cfg.damping, cfg.tol, cfg.max_iter)
-    check_threshold(cfg.jaro_threshold)
-    jurisdiction_counts(cfg.n_docs, cfg.mix)
-    _resolve_profile(cfg)
-    if command == "run":
-        if not (cfg.corpus_file or cfg.input_dir):
-            raise ValueError("run needs corpus_file or input_dir")
-        _check_strings(cfg, _FIELDS)  # run_manifest.json holds every field
-
-
-def _resolve_profile(cfg: PipelineConfig) -> segmenter_mod.KeywordProfile:
-    if cfg.profile_file:
-        return segmenter_mod.load_profile(cfg.profile_file)
-    return segmenter_mod.get_profile(cfg.profile)
-
-
 # ---------------------------------------------------------------------------
 # The pipeline's values, and the stages that write them
 
@@ -143,11 +127,25 @@ class Pipeline:
 
     A value kept in an artifact is computed only by a command with the stage
     that writes it; any other command reads it back from the output directory.
-    Stages write their artifacts through `out`, into the command's staging directory.
+    Stages write their artifacts through `out`, which run_command points at the staging directory.
     """
 
-    def __init__(self, cfg: PipelineConfig, staging: Path, name: str):
-        self.cfg, self.stages, self.out = cfg, COMMANDS[name].stages, staging.joinpath
+    def __init__(self, cfg: PipelineConfig, name: str):
+        """Range-check every parameter with its owner's check, keeping the checked objects."""
+        _check_strings(cfg)
+        self.params = NetworkParams(a=cfg.a, b=cfg.b, min_cases=cfg.min_cases,
+                                    collab_min=cfg.collab_min)
+        networks_mod.check_k(cfg.k)
+        ranking_mod.check_pagerank_params(cfg.damping, cfg.tol, cfg.max_iter)
+        check_threshold(cfg.jaro_threshold)
+        jurisdiction_counts(cfg.n_docs, cfg.mix)
+        self.profile = (segmenter_mod.load_profile(cfg.profile_file) if cfg.profile_file
+                        else segmenter_mod.get_profile(cfg.profile))
+        if name == "run":
+            if not (cfg.corpus_file or cfg.input_dir):
+                raise ValueError("run needs corpus_file or input_dir")
+            _check_strings(cfg, _FIELDS)  # run_manifest.json holds every field
+        self.cfg, self.stages = cfg, COMMANDS[name].stages
         # ingest reads input_dir; run does too unless corpus_file, which wins, is set
         self.ingests = name == "ingest" or name == "run" and not cfg.corpus_file
 
@@ -164,34 +162,35 @@ class Pipeline:
 
     @cached_property
     def corpus(self) -> tuple[list, int]:
-        """(documents, duplicates dropped): input_dir's sources if this command
-        ingests, else corpus_file or the output directory's corpus.jsonl."""
+        """(documents in doc_id order, repeated texts dropped): input_dir's sources
+        if this command ingests, else corpus_file or the output directory's corpus.jsonl."""
         from . import corpus as corpus_mod  # only the commands that read a corpus load it
 
+        skipped = 0
         if not self.ingests:
             path = self.corpus_path()
             docs = corpus_mod.read_corpus(path)
             if not docs:
                 raise InputError(f"{path}: corpus is empty")
-            return corpus_mod.dedupe_documents(docs)
-        if not self.cfg.input_dir:
+        elif not self.cfg.input_dir:
             raise ValueError("ingest needs input_dir")
-        root = Path(self.cfg.input_dir)
-        if not root.is_dir():
-            raise InputError(f"input directory not found: {root}")
-        docs = []
-        skipped = 0
-        for path in sorted(root.rglob("*")):
-            if path.suffix.lower() not in (".txt", ".rtf") or not path.is_file():
-                continue
-            try:
-                docs.append(corpus_mod.ingest(path, self.cfg.jurisdiction))
-            except InputError as exc:
-                skipped += 1
-                logger.warning("skipping %s", exc)  # exc names the path
-        if not docs:
-            raise InputError(f"no ingestable documents under {root}")
+        else:
+            root = Path(self.cfg.input_dir)
+            if not root.is_dir():
+                raise InputError(f"input directory not found: {root}")
+            docs = []
+            for path in sorted(root.rglob("*")):
+                if path.suffix.lower() not in (".txt", ".rtf") or not path.is_file():
+                    continue
+                try:
+                    docs.append(corpus_mod.ingest(path, self.cfg.jurisdiction))
+                except InputError as exc:
+                    skipped += 1
+                    logger.warning("skipping %s", exc)  # exc names the path
+            if not docs:
+                raise InputError(f"no ingestable documents under {root}")
         docs, dropped = corpus_mod.dedupe_documents(docs)
+        docs.sort(key=lambda doc: doc.doc_id)
         logger.info(
             "ingested %d documents (%d unreadable skipped, %d duplicates dropped)",
             len(docs), skipped, dropped,
@@ -205,10 +204,9 @@ class Pipeline:
         segmented = {}
         failures = []
         if _segments in self.stages:
-            profile = _resolve_profile(self.cfg)
             for doc in docs:
                 try:
-                    segmented[doc.doc_id] = segmenter_mod.segment(doc, profile)
+                    segmented[doc.doc_id] = segmenter_mod.segment(doc, self.profile)
                 except (MissingConclusion, OutOfOrderMarkers) as exc:
                     failures.append((doc.doc_id, str(exc)))
                     logger.warning("segmentation failed: %s", exc)
@@ -239,12 +237,11 @@ class Pipeline:
 
     @cached_property
     def opposing(self) -> networks_mod.OpposingNetwork:
-        return networks_mod.build_opposing_network(self.records, _network_params(self.cfg))
+        return networks_mod.build_opposing_network(self.records, self.params)
 
     @cached_property
     def collaboration(self) -> networks_mod.CollaborationGraph:
-        return networks_mod.build_collaboration_network(
-            self.records, _network_params(self.cfg))
+        return networks_mod.build_collaboration_network(self.records, self.params)
 
     @cached_property
     def cases(self) -> networks_mod.CaseGraph:
@@ -267,10 +264,6 @@ class Pipeline:
         )
 
 
-def _network_params(cfg: PipelineConfig) -> NetworkParams:
-    return NetworkParams(a=cfg.a, b=cfg.b, min_cases=cfg.min_cases, collab_min=cfg.collab_min)
-
-
 def _synth(p: Pipeline) -> None:
     from . import corpus as corpus_mod, synth  # the generator is loaded for this command only
 
@@ -290,8 +283,7 @@ def _corpus(p: Pipeline) -> None:
 
 
 def _segments(p: Pipeline) -> None:
-    segmented = p.segmented[0]
-    write_jsonl(p.out("segments.jsonl"), (segmented[doc_id] for doc_id in sorted(segmented)))
+    write_jsonl(p.out("segments.jsonl"), p.segmented[0].values())  # in the corpus's doc_id order
 
 
 def _extracted(p: Pipeline) -> None:
@@ -388,23 +380,23 @@ COMMANDS = {
 
 
 def run_command(cfg: PipelineConfig, name: str) -> int:
-    """Run one command's stages into a staging directory, then move each artifact
-    into output_dir, run_manifest.json last.
+    """Check the parameters, then run one command's stages into a staging
+    directory and move each artifact into output_dir, run_manifest.json last.
 
-    A command that fails or is interrupted leaves the old files as they were
-    and no staging directory; `run` removes an earlier manifest first. The
+    A parameter error leaves output_dir untouched; past that, every command first
+    removes an earlier manifest, and one that fails or is interrupted leaves the
+    other old files as they were and no staging directory. The
     staging directory is named after the process, so that a later command
     removes it if the process was killed (on POSIX, where os.kill(pid, 0)
     tests a process; on Windows it would interrupt it).
     """
-    command = COMMANDS[name]
+    pipeline = Pipeline(cfg, name)
     out = Path(cfg.output_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ValueError(f"output_dir {out} is not a usable directory: {exc}") from None
-    if _manifest in command.stages:
-        (out / "run_manifest.json").unlink(missing_ok=True)
+    (out / "run_manifest.json").unlink(missing_ok=True)
     for stale in out.glob(".courtnet-*-*") if os.name == "posix" else ():
         try:
             os.kill(int(stale.name.split("-")[1]), 0)
@@ -413,9 +405,9 @@ def run_command(cfg: PipelineConfig, name: str) -> int:
         except (ValueError, OverflowError, OSError):  # no pid, or another user's live process
             pass
     staging = Path(tempfile.mkdtemp(prefix=f".courtnet-{os.getpid()}-", dir=out))
+    pipeline.out = staging.joinpath
     try:
-        pipeline = Pipeline(cfg, staging, name)
-        for stage in command.stages:
+        for stage in pipeline.stages:
             stage(pipeline)
         staged = sorted(staging.iterdir(), key=lambda path: path.name == "run_manifest.json")
         for dest in (out / path.name for path in staged):  # os.replace cannot overwrite these
@@ -501,9 +493,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         print("courtnet: a subcommand is required (see --help)", file=sys.stderr)
         return 1
     try:
-        cfg = _make_config(args)
-        validate_config(cfg, args.command)
-        return run_command(cfg, args.command)
+        return run_command(_make_config(args), args.command)
     except KeyboardInterrupt:
         print("courtnet: interrupted", file=sys.stderr)
         return 130

@@ -162,16 +162,17 @@ def ingest(path: str | Path, jurisdiction: str) -> Document:
 
 
 def dedupe_documents(docs: Sequence[Document]) -> tuple[list[Document], int]:
-    """Drop later documents whose text hashes to an already-seen id."""
+    """Drop later documents whose text an earlier one has, whatever their ids
+    (a corpus file may carry one text under two ids)."""
     seen: set[str] = set()
     unique: list[Document] = []
     dropped = 0
     for doc in docs:
-        if doc.doc_id in seen:
+        if doc.text in seen:
             dropped += 1
             logger.info("duplicate text dropped: %s (%s)", doc.doc_id, doc.source_path)
             continue
-        seen.add(doc.doc_id)
+        seen.add(doc.text)
         unique.append(doc)
     return unique, dropped
 

@@ -554,8 +554,9 @@ def build_flow_graph(corpus: Sequence["Document"], threshold: float = DEFAULT_TH
     """Build the sentence flow graph of a corpus.
 
     Sentences of LONG_SENTENCE_WORDS or more words are renamed Long_Text_i_j
-    (document index, sentence index) before contraction, so boilerplate keeps
-    its text as label while long free text does not. Contraction then merges
+    (document index in `corpus`, which the CLI passes in doc_id order, and
+    sentence index) before contraction, so boilerplate keeps its text as
+    label while long free text does not. Contraction then merges
     nodes whose folded sentences have a Jaro similarity strictly above the
     threshold (see _contract), long and short sentences never merging with
     each other. The first-seen node of each group provides the surviving label.

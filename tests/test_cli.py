@@ -4,6 +4,7 @@ import hashlib
 import json
 import logging
 import os
+import random
 import shutil
 import signal
 import subprocess
@@ -293,6 +294,70 @@ def test_failed_rerun_leaves_no_stale_manifest(tmp_path, capsys):
     assert _run("run", "--input-dir", empty, "--output-dir", out) == 2
     assert "error" in capsys.readouterr().err
     assert not (out / "run_manifest.json").exists()
+
+
+def test_every_command_removes_an_earlier_manifest(tmp_path):
+    out = tmp_path / "out"
+    assert _run("synth", "--output-dir", tmp_path, "--n-docs", "30") == 0
+    corpus = tmp_path / "corpus.jsonl"
+    assert _run("run", "--corpus-file", corpus, "--output-dir", out) == 0
+    # the manifest would still say damping 0.85 beside a ranking made at 0.5
+    assert _run("rank", "--output-dir", out, "--damping", "0.5") == 0
+    assert not (out / "run_manifest.json").exists()
+    assert _run("run", "--corpus-file", corpus, "--output-dir", out) == 0
+    assert _run("flowgraph", "--output-dir", out) == 2  # out holds no corpus.jsonl
+    assert not (out / "run_manifest.json").exists()
+
+
+def _artifacts(out):
+    """The bytes of every file in out but the manifest, which names the corpus file."""
+    return {path.name: path.read_bytes() for path in out.iterdir()
+            if path.name != "run_manifest.json"}
+
+
+def _seed7_corpus_lines(tmp_path):
+    assert _run("synth", "--output-dir", tmp_path, "--seed", "7", "--n-docs", "80") == 0
+    return (tmp_path / "corpus.jsonl").read_text(encoding="utf-8").splitlines(keepends=True)
+
+
+def test_no_artifact_depends_on_the_line_order_of_a_corpus_file(tmp_path):
+    # metamorphic relations: shuffling the lines of a corpus file changes no artifact
+    lines = _seed7_corpus_lines(tmp_path)
+    shuffled = lines[:]
+    random.Random(3).shuffle(shuffled)
+    assert shuffled != lines
+    (tmp_path / "shuffled.jsonl").write_text("".join(shuffled), encoding="utf-8")
+    for command, files in (("flowgraph", 4), ("run", 10)):
+        got = []
+        for corpus in ("corpus", "shuffled"):
+            out = tmp_path / f"{command}-{corpus}"
+            assert _run(command, "--corpus-file", tmp_path / f"{corpus}.jsonl",
+                        "--output-dir", out) == 0
+            got.append(_artifacts(out))
+        assert len(got[0]) == files and got[0] == got[1], command
+
+
+def _under_reversed_id(line):
+    row = json.loads(line)
+    return json.dumps({**row, "doc_id": row["doc_id"][::-1]}, ensure_ascii=False) + "\n"
+
+
+@pytest.mark.parametrize("copy", [_under_reversed_id, lambda line: line],
+                         ids=["reversed_ids", "verbatim"])
+def test_a_repeated_text_counts_once_whatever_its_id(tmp_path, copy):
+    lines = _seed7_corpus_lines(tmp_path)
+    (tmp_path / "repeated.jsonl").write_text(
+        "".join(lines + [copy(line) for line in lines[::8]]), encoding="utf-8")
+    got = []
+    for corpus in ("corpus", "repeated"):
+        out = tmp_path / corpus
+        assert _run("run", "--corpus-file", tmp_path / f"{corpus}.jsonl",
+                    "--output-dir", out) == 0
+        counts = json.loads((out / "run_manifest.json").read_text(encoding="utf-8"))["counts"]
+        got.append((counts["docs_ingested"], counts["duplicates_dropped"], _artifacts(out)))
+    assert got[0][0] == got[1][0] == 80
+    assert (got[0][1], got[1][1]) == (0, 10)
+    assert got[0][2] == got[1][2]
 
 
 def test_run_without_corpus_source_exits_1(tmp_path):
@@ -741,7 +806,11 @@ _AGEN_PROFILE = {
     _DEEP_JSON,
 ], ids=["bad_json", "no_markers", "top_level_list", "string_threshold", "string_variants",
         "deep_nesting"])
-def test_malformed_profile_file_exits_1_before_any_stage(tmp_path, capsys, text):
+def test_malformed_profile_file_exits_1_before_any_stage(tmp_path, monkeypatch, capsys, text):
+    calls = []
+    load_profile = segmenter.load_profile
+    monkeypatch.setattr(segmenter, "load_profile",
+                        lambda path: calls.append(Path(path)) or load_profile(path))
     sources = tmp_path / "sources"
     sources.mkdir()
     (sources / "a.txt").write_text("ENTRE\nX\nPAR CES MOTIFS\nConfirme.\n", encoding="utf-8")
@@ -752,6 +821,12 @@ def test_malformed_profile_file_exits_1_before_any_stage(tmp_path, capsys, text)
                 "--output-dir", out) == 1
     assert f"profile file {profile}:" in capsys.readouterr().err
     assert not (out / "corpus.jsonl").exists()
+    assert calls == [profile]
+    # a well-formed profile is read once, where the parameters are checked
+    profile.write_text(json.dumps(_AGEN_PROFILE), encoding="utf-8")
+    assert _run("run", "--input-dir", sources, "--profile-file", profile,
+                "--output-dir", out) == 0
+    assert calls == [profile, profile]
 
 
 def test_output_dir_that_is_a_file_exits_1(tmp_path, capsys):
@@ -818,8 +893,7 @@ def test_a_directory_in_place_of_an_artifact_fails_before_any_move(
     capsys.readouterr()
     # another `a` changes opposing.*, which both commands write
     assert _run(command, "--corpus-file", corpus, "--output-dir", out, "--a", "3.5") == 1
-    if command == "run":
-        del before["run_manifest.json"]
+    del before["run_manifest.json"]
     assert {p.name: p.read_bytes() for p in out.iterdir() if p.is_file()} == before
     assert not list(out.glob(".courtnet-*"))
     err = capsys.readouterr().err

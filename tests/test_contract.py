@@ -9,8 +9,7 @@ input:
 
 - the exit code is 0, 1 or 2, and no exception escapes `main`;
 - exit 2 names the stage file at fault, as path:line;
-- a failed command leaves every file as it was, except that `run` removes
-  its manifest;
+- a failed command leaves every file as it was, except the manifest;
 - a command that succeeds writes no NaN or infinity, and the PageRank
   column of rankings.csv sums to 1 within 1e-9.
 """
@@ -178,7 +177,7 @@ def test_every_command_keeps_the_exit_code_contract(base, command, flags, in_con
                 assert int(named[2]) in (line + 1, line + 2), err
         if code:
             manifest_removed = {k: v for k, v in before.items() if k != "run_manifest.json"}
-            assert after == before or command == "run" and after == manifest_removed, err
+            assert after in (before, manifest_removed), err
         else:
             for name, data in after.items():
                 if name.endswith((".csv", ".graphml", ".dot", ".json")):
