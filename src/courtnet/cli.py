@@ -128,6 +128,8 @@ class Pipeline:
     A value kept in an artifact is computed only by a command with the stage
     that writes it; any other command reads it back from the output directory.
     Stages write their artifacts through `out`, which run_command points at the staging directory.
+    Whether the command ingests, and so needs input_dir, is decided and checked
+    once, with the parameters, before anything touches the output directory.
     """
 
     def __init__(self, cfg: PipelineConfig, name: str):
@@ -141,13 +143,14 @@ class Pipeline:
         jurisdiction_counts(cfg.n_docs, cfg.mix)
         self.profile = (segmenter_mod.load_profile(cfg.profile_file) if cfg.profile_file
                         else segmenter_mod.get_profile(cfg.profile))
-        if name == "run":
-            if not (cfg.corpus_file or cfg.input_dir):
-                raise ValueError("run needs corpus_file or input_dir")
-            _check_strings(cfg, _FIELDS)  # run_manifest.json holds every field
-        self.cfg, self.stages = cfg, COMMANDS[name].stages
         # ingest reads input_dir; run does too unless corpus_file, which wins, is set
         self.ingests = name == "ingest" or name == "run" and not cfg.corpus_file
+        if self.ingests and not cfg.input_dir:
+            raise ValueError("ingest needs input_dir" if name == "ingest"
+                             else "run needs corpus_file or input_dir")
+        if name == "run":
+            _check_strings(cfg, _FIELDS)  # run_manifest.json holds every field
+        self.cfg, self.stages = cfg, COMMANDS[name].stages
 
     def _input(self, name: str, producer: str) -> Path:
         path = Path(self.cfg.output_dir) / name
@@ -163,7 +166,8 @@ class Pipeline:
     @cached_property
     def corpus(self) -> tuple[list, int]:
         """(documents in doc_id order, repeated texts dropped): input_dir's sources
-        if this command ingests, else corpus_file or the output directory's corpus.jsonl."""
+        if this command ingests, else corpus_file or the output directory's corpus.jsonl.
+        Of a text given under several doc_ids, the smallest stays, whatever the line order."""
         from . import corpus as corpus_mod  # only the commands that read a corpus load it
 
         skipped = 0
@@ -172,8 +176,6 @@ class Pipeline:
             docs = corpus_mod.read_corpus(path)
             if not docs:
                 raise InputError(f"{path}: corpus is empty")
-        elif not self.cfg.input_dir:
-            raise ValueError("ingest needs input_dir")
         else:
             root = Path(self.cfg.input_dir)
             if not root.is_dir():
@@ -189,8 +191,8 @@ class Pipeline:
                     logger.warning("skipping %s", exc)  # exc names the path
             if not docs:
                 raise InputError(f"no ingestable documents under {root}")
+        docs.sort(key=lambda doc: doc.doc_id)  # first, so a repeated text keeps its smallest id
         docs, dropped = corpus_mod.dedupe_documents(docs)
-        docs.sort(key=lambda doc: doc.doc_id)
         logger.info(
             "ingested %d documents (%d unreadable skipped, %d duplicates dropped)",
             len(docs), skipped, dropped,

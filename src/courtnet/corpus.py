@@ -163,7 +163,8 @@ def ingest(path: str | Path, jurisdiction: str) -> Document:
 
 def dedupe_documents(docs: Sequence[Document]) -> tuple[list[Document], int]:
     """Drop later documents whose text an earlier one has, whatever their ids
-    (a corpus file may carry one text under two ids)."""
+    (a corpus file may carry one text under two ids); given documents in doc_id
+    order, each text keeps its smallest id."""
     seen: set[str] = set()
     unique: list[Document] = []
     dropped = 0

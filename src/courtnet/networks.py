@@ -440,7 +440,12 @@ def _aggregate(
 
 
 def _louvain(rows: list[dict[int, int]], row_of: Sequence[int]) -> list[int]:
-    """Each node's community; node v's neighbours are rows[row_of[v]] as in _louvain_level."""
+    """Each node's community; node v's neighbours are rows[row_of[v]] as in _louvain_level.
+
+    Each level numbers its communities by first appearance, and the next level's
+    nodes are those communities in that order, so the ids are dense and ordered by
+    each community's smallest member.
+    """
     node_comm = list(range(len(row_of)))
     loops = [0] * len(row_of)
     while True:
@@ -470,13 +475,12 @@ def detect_communities(graph: CaseGraph) -> CommunityPartition:
     """Louvain communities of the case graph's unweighted skeleton.
 
     Deterministic: nodes are swept in ascending id order, ties go to the
-    smallest community id, moves need a gain above 1e-9, and the final ids
-    are numbered by each community's smallest member. Each document shares
-    its set's row, which holds no repeated edge.
+    smallest community id, moves need a gain above 1e-9, and the ids, as
+    _louvain numbers them, are dense and ordered by each community's smallest
+    member. Each document shares its set's row, which holds no repeated edge.
     """
     rows = [dict.fromkeys(nbrs, 1) for nbrs, _ in graph.rows]
-    labels = _dense_renumber(_louvain(rows, graph.set_of_doc))
-    return CommunityPartition(dict(zip(graph.nodes, labels)))
+    return CommunityPartition(dict(zip(graph.nodes, _louvain(rows, graph.set_of_doc))))
 
 
 def community_win_rate(

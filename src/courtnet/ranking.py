@@ -8,6 +8,7 @@ where incoming weight flows from the lawyers one has beaten.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import logging
 from dataclasses import dataclass
 from pathlib import Path
@@ -136,16 +137,8 @@ def rank_table(
 
 
 def write_rankings_csv(path: str | Path, rows: Iterable[RankRow]) -> None:
+    """One column per RankRow field, in field order; no win rate is an empty cell."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow([
-            "lawyer_canonical", "lawyer_display", "experience",
-            "wins", "losses", "win_rate", "pagerank",
-        ])
-        for r in rows:
-            writer.writerow([
-                r.lawyer_canonical, r.lawyer_display, r.experience,
-                r.wins, r.losses,
-                "" if r.win_rate is None else repr(r.win_rate),
-                repr(r.pagerank),
-            ])
+        writer.writerow(field.name for field in dataclasses.fields(RankRow))
+        writer.writerows(map(dataclasses.astuple, rows))

@@ -81,11 +81,10 @@ class KeywordProfile:
         check_threshold(self.jaro_threshold)
 
 
-def _profile(jurisdiction: str, markers: list[tuple[str, list[str]]], threshold: float = DEFAULT_THRESHOLD) -> KeywordProfile:
+def _profile(jurisdiction: str, markers: list[tuple[str, list[str]]]) -> KeywordProfile:
     return KeywordProfile(
         jurisdiction=jurisdiction,
         markers=tuple(Marker(seg, tuple(variants)) for seg, variants in markers),
-        jaro_threshold=threshold,
     )
 
 

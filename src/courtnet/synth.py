@@ -299,27 +299,19 @@ def _gen_doc(rng, index, jurisdiction, pool, dominant, needs_loss):
     rg = f"{year % 100:02d}/{4200 + index:05d}"
     date = f"{rng.randint(2, 28)} {rng.choice(_MONTHS)} {year}"
 
+    douai = jurisdiction == "douai"  # any other jurisdiction takes Agen's layout
     b = _Builder()
-    if jurisdiction == "douai":
-        b.line("COUR D'APPEL DE DOUAI")
-        b.line(f"ARRÊT DU {date}")
-        b.line(f"N° RG : {rg}")
-        b.line()
+    b.line("COUR D'APPEL DE DOUAI" if douai else "COUR D'APPEL D'AGEN")
+    b.line(f"ARRÊT DU {date}")
+    b.line(f"N° RG : {rg}")
+    b.line()
+    if douai:
         b.marker("appellant", rng.choice(["APPELANT", "APPELANTE"]))
         _emit_party_douai(b, rng, app_lawyers)
         b.line()
         b.marker("appellee", rng.choice(["INTIMÉ", "INTIMÉE"]))
         _emit_party_douai(b, rng, ape_lawyers)
-        b.line()
-        b.marker("court_entities", "COMPOSITION DE LA COUR")
-        _emit_court_entities(b, rng)
-        b.line()
-        b.marker("debate", "DÉBATS")
     else:
-        b.line("COUR D'APPEL D'AGEN")
-        b.line(f"ARRÊT DU {date}")
-        b.line(f"N° RG : {rg}")
-        b.line()
         b.marker("appellant", "ENTRE")
         _emit_party_agen(b, rng)
         b.line()
@@ -331,10 +323,13 @@ def _gen_doc(rng, index, jurisdiction, pool, dominant, needs_loss):
         b.line()
         b.marker("appellee_counsel", "AYANT POUR AVOCAT")
         _emit_counsel_agen(b, rng, ape_lawyers)
-        b.line()
-        b.marker("court_entities", "COMPOSITION DE LA COUR")
-        _emit_court_entities(b, rng)
-        b.line()
+    b.line()
+    b.marker("court_entities", "COMPOSITION DE LA COUR")
+    _emit_court_entities(b, rng)
+    b.line()
+    if douai:
+        b.marker("debate", "DÉBATS")
+    else:
         b.marker(
             "debate",
             "FAITS ET PROCÉDURE" if rng.random() < 0.8 else "FAITS PROCEDURE",

@@ -345,23 +345,41 @@ def _under_reversed_id(line):
 @pytest.mark.parametrize("copy", [_under_reversed_id, lambda line: line],
                          ids=["reversed_ids", "verbatim"])
 def test_a_repeated_text_counts_once_whatever_its_id(tmp_path, copy):
+    # the copy with the smallest doc_id stays, whether copies come first or last
     lines = _seed7_corpus_lines(tmp_path)
-    (tmp_path / "repeated.jsonl").write_text(
-        "".join(lines + [copy(line) for line in lines[::8]]), encoding="utf-8")
+    copies = {line: copy(line) for line in lines[::8]}
+    corpora = {
+        "kept": [min(line, copies.get(line, line), key=lambda l: json.loads(l)["doc_id"])
+                 for line in lines],
+        "after": lines + list(copies.values()),
+        "before": list(copies.values()) + lines,
+    }
     got = []
-    for corpus in ("corpus", "repeated"):
+    for corpus, corpus_lines in corpora.items():
+        (tmp_path / f"{corpus}.jsonl").write_text("".join(corpus_lines), encoding="utf-8")
         out = tmp_path / corpus
         assert _run("run", "--corpus-file", tmp_path / f"{corpus}.jsonl",
                     "--output-dir", out) == 0
         counts = json.loads((out / "run_manifest.json").read_text(encoding="utf-8"))["counts"]
         got.append((counts["docs_ingested"], counts["duplicates_dropped"], _artifacts(out)))
-    assert got[0][0] == got[1][0] == 80
-    assert (got[0][1], got[1][1]) == (0, 10)
-    assert got[0][2] == got[1][2]
+    assert [docs for docs, _, _ in got] == [80, 80, 80]
+    assert [dropped for _, dropped, _ in got] == [0, 10, 10]
+    assert got[0][2] == got[1][2] == got[2][2]
 
 
-def test_run_without_corpus_source_exits_1(tmp_path):
-    assert _run("run", "--output-dir", tmp_path / "out") == 1
+@pytest.mark.parametrize("command", ["run", "ingest"])
+def test_run_without_corpus_source_exits_1(tmp_path, command):
+    # a command that ingests checks for its input with the parameters, before
+    # it creates the output directory or removes an earlier manifest
+    assert _run(command, "--output-dir", tmp_path / "fresh") == 1
+    assert not (tmp_path / "fresh").exists()
+    out = tmp_path / "out"
+    assert _run("synth", "--output-dir", out, "--n-docs", "10") == 0
+    assert _run("run", "--corpus-file", out / "corpus.jsonl", "--output-dir", out) == 0
+    before = {path.name: path.read_bytes() for path in out.iterdir()}
+    assert _run(command, "--output-dir", out) == 1
+    assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+    assert "run_manifest.json" in before
 
 
 def test_ingest_reads_txt_and_rtf(tmp_path):

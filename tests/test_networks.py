@@ -13,6 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from courtnet.synth import generate_synthetic_corpus
 from courtnet.extract import ArticleRef, ExtractionRecord, LawyerName, Outcome, extract_record
+from courtnet import networks
 from courtnet.graphio import write_dot, write_graphml
 from courtnet.segmenter import get_profile, segment
 from courtnet.networks import (
@@ -20,6 +21,7 @@ from courtnet.networks import (
     LawyerStats,
     NetworkParams,
     OpposingEdge,
+    _dense_renumber,
     _louvain_level,
     build_case_graph,
     build_collaboration_network,
@@ -502,12 +504,39 @@ def test_communities_on_edgeless_graph_are_singletons():
     assert detect_communities(_case_graph_of([], [])).assignment == {}
 
 
-def test_community_ids_are_dense_and_ordered_by_smallest_member():
+def test_community_ids_are_dense_and_ordered_by_smallest_member(monkeypatch):
     nodes = ["a", "b", "c", "d"]
     edges = [("c", "d"), ("a", "b")]
     partition = detect_communities(_case_graph_of(nodes, edges))
     assert partition.assignment == {"a": 0, "b": 0, "c": 1, "d": 1}
     assert partition.sizes == {0: 2, 1: 2}
+    # a ring of 12 triangles, each tied to the next, under names that interleave
+    # the triangles: the first level finds the triangles, and the second, on the
+    # aggregated graph, joins some of them, so ids pass through two numberings
+    moved, aggregated = [], []
+    level, aggregate = networks._louvain_level, networks._aggregate
+
+    def recording_level(*args):
+        comm, moved_any = level(*args)
+        moved.append(moved_any)
+        return comm, moved_any
+
+    def recording_aggregate(*args):
+        rows, loops = aggregate(*args)
+        aggregated.append(len(rows))
+        return rows, loops
+
+    monkeypatch.setattr(networks, "_louvain_level", recording_level)
+    monkeypatch.setattr(networks, "_aggregate", recording_aggregate)
+    names = [f"n{7 * i % 36:02d}" for i in range(36)]
+    edges = [(names[3 * t + i], names[3 * t + j])
+             for t in range(12) for i, j in ((0, 1), (0, 2), (1, 2))]
+    edges += [(names[3 * t], names[(3 * t + 4) % 36]) for t in range(12)]
+    partition = detect_communities(_case_graph_of(names, edges))
+    assert moved == [True, True, False] and aggregated == [12, 7]
+    ids = [partition.assignment[name] for name in sorted(names)]
+    assert ids == _dense_renumber(ids)
+    assert sorted(partition.sizes.items()) == [(0, 6), (1, 6), (2, 6), (3, 6), (4, 6), (5, 3), (6, 3)]
 
 
 def test_communities_ignore_insertion_order():

@@ -13,7 +13,7 @@ from courtnet.networks import (
     LawyerStats,
     build_opposing_network,
 )
-from courtnet.ranking import pagerank, rank_table, write_rankings_csv
+from courtnet.ranking import RankRow, pagerank, rank_table, write_rankings_csv
 
 from oracles import pagerank_reference
 
@@ -185,12 +185,13 @@ def test_rank_table_win_rate_none_without_determined_cases():
 def test_rankings_csv(tmp_path):
     results = [_case("c1", ["x"], ["y"], Outcome.APPELLANT_WINS)]
     network = build_opposing_network(results, NetworkParams(min_cases=1))
-    rows = rank_table(results, network)
+    # a lawyer without a determined case has no win rate: an empty cell
+    rows = rank_table(results, network) + [RankRow("zoe", "Zoé, fils", 2, 0, 0, None, 0.0)]
     path = tmp_path / "rankings.csv"
     write_rankings_csv(path, rows)
-    lines = path.read_text(encoding="utf-8").splitlines()
-    assert lines[0] == (
-        "lawyer_canonical,lawyer_display,experience,wins,losses,win_rate,pagerank"
-    )
-    assert len(lines) == 3
-    assert lines[1].startswith("x,x,1,1,0,1.0,")
+    assert path.read_bytes() == (
+        "lawyer_canonical,lawyer_display,experience,wins,losses,win_rate,pagerank\r\n"
+        "x,x,1,1,0,1.0,0.6491228070313493\r\n"
+        "y,y,1,0,1,0.0,0.35087719296865094\r\n"
+        'zoe,"Zoé, fils",2,0,0,,0.0\r\n'
+    ).encode("utf-8")
