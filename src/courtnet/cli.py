@@ -56,9 +56,9 @@ from .extract import (
     rejection_rate,
 )
 from .jsonl import check_encodable, decode, iter_unique, write_jsonl
-from .mix import jurisdiction_counts
+from .mix import DEFAULT_MIX, jurisdiction_counts
 from .networks import NetworkParams
-from .textmetrics import check_threshold
+from .textmetrics import DEFAULT_THRESHOLD, check_threshold
 
 logger = logging.getLogger(__name__)
 
@@ -70,18 +70,18 @@ class PipelineConfig:
     jurisdiction: str = "generic"   # label stamped on ingested documents
     profile: str = "generic"        # built-in keyword profile name
     profile_file: str | None = None  # JSON profile path, wins over `profile`
-    jaro_threshold: float = 0.8     # flow-graph contraction threshold
-    a: float = 2.0
-    b: float = 1.0
-    min_cases: int = 2
-    collab_min: int = 2
+    jaro_threshold: float = DEFAULT_THRESHOLD  # flow-graph contraction threshold
+    a: float = NetworkParams.a
+    b: float = NetworkParams.b
+    min_cases: int = NetworkParams.min_cases
+    collab_min: int = NetworkParams.collab_min
     k: int = 3
-    damping: float = 0.85
-    tol: float = 1e-10
-    max_iter: int = 10000
+    damping: float = ranking_mod.DEFAULT_DAMPING
+    tol: float = ranking_mod.DEFAULT_TOL
+    max_iter: int = ranking_mod.DEFAULT_MAX_ITER
     seed: int = 7
     n_docs: int = 100
-    mix: dict[str, float] = field(default_factory=lambda: {"douai": 0.5, "agen": 0.5})
+    mix: dict[str, float] = field(default_factory=DEFAULT_MIX.copy)
     output_dir: str = "out"
 
 

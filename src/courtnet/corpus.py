@@ -8,7 +8,6 @@ a general reader. The synthetic generator lives in `courtnet.synth`.
 from __future__ import annotations
 
 import functools
-import hashlib
 import logging
 import re
 from dataclasses import dataclass
@@ -31,6 +30,8 @@ class Document:
 
 def text_doc_id(text: str) -> str:
     """Content-addressed id: first 16 hex chars of the text's sha256."""
+    import hashlib  # it maps OpenSSL's libcrypto, which only a command that hashes needs
+
     return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
 
 

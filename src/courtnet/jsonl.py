@@ -191,8 +191,3 @@ def iter_unique(path: str | Path, cls: type[T], equal_repeats: bool = False
             raise InputError(
                 f"{path}:{lineno}: doc_id {record.doc_id!r} repeats line {earlier[0]}")
         yield lineno, record
-
-
-def read_jsonl(path: str | Path, cls: type[T]) -> list[T]:
-    """The cls record of each non-blank line, in file order (see iter_jsonl)."""
-    return [record for _, record in iter_jsonl(path, cls)]

@@ -3,6 +3,7 @@
 from typing import Mapping
 
 GENERATOR_LAYOUTS = ("douai", "agen")
+DEFAULT_MIX = {"douai": 0.5, "agen": 0.5}  # each layout's share of a corpus
 
 
 def jurisdiction_counts(n_docs: int, mix: Mapping[str, float]) -> dict[str, int]:

@@ -63,29 +63,25 @@ def _sides(records: Iterable[ExtractionRecord]) -> Iterator[tuple[ExtractionReco
             yield (r, app, ape) if r.outcome is Outcome.APPELLANT_WINS else (r, ape, app)
 
 
-def lawyer_tallies(records: Iterable[ExtractionRecord]) -> dict[str, tuple[int, int, int]]:
+def lawyer_tallies(records: Sequence[ExtractionRecord]) -> dict[str, tuple[int, int, int]]:
     """Per canonical lawyer name: (total cases, wins, losses).
 
     Total counts every case the lawyer appears in, undetermined ones
-    included; wins and losses come from determined cases only. A lawyer
-    listed on both sides of one case gets neither a win nor a loss from it.
+    included; wins and losses come from `_sides`, so from determined cases
+    only. A lawyer listed on both sides of one case gets neither from it.
     """
     stats: dict[str, list[int]] = {}
     for r in records:
-        app = {n.canonical for n in r.appellant_lawyers}
-        ape = {n.canonical for n in r.appellee_lawyers}
-        for lawyer in app | ape:
-            t = stats.setdefault(lawyer, [0, 0, 0])
-            t[0] += 1
-            if r.outcome is Outcome.UNDETERMINED or (lawyer in app and lawyer in ape):
-                continue
-            won = (lawyer in app) == (r.outcome is Outcome.APPELLANT_WINS)
-            t[1 if won else 2] += 1
+        for lawyer in {n.canonical for n in r.appellant_lawyers + r.appellee_lawyers}:
+            stats.setdefault(lawyer, [0, 0, 0])[0] += 1
+    for _, winners, losers in _sides(records):
+        for lawyer in set(winners).symmetric_difference(losers):
+            stats[lawyer][1 if lawyer in winners else 2] += 1
     return {lawyer: tuple(t) for lawyer, t in stats.items()}
 
 
 def pair_wins(
-    records: Sequence[ExtractionRecord], params: NetworkParams | None = None
+    records: Sequence[ExtractionRecord], params: NetworkParams = NetworkParams()
 ) -> dict[tuple[str, str], float]:
     """Directed win mass between opposing lawyers, over the determined records.
 
@@ -93,7 +89,6 @@ def pair_wins(
     appellant side and params.b for every case won from the appellee side.
     A lawyer on both sides of a case is warned about and skipped.
     """
-    params = params or NetworkParams()
     wins: dict[tuple[str, str], float] = {}
     for r, winners, losers in _sides(records):
         mass = params.a if r.outcome is Outcome.APPELLANT_WINS else params.b
@@ -157,7 +152,7 @@ def collapse(wins: Mapping[tuple[str, str], float]) -> list[OpposingEdge]:
 
 
 def build_opposing_network(
-    records: Sequence[ExtractionRecord], params: NetworkParams | None = None
+    records: Sequence[ExtractionRecord], params: NetworkParams = NetworkParams()
 ) -> OpposingNetwork:
     """Collapsed opposing network over the determined records, with
     low-volume lawyers pruned.
@@ -166,10 +161,9 @@ def build_opposing_network(
     after edge weighting, together with their incident edges; isolated
     survivors stay.
     """
-    params = params or NetworkParams()
     wins = pair_wins(records, params)
     edges = collapse(wins)
-    tallies = lawyer_tallies(r for r, _, _ in _sides(records))
+    tallies = lawyer_tallies([r for r, _, _ in _sides(records)])
     keep = {l for l, (total, _, _) in tallies.items() if total >= params.min_cases}
     nodes = {l: LawyerStats(*tallies[l]) for l in sorted(keep)}
     edges = [e for e in edges if e.source in keep and e.target in keep]
@@ -193,7 +187,7 @@ class CollaborationGraph:
 
 
 def build_collaboration_network(
-    records: Sequence[ExtractionRecord], params: NetworkParams | None = None
+    records: Sequence[ExtractionRecord], params: NetworkParams = NetworkParams()
 ) -> CollaborationGraph:
     """Same-side pairs weighted by shared wins minus shared losses, over the
     determined records.
@@ -201,7 +195,6 @@ def build_collaboration_network(
     Pairs below params.collab_min shared cases are dropped; only lawyers
     incident to a surviving edge appear as nodes.
     """
-    params = params or NetworkParams()
     stats: dict[tuple[str, str], list[int]] = {}  # per pair: [wins, losses]
     for _, winners, losers in _sides(records):
         for lost, side in enumerate((winners, losers)):
@@ -244,7 +237,7 @@ def check_k(k: int) -> None:
 def build_case_graph(
     articles: Mapping[str, AbstractSet[ArticleRef]],
     outcomes: Mapping[str, Outcome],
-    k: int = 3,
+    k: int,
 ) -> CaseGraph:
     """Link cases sharing at least k cited articles.
 

@@ -454,49 +454,39 @@ def _scan_rows(shard: int, shards: int, by_length: list[int], codes: list[list[i
     return joined
 
 
-def _fork_shard(shard: int, scan_args: tuple) -> tuple[int, int]:
-    """Scan one shard in a forked child; returns its pid and the pipe it writes its pairs to.
-
-    The child inherits the scan's inputs, writes its pairs as raw array('i')
-    bytes and leaves through os._exit, 0 only when every byte was written.
-    The process must run no other thread: a fork copies only the calling one.
-    """
-    read_end, write_end = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(read_end)
-        os.close(write_end)
-        raise
-    if pid == 0:
-        status = 1
-        try:
-            os.close(read_end)
-            with open(write_end, "wb") as pipe:
-                pipe.write(_scan_rows(shard, *scan_args))
-            status = 0
-        finally:
-            os._exit(status)
-    os.close(write_end)
-    return pid, read_end
-
-
 def _joined_pairs(shards: int, scan_args: tuple) -> list[array]:
     """Every shard's joined pairs: shard 0 scanned here, the others in forked children.
 
-    A child that fails or is killed raises ChildProcessError. Whatever ends this
-    call, an interrupt included, no child is left running or unreaped.
+    Each child inherits the scan's inputs, writes its pairs to its pipe as raw
+    array('i') bytes and leaves through os._exit, 0 only when every byte was
+    written. The process must run no other thread: a fork copies only the
+    calling one. A child that fails or is killed raises ChildProcessError.
+    Whatever ends this call, an interrupt or a failed fork included, no pipe
+    end is left open and no child running or unreaped.
     """
     pids: dict[int, int] = {}
-    pipes: dict[int, int] = {}  # each child's read end, by shard
+    ends: list[int] = []  # the pipe ends open here; past the forks, each child's read end
     try:
         for shard in range(1, shards):
-            pids[shard], pipes[shard] = _fork_shard(shard, scan_args)
+            read_end, write_end = os.pipe()
+            ends += read_end, write_end
+            pid = os.fork()
+            if pid == 0:
+                status = 1
+                try:
+                    os.close(read_end)
+                    with open(write_end, "wb") as pipe:
+                        pipe.write(_scan_rows(shard, *scan_args))
+                    status = 0
+                finally:
+                    os._exit(status)
+            pids[shard] = pid
+            os.close(ends.pop())  # the child's write end
         joined = [_scan_rows(0, *scan_args)]
         for shard in range(1, shards):
-            with open(pipes[shard], "rb", closefd=False) as pipe:
+            with open(ends[0], "rb", closefd=False) as pipe:
                 data = pipe.read()  # before waiting: a full pipe would block the child
-            os.close(pipes.pop(shard))
+            os.close(ends.pop(0))
             status = os.waitpid(pids[shard], 0)[1]
             del pids[shard]
             code = os.waitstatus_to_exitcode(status)
@@ -506,8 +496,8 @@ def _joined_pairs(shards: int, scan_args: tuple) -> list[array]:
             joined.append(array("i", data))
         return joined
     finally:
-        for read_end in pipes.values():
-            os.close(read_end)
+        for end in ends:
+            os.close(end)
         if pids:
             import signal  # only a failed or interrupted scan has children left to kill
         for pid in pids.values():

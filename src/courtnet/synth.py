@@ -11,7 +11,7 @@ from typing import Mapping
 from .corpus import Document, text_doc_id
 from .extract import ArticleRef, Outcome, canonical_name
 from .jsonl import write_jsonl
-from .mix import jurisdiction_counts
+from .mix import DEFAULT_MIX, jurisdiction_counts
 from .segmenter import Segment, cut
 
 
@@ -362,9 +362,9 @@ def _gen_doc(rng, index, jurisdiction, pool, dominant, needs_loss):
 
 
 def generate_synthetic_corpus(
-    seed: int = 7,
-    n_docs: int = 100,
-    mix: Mapping[str, float] | None = None,
+    seed: int,
+    n_docs: int,
+    mix: Mapping[str, float] = DEFAULT_MIX,
 ) -> tuple[list[Document], SyntheticGroundTruth]:
     """Generate a corpus of synthetic judgments with known ground truth.
 
@@ -375,8 +375,6 @@ def generate_synthetic_corpus(
     """
     import random
 
-    if mix is None:
-        mix = {"douai": 0.5, "agen": 0.5}
     counts = jurisdiction_counts(n_docs, mix)
 
     rng = random.Random(seed)

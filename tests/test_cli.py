@@ -18,7 +18,7 @@ from courtnet import graphio, networks, segmenter
 from courtnet.cli import COMMANDS, _build_parser, main
 from courtnet.synth import DocumentTruth, generate_synthetic_corpus
 from courtnet.extract import Outcome
-from courtnet.jsonl import read_jsonl
+from courtnet.jsonl import iter_jsonl
 
 from oracles import build_parser_reference
 
@@ -28,11 +28,14 @@ def _run(*argv):
 
 
 def test_print_default_config(capsys):
+    # every field, with the defaults the README's "Notable parameters" lists
     assert _run("--print-default-config") == 0
-    config = json.loads(capsys.readouterr().out)
-    assert config["k"] == 3
-    assert config["damping"] == 0.85
-    assert config["mix"] == {"douai": 0.5, "agen": 0.5}
+    assert json.loads(capsys.readouterr().out) == {
+        "input_dir": None, "corpus_file": None, "jurisdiction": "generic",
+        "profile": "generic", "profile_file": None, "jaro_threshold": 0.8,
+        "a": 2.0, "b": 1.0, "min_cases": 2, "collab_min": 2, "k": 3,
+        "damping": 0.85, "tol": 1e-10, "max_iter": 10000, "seed": 7, "n_docs": 100,
+        "mix": {"douai": 0.5, "agen": 0.5}, "output_dir": "out"}
 
 
 def test_importing_the_cli_leaves_out_the_network_stack():
@@ -40,6 +43,17 @@ def test_importing_the_cli_leaves_out_the_network_stack():
     # and socket at the start of every command; -S keeps site hooks out
     code = ("import sys, courtnet.cli; "
             "print(sorted(m for m in ('xml.sax', 'http.client') if m in sys.modules))")
+    src = str(Path(courtnet.__file__).parents[1])
+    done = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, check=True)
+    assert done.stdout == "[]\n"
+
+
+def test_importing_the_cli_and_the_corpus_leaves_out_hashlib():
+    # hashlib maps OpenSSL's libcrypto; only text_doc_id needs it, so a command
+    # that reads a corpus without hashing it (flowgraph, say) does not load it
+    code = ("import sys, courtnet.cli, courtnet.corpus; "
+            "print(sorted(m for m in ('hashlib', '_hashlib') if m in sys.modules))")
     src = str(Path(courtnet.__file__).parents[1])
     done = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": src}, check=True)
@@ -425,7 +439,7 @@ def test_run_manifest_matches_truth(tmp_path):
                 "--output-dir", out) == 0
     manifest = json.loads((out / "run_manifest.json").read_text(encoding="utf-8"))
     counts = manifest["counts"]
-    truth = {t.doc_id: t for t in read_jsonl(out / "truth.jsonl", DocumentTruth)}
+    truth = {t.doc_id: t for _, t in iter_jsonl(out / "truth.jsonl", DocumentTruth)}
     want_outcomes = {o.value: 0 for o in Outcome}
     for entry in truth.values():
         want_outcomes[entry.outcome.value] += 1

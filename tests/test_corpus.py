@@ -15,7 +15,7 @@ from courtnet.corpus import (
 )
 from courtnet.errors import InputError
 from courtnet.extract import Outcome
-from courtnet.jsonl import read_jsonl
+from courtnet.jsonl import iter_jsonl
 from courtnet.synth import DocumentTruth, generate_synthetic_corpus, write_truth
 from courtnet.textmetrics import fold
 
@@ -116,7 +116,7 @@ def test_truth_round_trip(tmp_path):
     _, truth = generate_synthetic_corpus(seed=3, n_docs=6)
     path = tmp_path / "truth.jsonl"
     write_truth(path, truth)
-    again = {t.doc_id: t for t in read_jsonl(path, DocumentTruth)}
+    again = {t.doc_id: t for _, t in iter_jsonl(path, DocumentTruth)}
     assert set(again) == set(truth.entries)
     for doc_id, entry in truth.entries.items():
         assert again[doc_id] == entry

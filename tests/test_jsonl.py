@@ -15,7 +15,7 @@ from courtnet.cli import PipelineConfig
 from courtnet.corpus import Document
 from courtnet.errors import InputError
 from courtnet.extract import ExtractionRecord, Outcome
-from courtnet.jsonl import decode, dumps, read_jsonl
+from courtnet.jsonl import decode, dumps, iter_jsonl
 from courtnet.segmenter import PROFILES, KeywordProfile, SegmentedJudgment
 
 from oracles import decode_reference
@@ -141,10 +141,10 @@ def test_read_jsonl_equals_the_reference_line_by_line(cls, data):
                         encoding="utf-8")
         if isinstance(expected, str):
             with pytest.raises(InputError) as info:
-                read_jsonl(path, cls)
+                list(iter_jsonl(path, cls))
             assert str(info.value) == f"{path}{expected}"
         else:
-            assert read_jsonl(path, cls) == expected
+            assert [record for _, record in iter_jsonl(path, cls)] == expected
 
 
 @pytest.mark.parametrize("value", [{}, ""])

@@ -1,12 +1,16 @@
 """Metamorphic relations over the whole pipeline: an input changed in a known
 way changes the artifacts in a known way, or not at all (Chen, Cheung & Yiu,
 "Metamorphic testing", HKUST-CS98-01, 1998). Each relation runs `run`
-in-process over the seed-7 80-document corpus and a variant of it."""
+in-process over a synthetic corpus, the seed-7 80-document one or one that
+hypothesis draws, and over a variant of it."""
 
 import csv
 import io
 import json
+import math
 import re
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -47,6 +51,18 @@ def _line(text, row=None):
     return json.dumps(row, ensure_ascii=False) + "\n"
 
 
+def _renamed(lines, old, new):
+    """The corpus lines with each `Me <old>` mention of a text made `Me <new>`,
+    under the new text's id."""
+    mention = re.compile(rf"\bMe {re.escape(old)}(?=[,\s])")
+    renamed = []
+    for line in lines:
+        row = json.loads(line)
+        renamed.append(_line(mention.sub(f"Me {new}", row["text"]), row)
+                       if mention.search(row["text"]) else line)
+    return renamed
+
+
 def _records(artifacts):
     return [json.loads(line) for line in artifacts["extracted.jsonl"].splitlines()]
 
@@ -56,13 +72,25 @@ def _rows(artifacts):
     return list(csv.reader(io.StringIO(artifacts["rankings.csv"].decode("utf-8"))))
 
 
+def _synth_run(directory, *flags):
+    """(the lines of a corpus file that synth writes with these flags, run's artifacts over them)."""
+    assert _run("synth", "--output-dir", directory, *flags) == 0
+    lines = (directory / "corpus.jsonl").read_text(encoding="utf-8").splitlines(keepends=True)
+    return lines, _run_over(directory, "base", lines)
+
+
 @pytest.fixture(scope="module")
 def seed7(tmp_path_factory):
     """(directory, the corpus file's lines, run's artifacts over them)."""
     directory = tmp_path_factory.mktemp("seed7")
-    assert _run("synth", "--output-dir", directory, "--seed", "7", "--n-docs", "80") == 0
-    lines = (directory / "corpus.jsonl").read_text(encoding="utf-8").splitlines(keepends=True)
-    return directory, lines, _run_over(directory, "base", lines)
+    return directory, *_synth_run(directory, "--seed", "7", "--n-docs", "80")
+
+
+# a corpus of 20 to 60 documents, of any seed and of one or both layouts
+drawn_corpora = st.builds(
+    lambda seed, n_docs, douai: ("--seed", seed, "--n-docs", n_docs, "--mix", json.dumps(
+        {jur: w for jur, w in (("douai", douai), ("agen", 1 - douai)) if w})),
+    st.integers(0, 2**16), st.integers(20, 60), st.sampled_from([0, 0.25, 0.5, 1]))
 
 
 def _rtf(text):
@@ -130,9 +158,13 @@ Renvoie l'affaire à une audience ultérieure.
 """
 
 
-def test_a_judgment_without_counsel_changes_no_lawyer_artifact(seed7):
-    directory, lines, base = seed7
-    added = _run_over(directory, "no_counsel", lines + [_line(NO_COUNSEL)])
+@settings(max_examples=8)
+@given(corpus=drawn_corpora)
+def test_a_judgment_without_counsel_changes_no_lawyer_artifact(corpus):
+    with tempfile.TemporaryDirectory() as tmp:
+        directory = Path(tmp)
+        lines, base = _synth_run(directory, *corpus)
+        added = _run_over(directory, "no_counsel", lines + [_line(NO_COUNSEL)])
     record, = (r for r in _records(added) if r["doc_id"] == text_doc_id(NO_COUNSEL))
     assert record["outcome"] == "appellee_wins"
     assert record["appellant_lawyers"] == record["appellee_lawyers"] == []
@@ -140,13 +172,18 @@ def test_a_judgment_without_counsel_changes_no_lawyer_artifact(seed7):
         assert added[name] == base[name], name
 
 
-def test_an_undetermined_judgment_adds_only_to_its_lawyers_experience(seed7):
+@settings(max_examples=8)
+@given(corpus=drawn_corpora)
+def test_an_undetermined_judgment_adds_only_to_its_lawyers_experience(corpus):
     # the lawyer graphs count determined cases only, and experience counts every case
-    directory, lines, base = seed7
-    header, *rows = _rows(base)
-    top, bottom = rows[0], rows[-1]
-    text = UNDETERMINED.format(appellant=top[1], appellee=bottom[1])
-    added = _run_over(directory, "undetermined", lines + [_line(text)])
+    with tempfile.TemporaryDirectory() as tmp:
+        directory = Path(tmp)
+        lines, base = _synth_run(directory, *corpus)
+        header, *rows = _rows(base)
+        assume(len(rows) >= 2)
+        top, bottom = rows[0], rows[-1]
+        text = UNDETERMINED.format(appellant=top[1], appellee=bottom[1])
+        added = _run_over(directory, "undetermined", lines + [_line(text)])
     record, = (r for r in _records(added) if r["doc_id"] == text_doc_id(text))
     assert record["outcome"] == "undetermined"
     for name in LAWYER_ARTIFACTS[:-1]:
@@ -171,14 +208,78 @@ def test_a_renamed_lawyer_changes_only_that_name(seed7, data):
     others = [name for name in everyone if name != old_canonical]
     assume(sorted(others + [new_canonical]).index(new_canonical) == everyone.index(old_canonical))
     assume(not any(old_canonical in name or new_canonical in name for name in others))
-    mention = re.compile(rf"\bMe {re.escape(old)}(?=[,\s])")
-    renamed = []
-    for line in lines:
-        row = json.loads(line)
-        renamed.append(_line(mention.sub(f"Me {new}", row["text"]), row)
-                       if mention.search(row["text"]) else line)
+    renamed = _renamed(lines, old, new)
     assert renamed != lines
     got = _run_over(directory, "renamed", renamed)
     for name in LAWYER_ARTIFACTS:
         want = base[name].replace(old_canonical.encode(), new_canonical.encode())
         assert got[name] == want.replace(old.encode(), new.encode()), name
+
+
+_IDS = re.compile(r'\s*(?:<node id="([^"]*)"|<edge source="([^"]*)" target="([^"]*)"'
+                  r'|"([^"]*)" (?:->|--) "([^"]*)"|"([^"]*)"(?: \[|;))')
+
+
+def _in_order(data, undirected):
+    """The lines of a lawyer graph file with each run of node lines sorted by id
+    and each run of edge lines by (source, target); an undirected edge is
+    written from its smaller end."""
+    lines, runs = [], []  # runs: [(kind, key, line)] of consecutive node or edge lines
+    for line in data.decode("utf-8").splitlines(keepends=True):
+        ids = _IDS.match(line)
+        if not ids:
+            lines.extend(line for _, _, line in sorted(runs))
+            runs = []
+            lines.append(line)
+            continue
+        node, source, target = ids[1] or ids[6], ids[2] or ids[4], ids[3] or ids[5]
+        if node is None and undirected and source > target:
+            i, j = (2, 3) if ids[2] is not None else (4, 5)
+            line = (line[:ids.start(i)] + target + line[ids.end(i):ids.start(j)] + source
+                    + line[ids.end(j):])
+            source, target = target, source
+        runs.append((node is None, (node,) if node is not None else (source, target), line))
+    lines.extend(line for _, _, line in sorted(runs))
+    return "".join(lines).encode("utf-8")
+
+
+@settings(max_examples=30)
+@given(data=st.data())
+def test_a_lawyer_renamed_past_others_moves_only_to_the_new_names_place(seed7, data):
+    # a lawyer's `Me ...` mentions take a name that sorts elsewhere among every
+    # lawyer's: the rankings and the lawyer graphs keep their rows but that name,
+    # rankings.csv in PageRank then canonical-name order, the graphs in id order
+    directory, lines, base = seed7
+    everyone = sorted({name["canonical"] for record in _records(base)
+                       for name in record["appellant_lawyers"] + record["appellee_lawyers"]})
+    row = data.draw(st.sampled_from(_rows(base)[1:]), label="lawyer")
+    old, old_canonical = row[1], row[0]
+    new = data.draw(st.sampled_from(["Albane ABADIE", "Émile LEMAIRE", "Yves de LA TOUR",
+                                     "Édith ZIMMER", "Marc de BROGLIE"]), label="new name")
+    new_canonical = canonical_name(new)
+    others = [name for name in everyone if name != old_canonical]
+    assume(sorted(others + [new_canonical]).index(new_canonical) != everyone.index(old_canonical))
+    assume(not any(old_canonical in name or new_canonical in name for name in others))
+    got = _run_over(directory, "moved", _renamed(lines, old, new))
+    header, *rows = _rows(base)
+    rows = [[new_canonical, new, *row[2:]] if row[0] == old_canonical else row for row in rows]
+    rows.sort(key=lambda row: (-float(row[-1]), row[0]))
+    got_header, *got_rows = _rows(got)
+    assert got_header == header
+    # the scores may move in their last bits (see the xfail below)
+    assert [row[:-1] for row in got_rows] == [row[:-1] for row in rows]
+    for got_row, row in zip(got_rows, rows):
+        assert math.isclose(float(got_row[-1]), float(row[-1]), rel_tol=1e-12), row
+    for name in LAWYER_ARTIFACTS[:-1]:
+        want = base[name].replace(old_canonical.encode(), new_canonical.encode())
+        assert got[name] == _in_order(want, name.startswith("collaboration")), name
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="pagerank sums in name order (CHANGES.md, FOUND: ranking.pagerank), "
+                   "so a renamed lawyer moves other lawyers' scores in their last bits")
+def test_a_lawyer_renamed_past_others_leaves_every_score(seed7):
+    directory, lines, base = seed7
+    row = _rows(base)[6]
+    got = _run_over(directory, "scored", _renamed(lines, row[1], "Édith ZIMMER"))
+    assert sorted(row[-1] for row in _rows(got)) == sorted(row[-1] for row in _rows(base))

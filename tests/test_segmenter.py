@@ -1,5 +1,6 @@
 """Segmentation profiles, marker matching, sentences and the flow graph."""
 
+import errno
 import json
 import logging
 import os
@@ -438,6 +439,44 @@ def test_interrupt_in_the_parent_reaps_every_shard(monkeypatch):
     _force_shards(monkeypatch, 3)
     with pytest.raises(KeyboardInterrupt):
         segmenter._contract(["abc", "abd", "abe"], 0.8)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _fail_second_fork(mp):
+    """Make os.fork raise OSError on its second call, as it may when the system
+    is out of processes or memory."""
+    fork, calls = os.fork, []
+
+    def failing():
+        calls.append(None)
+        if len(calls) == 2:
+            raise OSError(errno.EAGAIN, "fork refused")
+        return fork()
+    mp.setattr(segmenter.os, "fork", failing)
+
+
+def test_a_failed_fork_closes_every_pipe_and_reaps_the_forked_shard(monkeypatch):
+    _force_shards(monkeypatch, 3)
+    _fail_second_fork(monkeypatch)
+    open_fds = len(os.listdir("/proc/self/fd"))
+    with pytest.raises(OSError, match="fork refused"):
+        segmenter._contract(["abc", "abd", "abe"], 0.8)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert len(os.listdir("/proc/self/fd")) <= open_fds
+
+
+def test_a_failed_fork_exits_1_leaving_no_file(tmp_path, monkeypatch, capfd):
+    out = tmp_path / "out"
+    assert main(["synth", "--output-dir", str(out), "--n-docs", "10"]) == 0
+    _force_shards(monkeypatch, 3)
+    _fail_second_fork(monkeypatch)
+    capfd.readouterr()
+    assert main(["flowgraph", "--output-dir", str(out)]) == 1
+    err = capfd.readouterr().err
+    assert "fork refused" in err and "Traceback" not in err
+    assert not list(out.glob("flow_*")) and not list(out.glob(".courtnet-*"))
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
