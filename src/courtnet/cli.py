@@ -238,8 +238,12 @@ class Pipeline:
         return sorted(records, key=lambda r: r.doc_id)
 
     @cached_property
+    def lawyers(self) -> dict[str, networks_mod.LawyerFacts]:
+        return networks_mod.lawyer_tallies(self.records)
+
+    @cached_property
     def opposing(self) -> networks_mod.OpposingNetwork:
-        return networks_mod.build_opposing_network(self.records, self.params)
+        return networks_mod.build_opposing_network(self.records, self.lawyers, self.params)
 
     @cached_property
     def collaboration(self) -> networks_mod.CollaborationGraph:
@@ -259,10 +263,9 @@ class Pipeline:
 
     @cached_property
     def rows(self) -> list[ranking_mod.RankRow]:
-        """The ranking over the opposing network and the records."""
+        """The ranking over the opposing network."""
         return ranking_mod.rank_table(
-            self.records, self.opposing,
-            damping=self.cfg.damping, tol=self.cfg.tol, max_iter=self.cfg.max_iter,
+            self.opposing, damping=self.cfg.damping, tol=self.cfg.tol, max_iter=self.cfg.max_iter,
         )
 
 
@@ -340,7 +343,7 @@ def _manifest(p: Pipeline) -> None:
             not (rec.appellant_lawyers or rec.appellee_lawyers) for rec in records),
         "outcomes": {o.value: sum(rec.outcome is o for rec in records) for o in Outcome},
         "rejection_rate": rejection_rate(rec.outcome for rec in records),
-        "lawyers_seen": len(networks_mod.lawyer_tallies(records)),
+        "lawyers_seen": len(p.lawyers),
         "lawyers_ranked": len(p.rows),
         "opposing_nodes": len(p.opposing.nodes),
         "opposing_edges": len(p.opposing.edges),

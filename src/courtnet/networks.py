@@ -63,21 +63,35 @@ def _sides(records: Iterable[ExtractionRecord]) -> Iterator[tuple[ExtractionReco
             yield (r, app, ape) if r.outcome is Outcome.APPELLANT_WINS else (r, ape, app)
 
 
-def lawyer_tallies(records: Sequence[ExtractionRecord]) -> dict[str, tuple[int, int, int]]:
-    """Per canonical lawyer name: (total cases, wins, losses).
+@dataclass(frozen=True)
+class LawyerFacts:
+    """One lawyer's facts, each named for the column it fills."""
+    display: str      # the first spelling the records give
+    experience: int   # every case, undetermined ones included
+    total_cases: int  # determined cases
+    wins: int
+    losses: int
 
-    Total counts every case the lawyer appears in, undetermined ones
-    included; wins and losses come from `_sides`, so from determined cases
-    only. A lawyer listed on both sides of one case gets neither from it.
+
+def lawyer_tallies(records: Sequence[ExtractionRecord]) -> dict[str, LawyerFacts]:
+    """Per canonical lawyer name: the lawyer's facts, counted here only.
+
+    The display is the first spelling in record order; experience counts
+    undetermined cases too. Determined cases, wins and losses come from
+    `_sides`: a lawyer on both sides of a case gets neither win nor loss.
     """
-    stats: dict[str, list[int]] = {}
+    facts: dict[str, list] = {}  # [display, experience, determined cases, wins, losses]
     for r in records:
-        for lawyer in {n.canonical for n in r.appellant_lawyers + r.appellee_lawyers}:
-            stats.setdefault(lawyer, [0, 0, 0])[0] += 1
+        # each canonical name once, with its first spelling in the record
+        names = {n.canonical: n.display for n in reversed(r.appellant_lawyers + r.appellee_lawyers)}
+        for lawyer, display in names.items():
+            facts.setdefault(lawyer, [display, 0, 0, 0, 0])[1] += 1
     for _, winners, losers in _sides(records):
+        for lawyer in set(winners).union(losers):
+            facts[lawyer][2] += 1
         for lawyer in set(winners).symmetric_difference(losers):
-            stats[lawyer][1 if lawyer in winners else 2] += 1
-    return {lawyer: tuple(t) for lawyer, t in stats.items()}
+            facts[lawyer][3 if lawyer in winners else 4] += 1
+    return {lawyer: LawyerFacts(*f) for lawyer, f in facts.items()}
 
 
 def pair_wins(
@@ -112,16 +126,9 @@ class OpposingEdge:
     wins_bw: float  # source's win mass over target
 
 
-@dataclass(frozen=True)
-class LawyerStats:
-    total_cases: int
-    wins: int
-    losses: int
-
-
 @dataclass
 class OpposingNetwork:
-    nodes: dict[str, LawyerStats]
+    nodes: dict[str, LawyerFacts]
     edges: list[OpposingEdge]
 
 
@@ -152,21 +159,20 @@ def collapse(wins: Mapping[tuple[str, str], float]) -> list[OpposingEdge]:
 
 
 def build_opposing_network(
-    records: Sequence[ExtractionRecord], params: NetworkParams = NetworkParams()
+    records: Sequence[ExtractionRecord], lawyers: Mapping[str, LawyerFacts],
+    params: NetworkParams = NetworkParams(),
 ) -> OpposingNetwork:
     """Collapsed opposing network over the determined records, with
-    low-volume lawyers pruned.
+    low-volume lawyers pruned; `lawyers` is lawyer_tallies(records).
 
     Lawyers with fewer than params.min_cases determined cases are removed
-    after edge weighting, together with their incident edges; isolated
-    survivors stay.
+    after edge weighting, together with their incident edges; a lawyer
+    without a determined case is never a node. Isolated survivors stay, and
+    each node holds the lawyer's facts.
     """
-    wins = pair_wins(records, params)
-    edges = collapse(wins)
-    tallies = lawyer_tallies([r for r, _, _ in _sides(records)])
-    keep = {l for l, (total, _, _) in tallies.items() if total >= params.min_cases}
-    nodes = {l: LawyerStats(*tallies[l]) for l in sorted(keep)}
-    edges = [e for e in edges if e.source in keep and e.target in keep]
+    edges = collapse(pair_wins(records, params))
+    nodes = {l: f for l, f in sorted(lawyers.items()) if f.total_cases >= max(params.min_cases, 1)}
+    edges = [e for e in edges if e.source in nodes and e.target in nodes]
     return OpposingNetwork(nodes=nodes, edges=edges)
 
 

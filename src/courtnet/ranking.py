@@ -12,10 +12,9 @@ import dataclasses
 import logging
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable
 
-from .extract import ExtractionRecord
-from .networks import OpposingNetwork, lawyer_tallies
+from .networks import OpposingNetwork
 
 logger = logging.getLogger(__name__)
 
@@ -100,36 +99,28 @@ class RankRow:
 
 
 def rank_table(
-    records: Sequence[ExtractionRecord],
     network: OpposingNetwork,
     damping: float = DEFAULT_DAMPING,
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
 ) -> list[RankRow]:
-    """One row per network survivor, sorted by PageRank then name.
+    """One row per network node, sorted by PageRank then name.
 
-    `records` should be the full extraction output including undetermined
-    cases so that experience is complete; win/loss tallies ignore the
-    undetermined ones on their own. A lawyer is printed with the first
-    spelling the records give, or by canonical name if they give none.
+    Each row prints the node's lawyer facts (networks.lawyer_tallies):
+    experience counts undetermined cases too, and the win rate is over the
+    cases won or lost, None where there are none.
     """
     scores = pagerank(network, damping=damping, tol=tol, max_iter=max_iter)
-    tallies = lawyer_tallies(records)
-    display: dict[str, str] = {}
-    for r in records:
-        for name in r.appellant_lawyers + r.appellee_lawyers:
-            display.setdefault(name.canonical, name.display)
     rows = []
-    for lawyer in sorted(network.nodes):
-        total, wins, losses = tallies.get(lawyer, (0, 0, 0))
-        rate = wins / (wins + losses) if wins + losses else None
+    for lawyer, facts in network.nodes.items():
+        decided = facts.wins + facts.losses
         rows.append(RankRow(
             lawyer_canonical=lawyer,
-            lawyer_display=display.get(lawyer, lawyer),
-            experience=total,
-            wins=wins,
-            losses=losses,
-            win_rate=rate,
+            lawyer_display=facts.display,
+            experience=facts.experience,
+            wins=facts.wins,
+            losses=facts.losses,
+            win_rate=facts.wins / decided if decided else None,
             pagerank=scores[lawyer],
         ))
     rows.sort(key=lambda r: (-r.pagerank, r.lawyer_canonical))

@@ -430,23 +430,27 @@ def lawyer_half_reference(records, a, b, min_cases, collab_min):
 
     Each record is read side by side. A side won a determined case when it
     is the appellant side and the appellant won, or the appellee side and
-    the appellee won. Returns a dict: "tallies" {lawyer: (total, wins,
-    losses)}, "wins" {(winner, loser): mass}, "opposing" (nodes as
-    {lawyer: (total, wins, losses)} in name order, edges as (source,
-    target, weight, wins_fw, wins_bw) in pair order) and "collaboration"
-    (node list, edges as (u, v, weight, wins, losses, collaborations)).
+    the appellee won. Returns a dict: "tallies" {lawyer: (first spelling,
+    experience, determined cases, wins, losses)}, "wins" {(winner, loser):
+    mass}, "opposing" (nodes as their tallies in name order, edges as
+    (source, target, weight, wins_fw, wins_bw) in pair order) and
+    "collaboration" (node list, edges as (u, v, weight, wins, losses,
+    collaborations)).
     """
-    tallies, determined_tallies, wins, together = {}, {}, {}, {}
+    spelling, experience, decided, wins, together = {}, {}, {}, {}, {}
     for record in records:
+        for name in record.appellant_lawyers + record.appellee_lawyers:
+            spelling.setdefault(name.canonical, name.display)
         appellants = {n.canonical for n in record.appellant_lawyers}
         appellees = {n.canonical for n in record.appellee_lawyers}
         determined = record.outcome.value != "undetermined"
         appellant_won = record.outcome.value == "appellant_wins"
         for lawyer in appellants | appellees:
-            tables = (tallies, determined_tallies) if determined else (tallies,)
-            for t in (table.setdefault(lawyer, [0, 0, 0]) for table in tables):
+            experience[lawyer] = experience.get(lawyer, 0) + 1
+            if determined:
+                t = decided.setdefault(lawyer, [0, 0, 0])
                 t[0] += 1
-                if determined and (lawyer in appellants) != (lawyer in appellees):
+                if (lawyer in appellants) != (lawyer in appellees):
                     t[1 if (lawyer in appellants) == appellant_won else 2] += 1
         if not determined:
             continue
@@ -459,7 +463,9 @@ def lawyer_half_reference(records, a, b, min_cases, collab_min):
                 if i != j:
                     pair, mass = ((i, j), a) if appellant_won else ((j, i), b)
                     wins[pair] = wins.get(pair, 0.0) + mass
-    kept = sorted(l for l, t in determined_tallies.items() if t[0] >= min_cases)
+    tallies = {l: (spelling[l], experience[l], *decided.get(l, (0, 0, 0))) for l in spelling}
+    # only lawyers with a determined case, whatever min_cases
+    kept = sorted(l for l, t in decided.items() if t[0] >= min_cases)
     edges = []
     for x, y in sorted({tuple(sorted(pair)) for pair in wins}):
         wxy, wyx = wins.get((x, y), 0.0), wins.get((y, x), 0.0)
@@ -469,9 +475,9 @@ def lawyer_half_reference(records, a, b, min_cases, collab_min):
     collab_edges = [(u, v, w - l, w, l, w + l) for (u, v), (w, l) in sorted(together.items())
                     if w + l >= collab_min]
     return {
-        "tallies": {l: tuple(t) for l, t in tallies.items()},
+        "tallies": tallies,
         "wins": wins,
-        "opposing": ({l: tuple(determined_tallies[l]) for l in kept}, edges),
+        "opposing": ({l: tallies[l] for l in kept}, edges),
         "collaboration": (sorted({n for e in collab_edges for n in e[:2]}), collab_edges),
     }
 

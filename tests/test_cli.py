@@ -1,5 +1,6 @@
 """Command line stages, exit codes and the pipeline manifest."""
 
+import csv
 import hashlib
 import json
 import logging
@@ -730,6 +731,37 @@ def test_a_run_without_a_determined_outcome_writes_a_null_rejection_rate(tmp_pat
     assert json.loads(manifest)["counts"]["outcomes"]["undetermined"] == 2
 
 
+def test_lawyers_seen_counts_every_named_lawyer_and_rankings_only_determined_ones(tmp_path):
+    # Paul DURAND pleads only in an undetermined case: seen, but never a
+    # node of the opposing network, not even at --min-cases 0
+    sources = tmp_path / "sources"
+    sources.mkdir()
+    for name, appellant, ruling in (("a.txt", "Me Anne MARTIN", "Confirme le jugement."),
+                                    ("b.txt", "Me Anne MARTIN", "Infirme le jugement."),
+                                    ("c.txt", "Me Paul DURAND", "Renvoie l'affaire.")):
+        (sources / name).write_text(
+            f"APPELANT\nMonsieur A B\nreprésenté par {appellant}\n\n"
+            "INTIMÉ\nMadame C D\nreprésentée par Me Hugo TOUR\n\n"
+            f"PAR CES MOTIFS\n{ruling}\n", encoding="utf-8")
+    for min_cases in (2, 0):
+        out = tmp_path / f"out{min_cases}"
+        assert _run("run", "--input-dir", sources, "--output-dir", out,
+                    "--min-cases", min_cases) == 0
+        seen = set()
+        for line in (out / "extracted.jsonl").read_text(encoding="utf-8").splitlines():
+            record = json.loads(line)
+            seen.update(n["canonical"]
+                        for n in record["appellant_lawyers"] + record["appellee_lawyers"])
+        assert seen == {"anne martin", "hugo tour", "paul durand"}
+        counts = json.loads((out / "run_manifest.json").read_text(encoding="utf-8"))["counts"]
+        assert counts["lawyers_seen"] == len(seen)
+        with open(out / "rankings.csv", encoding="utf-8", newline="") as fh:
+            ranked = {row["lawyer_canonical"]: row for row in csv.DictReader(fh)}
+        assert set(ranked) == {"anne martin", "hugo tour"}
+        assert counts["lawyers_ranked"] == 2
+        assert ranked["hugo tour"]["experience"] == "3"
+
+
 def test_an_empty_opposing_network_writes_a_header_only_rankings_csv(tmp_path):
     out = tmp_path / "out"
     assert _run("synth", "--output-dir", out, "--n-docs", "20") == 0
@@ -969,15 +1001,19 @@ def test_each_command_computes_only_what_it_needs_once(tmp_path, monkeypatch):
         monkeypatch.setattr(module, name, counted)
 
     count(segmenter, "segment")
-    for name in ("build_case_graph", "detect_communities", "build_opposing_network"):
+    for name in ("build_case_graph", "detect_communities", "build_opposing_network",
+                 "lawyer_tallies"):
         count(networks, name)
     out = tmp_path / "out"
     assert _run("synth", "--output-dir", out, "--n-docs", "40") == 0
     assert _run("run", "--corpus-file", out / "corpus.jsonl", "--output-dir", out) == 0
     docs = json.loads((out / "run_manifest.json").read_text())["counts"]["docs_ingested"]
-    assert calls == {"segment": docs, "build_case_graph": 1, "detect_communities": 1,
-                     "build_opposing_network": 1}
-    for command, want in (("rank", {"build_opposing_network": 1}),
+    # the lawyer table serves the opposing network, the ranking and the manifest
+    lawyers = {"lawyer_tallies": 1, "build_opposing_network": 1}
+    assert calls == {"segment": docs, "build_case_graph": 1, "detect_communities": 1, **lawyers}
+    for command, want in (("networks", {"build_case_graph": 1, "detect_communities": 1,
+                                        **lawyers}),
+                          ("rank", lawyers),
                           ("communities", {"build_case_graph": 1, "detect_communities": 1})):
         calls.clear()
         assert _run(command, "--output-dir", out) == 0

@@ -18,7 +18,7 @@ from courtnet.graphio import write_dot, write_graphml
 from courtnet.segmenter import get_profile, segment
 from courtnet.networks import (
     CollabEdge,
-    LawyerStats,
+    LawyerFacts,
     NetworkParams,
     OpposingEdge,
     _dense_renumber,
@@ -48,17 +48,32 @@ from oracles import (
 )
 
 
+def _names(names):
+    """Each name as given if a LawyerName, else spelled as its canonical form."""
+    return tuple(n if isinstance(n, LawyerName) else LawyerName(n, n) for n in names)
+
+
 def _case(doc_id, appellants, appellees, outcome):
-    """A record of counsel names spelled as their canonical form, citing nothing."""
+    """A record citing nothing."""
     return ExtractionRecord(
         doc_id=doc_id,
-        appellant_lawyers=tuple(LawyerName(name, name) for name in appellants),
-        appellee_lawyers=tuple(LawyerName(name, name) for name in appellees),
+        appellant_lawyers=_names(appellants),
+        appellee_lawyers=_names(appellees),
         articles=frozenset(),
         outcome=outcome,
         confirm_count=0,
         reverse_count=0,
     )
+
+
+def _opposing(records, params=NetworkParams()):
+    """The opposing network of the records, over their lawyer tallies."""
+    return build_opposing_network(records, lawyer_tallies(records), params)
+
+
+def _decided(network):
+    """Each node's determined cases, wins and losses."""
+    return {l: (s.total_cases, s.wins, s.losses) for l, s in network.nodes.items()}
 
 
 def _case_graph_of(nodes, edges):
@@ -115,20 +130,22 @@ def test_lawyer_tallies():
     results = [
         _case("c1", ["x"], ["y"], Outcome.APPELLANT_WINS),
         _case("c2", ["x"], ["z"], Outcome.APPELLEE_WINS),
-        _case("c3", ["y"], ["x"], Outcome.UNDETERMINED),
+        _case("c3", ["y"], [LawyerName("x", "Me X")], Outcome.UNDETERMINED),
     ]
-    tallies = lawyer_tallies(results)
-    # undetermined cases count toward totals but not wins or losses
-    assert tallies["x"] == (3, 1, 1)
-    assert tallies["y"] == (2, 0, 1)
-    assert tallies["z"] == (1, 1, 0)
+    # undetermined cases count toward experience but not determined cases,
+    # wins or losses; the display is the first spelling met
+    assert lawyer_tallies(results) == {
+        "x": LawyerFacts("x", experience=3, total_cases=2, wins=1, losses=1),
+        "y": LawyerFacts("y", experience=2, total_cases=1, wins=0, losses=1),
+        "z": LawyerFacts("z", experience=1, total_cases=1, wins=1, losses=0),
+    }
 
 
 def test_lawyer_tallies_both_sides_is_neutral():
     results = [_case("c1", ["x", "y"], ["x"], Outcome.APPELLANT_WINS)]
     tallies = lawyer_tallies(results)
-    assert tallies["x"] == (1, 0, 0)
-    assert tallies["y"] == (1, 1, 0)
+    assert tallies["x"] == LawyerFacts("x", 1, 1, 0, 0)
+    assert tallies["y"] == LawyerFacts("y", 1, 1, 1, 0)
 
 
 def test_pair_wins_weights():
@@ -189,10 +206,10 @@ def test_build_opposing_network_prunes_thin_nodes():
         _case("c2", ["x"], ["y"], Outcome.APPELLANT_WINS),
         _case("c3", ["x"], ["z"], Outcome.APPELLEE_WINS),
     ]
-    network = build_opposing_network(results, NetworkParams(min_cases=2))
+    network = _opposing(results, NetworkParams(min_cases=2))
     # z only has one case and is dropped, together with its edge
     assert set(network.nodes) == {"x", "y"}
-    assert network.nodes["x"] == LawyerStats(total_cases=3, wins=2, losses=1)
+    assert network.nodes["x"] == LawyerFacts("x", experience=3, total_cases=3, wins=2, losses=1)
     assert [(e.source, e.target) for e in network.edges] == [("y", "x")]
     assert network.edges[0].weight == pytest.approx(4.0 * math.log(5.0))
 
@@ -205,7 +222,7 @@ def test_build_opposing_network_keeps_isolated_survivors():
         _case("c2", ["x"], ["y"], Outcome.APPELLEE_WINS),
         _case("c3", ["x"], ["y"], Outcome.APPELLEE_WINS),
     ]
-    network = build_opposing_network(results, NetworkParams(min_cases=2))
+    network = _opposing(results, NetworkParams(min_cases=2))
     assert set(network.nodes) == {"x", "y"}
     assert network.edges == []
 
@@ -239,22 +256,28 @@ def test_lawyer_networks_leave_undetermined_records_out():
     records = [extract_record(doc, segment(doc, profile)) for doc in docs]
     determined = [r for r in records if r.outcome is not Outcome.UNDETERMINED]
     assert len(determined) < len(records)
-    opposing = build_opposing_network(records)
-    assert opposing == build_opposing_network(determined)
+    opposing = _opposing(records)
+    from_determined = _opposing(determined)
+    assert opposing.edges == from_determined.edges
+    assert _decided(opposing) == _decided(from_determined)
     assert opposing.nodes and opposing.edges
-    # node totals count determined cases only
+    # node totals count determined cases only; experience counts them all
     assert sum(s.total_cases for s in opposing.nodes.values()) < sum(
-        total for total, _, _ in lawyer_tallies(records).values())
+        s.experience for s in opposing.nodes.values())
     collaboration = build_collaboration_network(records)
     assert collaboration == build_collaboration_network(determined)
     assert collaboration.edges
 
 
-_SIDE = st.lists(st.sampled_from(["x", "y", "z", "w"]), max_size=3)  # repeats and empty sides
+# repeats, empty sides, and up to three spellings of each canonical name
+_SIDE = st.lists(st.sampled_from([LawyerName(name, spelling) for name in "xyzw"
+                                  for spelling in (name, name.upper(), f"Me {name.upper()}")]),
+                 max_size=3)
 
 
 @settings(max_examples=150)
-@example(records=[_case("c0", ["x", "y", "x"], ["x", "z"], Outcome.APPELLANT_WINS),
+@example(records=[_case("c0", ["x", "y", LawyerName("x", "X")], ["x", "z"],
+                        Outcome.APPELLANT_WINS),
                   _case("c1", ["z"], ["y", "y"], Outcome.APPELLEE_WINS),
                   _case("c2", ["x"], ["z"], Outcome.UNDETERMINED),
                   _case("c3", [], [], Outcome.APPELLEE_WINS)],
@@ -266,10 +289,11 @@ _SIDE = st.lists(st.sampled_from(["x", "y", "z", "w"]), max_size=3)  # repeats a
 def test_lawyer_half_equals_the_per_side_reference(records, a, b, min_cases, collab_min):
     params = NetworkParams(a=a, b=b, min_cases=min_cases, collab_min=collab_min)
     want = lawyer_half_reference(records, a, b, min_cases, collab_min)
-    assert lawyer_tallies(records) == want["tallies"]
+    lawyers = lawyer_tallies(records)
+    assert {l: tuple(vars(f).values()) for l, f in lawyers.items()} == want["tallies"]
     assert pair_wins(records, params) == want["wins"]
-    opposing = build_opposing_network(records, params)
-    assert ({l: (s.total_cases, s.wins, s.losses) for l, s in opposing.nodes.items()},
+    opposing = build_opposing_network(records, lawyers, params)
+    assert ({l: tuple(vars(f).values()) for l, f in opposing.nodes.items()},
             [(e.source, e.target, e.weight, e.wins_fw, e.wins_bw) for e in opposing.edges]
             ) == want["opposing"]
     assert list(opposing.nodes) == list(want["opposing"][0])
@@ -630,12 +654,11 @@ def test_opposing_graphml_round_trip(tmp_path):
         _case("c3", ["y"], ["z"], Outcome.APPELLEE_WINS),
         _case("c4", ["z"], ["y"], Outcome.APPELLEE_WINS),
     ]
-    network = build_opposing_network(results, NetworkParams(min_cases=1))
+    network = _opposing(results, NetworkParams(min_cases=1))
     write_opposing(tmp_path / "opposing", network)
     directed, nodes, edges = parse_graphml(tmp_path / "opposing.graphml")
     assert directed is True
-    assert {nid: LawyerStats(a["total_cases"], a["wins"], a["losses"])
-            for nid, a in nodes} == network.nodes
+    assert {nid: (a["total_cases"], a["wins"], a["losses"]) for nid, a in nodes} == _decided(network)
     assert [OpposingEdge(u, v, a["weight"], a["wins_fw"], a["wins_bw"])
             for u, v, a in edges] == network.edges
 

@@ -7,11 +7,12 @@ import pytest
 
 from courtnet.extract import ExtractionRecord, LawyerName, Outcome
 from courtnet.networks import (
+    LawyerFacts,
     NetworkParams,
     OpposingEdge,
     OpposingNetwork,
-    LawyerStats,
     build_opposing_network,
+    lawyer_tallies,
 )
 from courtnet.ranking import RankRow, pagerank, rank_table, write_rankings_csv
 
@@ -52,6 +53,7 @@ def test_experience_counts_all_cases():
     assert rows["nobody"].experience == 0
 
 
+
 def test_win_rate_uses_determined_cases_only():
     rows = _rows_by_name()
     assert rows["x"].win_rate == pytest.approx(0.5)
@@ -64,15 +66,16 @@ def test_win_rate_uses_determined_cases_only():
 
 def _network(nodes, edges):
     return OpposingNetwork(
-        nodes={n: LawyerStats(0, 0, 0) for n in nodes},
+        nodes={n: LawyerFacts(n, 0, 0, 0, 0) for n in nodes},
         edges=[OpposingEdge(s, t, w, w, 0.0) for s, t, w in edges],
     )
 
 
 def _rows_by_name():
-    """rank_table rows of RESULTS over a network of its lawyers and "nobody"."""
-    network = _network(["v", "w", "x", "y", "z", "nobody"], [])
-    return {r.lawyer_canonical: r for r in rank_table(RESULTS, network)}
+    """rank_table rows over a network of RESULTS' lawyers and "nobody", a lawyer in no case."""
+    nobody = LawyerFacts("nobody", experience=0, total_cases=0, wins=0, losses=0)
+    network = OpposingNetwork(nodes={**lawyer_tallies(RESULTS), "nobody": nobody}, edges=[])
+    return {r.lawyer_canonical: r for r in rank_table(network)}
 
 
 def test_pagerank_validation():
@@ -154,11 +157,8 @@ def test_rank_table_orders_and_annotates():
         _case("c3", ["y"], ["x"], Outcome.APPELLANT_WINS),
         _case("c4", ["x"], ["y"], Outcome.UNDETERMINED),
     ]
-    network = build_opposing_network(
-        [r for r in results if r.outcome is not Outcome.UNDETERMINED],
-        NetworkParams(min_cases=1),
-    )
-    rows = rank_table(results, network)
+    network = build_opposing_network(results, lawyer_tallies(results), NetworkParams(min_cases=1))
+    rows = rank_table(network)
     assert [r.lawyer_canonical for r in rows] == ["x", "y"]
     # the loser of the collapsed edge feeds the winner, who ranks higher
     assert rows[0].pagerank > rows[1].pagerank
@@ -170,12 +170,11 @@ def test_rank_table_orders_and_annotates():
 
 
 def test_rank_table_win_rate_none_without_determined_cases():
-    results = [_case("c1", ["x"], ["y"], Outcome.APPELLANT_WINS)]
     network = OpposingNetwork(
-        nodes={"x": LawyerStats(1, 1, 0), "q": LawyerStats(0, 0, 0)},
+        nodes={"x": LawyerFacts("x", 1, 1, 1, 0), "q": LawyerFacts("q", 0, 0, 0, 0)},
         edges=[],
     )
-    rows = rank_table(results, network)
+    rows = rank_table(network)
     by_name = {r.lawyer_canonical: r for r in rows}
     # q sits in the network but has no recorded case, so no rate
     assert by_name["q"].win_rate is None
@@ -184,9 +183,9 @@ def test_rank_table_win_rate_none_without_determined_cases():
 
 def test_rankings_csv(tmp_path):
     results = [_case("c1", ["x"], ["y"], Outcome.APPELLANT_WINS)]
-    network = build_opposing_network(results, NetworkParams(min_cases=1))
+    network = build_opposing_network(results, lawyer_tallies(results), NetworkParams(min_cases=1))
     # a lawyer without a determined case has no win rate: an empty cell
-    rows = rank_table(results, network) + [RankRow("zoe", "Zoé, fils", 2, 0, 0, None, 0.0)]
+    rows = rank_table(network) + [RankRow("zoe", "Zoé, fils", 2, 0, 0, None, 0.0)]
     path = tmp_path / "rankings.csv"
     write_rankings_csv(path, rows)
     assert path.read_bytes() == (
