@@ -112,9 +112,10 @@ def load_config_file(path: str | Path) -> PipelineConfig:
         raise ValueError(f"config file {path}: {exc}") from None
 
 
-def _check_strings(cfg: PipelineConfig, names=("jurisdiction", "mix")) -> None:
-    """ValueError naming a key with a string no UTF-8 file holds (default: keys artifacts hold)."""
-    for name in names:
+def _check_strings(cfg: PipelineConfig, command: str = "") -> None:
+    """ValueError naming a key with a string no UTF-8 file holds: any key for `run`, whose
+    run_manifest.json holds every field, else the keys other artifacts hold."""
+    for name in _FIELDS if command == "run" else ("jurisdiction", "mix"):
         check_encodable(getattr(cfg, name), f"{name}: ")
 
 
@@ -134,7 +135,7 @@ class Pipeline:
 
     def __init__(self, cfg: PipelineConfig, name: str):
         """Range-check every parameter with its owner's check, keeping the checked objects."""
-        _check_strings(cfg)
+        _check_strings(cfg, name)
         self.params = NetworkParams(a=cfg.a, b=cfg.b, min_cases=cfg.min_cases,
                                     collab_min=cfg.collab_min)
         networks_mod.check_k(cfg.k)
@@ -148,8 +149,6 @@ class Pipeline:
         if self.ingests and not cfg.input_dir:
             raise ValueError("ingest needs input_dir" if name == "ingest"
                              else "run needs corpus_file or input_dir")
-        if name == "run":
-            _check_strings(cfg, _FIELDS)  # run_manifest.json holds every field
         self.cfg, self.stages = cfg, COMMANDS[name].stages
 
     def _input(self, name: str, producer: str) -> Path:
@@ -165,9 +164,8 @@ class Pipeline:
 
     @cached_property
     def corpus(self) -> tuple[list, int]:
-        """(documents in doc_id order, repeated texts dropped): input_dir's sources
-        if this command ingests, else corpus_file or the output directory's corpus.jsonl.
-        Of a text given under several doc_ids, the smallest stays, whatever the line order."""
+        """dedupe_documents of input_dir's sources if this command ingests, else of
+        corpus_file or of the output directory's corpus.jsonl."""
         from . import corpus as corpus_mod  # only the commands that read a corpus load it
 
         skipped = 0
@@ -191,7 +189,6 @@ class Pipeline:
                     logger.warning("skipping %s", exc)  # exc names the path
             if not docs:
                 raise InputError(f"no ingestable documents under {root}")
-        docs.sort(key=lambda doc: doc.doc_id)  # first, so a repeated text keeps its smallest id
         docs, dropped = corpus_mod.dedupe_documents(docs)
         logger.info(
             "ingested %d documents (%d unreadable skipped, %d duplicates dropped)",
@@ -251,11 +248,7 @@ class Pipeline:
 
     @cached_property
     def cases(self) -> networks_mod.CaseGraph:
-        return networks_mod.build_case_graph(
-            {rec.doc_id: rec.articles for rec in self.records},
-            {rec.doc_id: rec.outcome for rec in self.records},
-            self.cfg.k,
-        )
+        return networks_mod.build_case_graph(self.records, self.cfg.k)
 
     @cached_property
     def partition(self) -> networks_mod.CommunityPartition:

@@ -12,7 +12,7 @@ import logging
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .errors import InputError
 from .jsonl import iter_unique, write_jsonl
@@ -162,21 +162,15 @@ def ingest(path: str | Path, jurisdiction: str) -> Document:
     )
 
 
-def dedupe_documents(docs: Sequence[Document]) -> tuple[list[Document], int]:
-    """Drop later documents whose text an earlier one has, whatever their ids
-    (a corpus file may carry one text under two ids); given documents in doc_id
-    order, each text keeps its smallest id."""
-    seen: set[str] = set()
-    unique: list[Document] = []
-    dropped = 0
+def dedupe_documents(docs: Iterable[Document]) -> tuple[list[Document], int]:
+    """The documents in doc_id order, less those whose text a smaller id has
+    (a corpus file may carry one text under two ids), and the count dropped."""
+    docs = sorted(docs, key=lambda d: d.doc_id)
+    first: dict[str, Document] = {}  # each text's first document
     for doc in docs:
-        if doc.text in seen:
-            dropped += 1
+        if first.setdefault(doc.text, doc) is not doc:
             logger.info("duplicate text dropped: %s (%s)", doc.doc_id, doc.source_path)
-            continue
-        seen.add(doc.text)
-        unique.append(doc)
-    return unique, dropped
+    return list(first.values()), len(docs) - len(first)
 
 
 # ---------------------------------------------------------------------------

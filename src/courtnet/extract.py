@@ -14,10 +14,10 @@ from dataclasses import dataclass
 from enum import Enum
 from importlib import resources
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Mapping
+from typing import TYPE_CHECKING, Iterable
 
 from .graphio import xml_safe
-from .jsonl import iter_unique
+from .jsonl import check_xml_id, iter_unique
 from .segmenter import SegmentedJudgment, split_sentences
 from .textmetrics import fold, fold_aligned
 
@@ -166,16 +166,13 @@ def _norm_number(raw: str) -> str:
     return raw.strip()
 
 
-def extract_articles(
-    text: str, code_table: Mapping[str, str] | None = None
-) -> set[ArticleRef]:
+def extract_articles(text: str) -> set[ArticleRef]:
     """Cited articles as a set of (code, number) references.
 
     Citations without a code name get code "unknown". Code names are folded,
-    whitespace-collapsed and passed through the canonicalization table;
-    unlisted codes are kept as folded.
+    whitespace-collapsed and passed through the packaged canonicalization
+    table; unlisted codes are kept as folded.
     """
-    table = default_code_table() if code_table is None else code_table
     folded = fold(text)
     refs: set[ArticleRef] = set()
     # _ARTICLE_RE starts with \b, so re would try it at every position; try it
@@ -192,7 +189,7 @@ def extract_articles(
             code = UNKNOWN_CODE
         else:
             code = " ".join(code_raw.split())
-            code = table.get(code, code)
+            code = default_code_table().get(code, code)
         for number in _NUM_SPLIT_RE.split(numbers):
             refs.add(ArticleRef(code=code, number=_norm_number(number)))
     return refs
@@ -221,11 +218,16 @@ def classify_outcome(text: str) -> tuple[Outcome, int, int]:
             confirm += 1
         else:
             reverse += 1
+    return majority(confirm, reverse), confirm, reverse
+
+
+def majority(confirm: int, reverse: int) -> Outcome:
+    """More confirm stems, the appellee wins; more reverse stems, the appellant; else neither."""
     if confirm > reverse:
-        return Outcome.APPELLEE_WINS, confirm, reverse
+        return Outcome.APPELLEE_WINS
     if reverse > confirm:
-        return Outcome.APPELLANT_WINS, confirm, reverse
-    return Outcome.UNDETERMINED, confirm, reverse
+        return Outcome.APPELLANT_WINS
+    return Outcome.UNDETERMINED
 
 
 def rejection_rate(outcomes: Iterable[Outcome]) -> float | None:
@@ -265,6 +267,11 @@ def extract_record(doc: "Document", seg: SegmentedJudgment) -> ExtractionRecord:
 
 
 def read_extracted(path: str | Path) -> list[ExtractionRecord]:
-    """The records of an extracted.jsonl file; a malformed line, or one repeating
-    an earlier line's doc_id, raises InputError."""
-    return [rec for _, rec in iter_unique(path, ExtractionRecord)]
+    """The records of an extracted.jsonl file; a malformed line, one repeating an earlier
+    line's doc_id, or a lawyer id that check_xml_id refuses raises InputError."""
+    records = []
+    for lineno, rec in iter_unique(path, ExtractionRecord):
+        for name in rec.appellant_lawyers + rec.appellee_lawyers:
+            check_xml_id(name.canonical, "lawyer", path, lineno)
+        records.append(rec)
+    return records

@@ -25,6 +25,7 @@ from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, TypeVar
 
 from .errors import InputError
+from .graphio import xml_safe
 
 T = TypeVar("T")
 
@@ -180,12 +181,19 @@ def iter_jsonl(path: str | Path, cls: type[T]) -> Iterator[tuple[int, T]]:
             yield lineno, record
 
 
+def check_xml_id(value: str, what: str, path: str | Path, lineno: int) -> None:
+    """InputError naming path:line if graphio.xml_safe would change value, an id graphs hold."""
+    if xml_safe(value) != value:
+        raise InputError(f"{path}:{lineno}: {what} {value!r} holds a character XML 1.0 forbids")
+
+
 def iter_unique(path: str | Path, cls: type[T], equal_repeats: bool = False
                 ) -> Iterator[tuple[int, T]]:
-    """iter_jsonl's pairs; a line repeating an earlier line's doc_id raises InputError
-    naming path:line, unless equal_repeats and the two records are equal."""
+    """iter_jsonl's pairs; a doc_id that check_xml_id refuses, or a line repeating an earlier
+    line's doc_id unless equal_repeats and the records are equal, raises InputError."""
     first: dict[str, tuple[int, T]] = {}
     for lineno, record in iter_jsonl(path, cls):
+        check_xml_id(record.doc_id, "doc_id", path, lineno)
         earlier = first.setdefault(record.doc_id, (lineno, record))
         if earlier[0] != lineno and not (equal_repeats and earlier[1] == record):
             raise InputError(

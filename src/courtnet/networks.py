@@ -27,7 +27,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import chain, combinations, islice
 from pathlib import Path
-from typing import AbstractSet, Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from . import graphio
 from .extract import ArticleRef, ExtractionRecord, Outcome
@@ -137,8 +137,9 @@ def collapse(wins: Mapping[tuple[str, str], float]) -> list[OpposingEdge]:
 
     Weight is |delta| * ln(total + 1) where delta is the difference of the
     two win masses and total their sum; the edge points at the pair's
-    winner. Balanced pairs produce no edge. A weight that is 0 or not finite
-    raises ValueError naming the pair: a or b is too small or too large.
+    winner. Balanced pairs produce no edge; the others come sorted by (source,
+    target). A weight that is 0 or not finite raises ValueError naming the
+    pair: a or b is too small or too large.
     """
     edges: list[OpposingEdge] = []
     unordered = sorted({(min(i, j), max(i, j)) for i, j in wins})
@@ -155,7 +156,7 @@ def collapse(wins: Mapping[tuple[str, str], float]) -> list[OpposingEdge]:
             edges.append(OpposingEdge(y, x, weight, wxy, wyx))
         else:
             edges.append(OpposingEdge(x, y, weight, wyx, wxy))
-    return edges
+    return sorted(edges, key=lambda e: (e.source, e.target))
 
 
 def build_opposing_network(
@@ -168,7 +169,7 @@ def build_opposing_network(
     Lawyers with fewer than params.min_cases determined cases are removed
     after edge weighting, together with their incident edges; a lawyer
     without a determined case is never a node. Isolated survivors stay, and
-    each node holds the lawyer's facts.
+    each node, in name order, holds the lawyer's facts.
     """
     edges = collapse(pair_wins(records, params))
     nodes = {l: f for l, f in sorted(lawyers.items()) if f.total_cases >= max(params.min_cases, 1)}
@@ -199,7 +200,7 @@ def build_collaboration_network(
     determined records.
 
     Pairs below params.collab_min shared cases are dropped; only lawyers
-    incident to a surviving edge appear as nodes.
+    incident to a surviving edge appear as nodes. Both come sorted.
     """
     stats: dict[tuple[str, str], list[int]] = {}  # per pair: [wins, losses]
     for _, winners, losers in _sides(records):
@@ -240,25 +241,21 @@ def check_k(k: int) -> None:
         raise ValueError(f"k must be at least 1, got {k}")
 
 
-def build_case_graph(
-    articles: Mapping[str, AbstractSet[ArticleRef]],
-    outcomes: Mapping[str, Outcome],
-    k: int,
-) -> CaseGraph:
+def build_case_graph(records: Iterable[ExtractionRecord], k: int) -> CaseGraph:
     """Link cases sharing at least k cited articles.
 
-    Nodes cover every case in `articles`, isolated ones included. Cases are
+    Nodes cover every record, isolated ones included, in doc_id order. Cases are
     bucketed by their article set, and the articles shared between two
     distinct sets are counted through an inverted index over the sets. No
     state is kept per case pair: each set holds at most one entry per case,
     and no edge list is stored (see CaseGraph).
     """
     check_k(k)
-    doc_ids = sorted(articles)
+    records = sorted(records, key=lambda r: r.doc_id)
     set_index: dict[frozenset, int] = {}
     set_of_doc = array("i")
-    for doc_id in doc_ids:
-        set_of_doc.append(set_index.setdefault(frozenset(articles[doc_id]), len(set_index)))
+    for r in records:
+        set_of_doc.append(set_index.setdefault(r.articles, len(set_index)))
     sets = list(set_index)
     members = [array("i") for _ in sets]
     for i, s in enumerate(set_of_doc):
@@ -281,7 +278,7 @@ def build_case_graph(
         rows.append((nbrs, counts))
         # a set of at least k articles neighbours itself, so holds its own documents
         twice_edges += len(members[s]) * (len(nbrs) - (len(refs) >= k))
-    nodes = {d: outcomes.get(d, Outcome.UNDETERMINED) for d in doc_ids}
+    nodes = {r.doc_id: r.outcome for r in records}
     return CaseGraph(nodes, set_of_doc, rows, twice_edges // 2)
 
 
@@ -524,9 +521,8 @@ def write_opposing(stem: str | Path, net: OpposingNetwork) -> None:
         stem, directed=True,
         node_attrs=[("total_cases", "long"), ("wins", "long"), ("losses", "long")],
         edge_attrs=[("weight", "double"), ("wins_fw", "double"), ("wins_bw", "double")],
-        nodes=[(l, vars(s)) for l, s in sorted(net.nodes.items())],
-        edges=[(e.source, e.target, vars(e))
-               for e in sorted(net.edges, key=lambda e: (e.source, e.target))],
+        nodes=[(l, vars(s)) for l, s in net.nodes.items()],
+        edges=[(e.source, e.target, vars(e)) for e in net.edges],
         dot_omits={"wins_fw", "wins_bw"},
     )
 
@@ -537,8 +533,8 @@ def write_collaboration(stem: str | Path, graph: CollaborationGraph) -> None:
         stem, directed=False, node_attrs=[],
         edge_attrs=[("weight", "long"), ("wins", "long"),
                     ("losses", "long"), ("collaborations", "long")],
-        nodes=[(n, {}) for n in sorted(graph.nodes)],
-        edges=[(e.u, e.v, vars(e)) for e in sorted(graph.edges, key=lambda e: (e.u, e.v))],
+        nodes=[(n, {}) for n in graph.nodes],
+        edges=[(e.u, e.v, vars(e)) for e in graph.edges],
         dot_omits={"wins", "losses"},
     )
 

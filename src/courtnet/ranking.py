@@ -46,15 +46,17 @@ def pagerank(
     when the L1 change drops below tol; hitting max_iter first logs a
     warning and returns the last iterate. A network without nodes has no scores.
     An out-weight that overflows raises ValueError: w / inf would lose rank mass.
+    Every sum runs in the order the network holds its nodes and edges, which
+    build_opposing_network sets: name order, and (source, target) order.
     """
     check_pagerank_params(damping, tol, max_iter)
     if not network.nodes:
         return {}
 
-    nodes = sorted(network.nodes)
+    nodes = list(network.nodes)
     out_weight = {v: 0.0 for v in nodes}
     in_edges: dict[str, list[tuple[str, float]]] = {v: [] for v in nodes}
-    for e in sorted(network.edges, key=lambda e: (e.source, e.target)):
+    for e in network.edges:
         out_weight[e.source] += e.weight
         in_edges[e.target].append((e.source, e.weight))
     heavy = [v for v in nodes if out_weight[v] == float("inf")]

@@ -9,7 +9,7 @@ from pathlib import Path
 from typing import Mapping
 
 from .corpus import Document, text_doc_id
-from .extract import ArticleRef, Outcome, canonical_name
+from .extract import ArticleRef, Outcome, canonical_name, majority
 from .jsonl import write_jsonl
 from .mix import DEFAULT_MIX, jurisdiction_counts
 from .segmenter import Segment, cut
@@ -167,13 +167,7 @@ def _plan_outcome(rng) -> tuple[int, int, Outcome]:
         n = rng.randint(1, 3)
         counts = (n, 0) if rng.random() < 0.75 else (0, n)
     confirm, reverse = counts
-    if confirm > reverse:
-        outcome = Outcome.APPELLEE_WINS
-    elif reverse > confirm:
-        outcome = Outcome.APPELLANT_WINS
-    else:
-        outcome = Outcome.UNDETERMINED
-    return confirm, reverse, outcome
+    return confirm, reverse, majority(confirm, reverse)
 
 
 def _plan_lawyers(rng, jurisdiction, outcome, pool, dominant, needs_loss):

@@ -433,7 +433,7 @@ def lawyer_half_reference(records, a, b, min_cases, collab_min):
     the appellee won. Returns a dict: "tallies" {lawyer: (first spelling,
     experience, determined cases, wins, losses)}, "wins" {(winner, loser):
     mass}, "opposing" (nodes as their tallies in name order, edges as
-    (source, target, weight, wins_fw, wins_bw) in pair order) and
+    (source, target, weight, wins_fw, wins_bw) in (source, target) order) and
     "collaboration" (node list, edges as (u, v, weight, wins, losses,
     collaborations)).
     """
@@ -477,7 +477,7 @@ def lawyer_half_reference(records, a, b, min_cases, collab_min):
     return {
         "tallies": tallies,
         "wins": wins,
-        "opposing": ({l: tallies[l] for l in kept}, edges),
+        "opposing": ({l: tallies[l] for l in kept}, sorted(edges)),
         "collaboration": (sorted({n for e in collab_edges for n in e[:2]}), collab_edges),
     }
 

@@ -16,15 +16,10 @@ from contextlib import contextmanager
 from courtnet.cli import main as cli_main
 from courtnet.synth import generate_synthetic_corpus
 from courtnet.extract import Outcome, classify_outcome, read_extracted
-from courtnet.networks import (
-    OpposingEdge,
-    build_case_graph,
-    collapse,
-    detect_communities,
-)
+from courtnet.networks import OpposingEdge, collapse, detect_communities
 from courtnet.ranking import pagerank
 from courtnet.textmetrics import fold, jaro
-from test_networks import _case_graph_of, _edges, _groups
+from test_networks import _case_graph, _case_graph_of, _edges, _groups
 from test_ranking import _network
 
 from oracles import (
@@ -134,7 +129,7 @@ def test_criterion_4_case_graph_against_quadratic_scan():
         outcomes = {doc_id: e.outcome for doc_id, e in truth.entries.items()}
         previous = None
         for k in (1, 2, 3, 4):
-            graph = build_case_graph(articles, outcomes, k)
+            graph = _case_graph(articles, outcomes, k)
             got = {(u, v): shared for u, v, shared in _edges(graph)}
             assert got == case_edges_reference(articles, k)
             assert set(graph.nodes) == set(articles)

@@ -5,7 +5,6 @@ import hashlib
 import json
 import logging
 import os
-import random
 import shutil
 import signal
 import subprocess
@@ -333,23 +332,6 @@ def _artifacts(out):
 def _seed7_corpus_lines(tmp_path):
     assert _run("synth", "--output-dir", tmp_path, "--seed", "7", "--n-docs", "80") == 0
     return (tmp_path / "corpus.jsonl").read_text(encoding="utf-8").splitlines(keepends=True)
-
-
-def test_no_artifact_depends_on_the_line_order_of_a_corpus_file(tmp_path):
-    # metamorphic relations: shuffling the lines of a corpus file changes no artifact
-    lines = _seed7_corpus_lines(tmp_path)
-    shuffled = lines[:]
-    random.Random(3).shuffle(shuffled)
-    assert shuffled != lines
-    (tmp_path / "shuffled.jsonl").write_text("".join(shuffled), encoding="utf-8")
-    for command, files in (("flowgraph", 4), ("run", 10)):
-        got = []
-        for corpus in ("corpus", "shuffled"):
-            out = tmp_path / f"{command}-{corpus}"
-            assert _run(command, "--corpus-file", tmp_path / f"{corpus}.jsonl",
-                        "--output-dir", out) == 0
-            got.append(_artifacts(out))
-        assert len(got[0]) == files and got[0] == got[1], command
 
 
 def _under_reversed_id(line):
@@ -686,6 +668,45 @@ def test_a_repeated_doc_id_in_extracted_jsonl_exits_2_naming_the_line(tmp_path, 
     for command in ("networks", "rank", "communities"):
         assert _run(command, "--output-dir", out) == 2, command
         assert f"{extracted}:{len(lines) + 1}: doc_id" in capsys.readouterr().err
+
+
+def test_doc_ids_xml_cannot_hold_exit_2_naming_the_line(tmp_path, capsys):
+    # graphio.xml_safe would write a\x01 and a\x02 as one GraphML node id; a failed
+    # run removes the old manifest and leaves the other files as they were
+    out = tmp_path / "out"
+    assert _run("synth", "--output-dir", out, "--n-docs", "20") == 0
+    assert _run("run", "--corpus-file", out / "corpus.jsonl", "--output-dir", out) == 0
+    before = _artifacts(out)
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text((out / "corpus.jsonl").read_text(encoding="utf-8"), encoding="utf-8")
+    corpus.write_text(_with_field(corpus, 2, ["doc_id"], "a\x02"), encoding="utf-8")
+    corpus.write_text(_with_field(corpus, 3, ["doc_id"], "a\x01"), encoding="utf-8")
+    assert _run("run", "--corpus-file", corpus, "--output-dir", out) == 2
+    assert (f"{corpus}:2: doc_id 'a\\x02' holds a character XML 1.0 forbids"
+            in capsys.readouterr().err)
+    assert not (out / "run_manifest.json").exists()
+    assert _artifacts(out) == before
+
+
+def test_lawyer_ids_xml_cannot_hold_exit_2_naming_the_line(tmp_path, capsys):
+    # two canonical names that differ only in \x01 and \x02 would be one
+    # GraphML node id, and --min-cases 1 makes every lawyer a node
+    out = tmp_path / "out"
+    assert _run("synth", "--output-dir", out, "--n-docs", "20") == 0
+    assert _run("segment", "--output-dir", out) == 0
+    assert _run("extract", "--output-dir", out) == 0
+    extracted = out / "extracted.jsonl"
+    with_counsel = [
+        i for i, line in enumerate(extracted.read_text(encoding="utf-8").splitlines(), 1)
+        if json.loads(line)["appellant_lawyers"]]
+    for lineno, control in zip(with_counsel, "\x01\x02"):
+        extracted.write_text(_with_field(extracted, lineno, ["appellant_lawyers", 0, "canonical"],
+                                         f"anne mar{control}tin"), encoding="utf-8")
+    for command in ("networks", "rank", "communities"):
+        assert _run(command, "--output-dir", out, "--min-cases", "1") == 2, command
+        assert (f"{extracted}:{with_counsel[0]}: lawyer 'anne mar\\x01tin' holds a character"
+                in capsys.readouterr().err)
+    assert not (out / "opposing.graphml").exists()
 
 
 def test_a_repeated_doc_id_in_segments_jsonl_exits_2_naming_the_line(tmp_path, capsys):

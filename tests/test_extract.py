@@ -1,7 +1,5 @@
 """Lawyer names, article references and outcome classification."""
 
-import json
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -164,12 +162,13 @@ def test_articles_equal_the_whole_text_search_reference(pieces, gaps):
             == extract_articles_reference(text, table))
 
 
-def test_custom_code_table(tmp_path):
-    path = tmp_path / "codes.json"
-    path.write_text('{"cgi": "code general des impots"}', encoding="utf-8")
-    table = json.loads(path.read_text(encoding="utf-8"))
-    got = extract_articles("Vu l'article 12 du CGI, le moyen est fondé.", code_table=table)
-    assert got == {ArticleRef("code general des impots", "12")}
+def test_packaged_code_table_maps_each_spelling():
+    # each spelling the table lists, in capitals, is cited under its canonical code
+    table = default_code_table()
+    assert table["ncpc"] == "code de procedure civile"
+    for spelling, code in table.items():
+        got = extract_articles(f"Vu l'article 12 du {spelling.upper()}, le moyen est fondé.")
+        assert got == {ArticleRef(code, "12")}, spelling
 
 
 def test_classify_outcome_counts_stems():

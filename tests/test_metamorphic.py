@@ -109,25 +109,50 @@ def _rtf(text):
     return "{\\rtf1\\ansi " + "".join(body) + "}"
 
 
-def test_run_over_the_corpus_that_ingest_wrote_writes_the_same_bytes(tmp_path, seed7):
+@settings(max_examples=6)
+@given(corpus=drawn_corpora, data=st.data())
+def test_no_artifact_depends_on_the_line_order_of_a_corpus_file(corpus, data):
+    # shuffling the lines of a corpus file changes no artifact of run or flowgraph
+    with tempfile.TemporaryDirectory() as tmp:
+        directory = Path(tmp)
+        lines, base = _synth_run(directory, *corpus)
+        shuffled = data.draw(st.permutations(lines), label="shuffled")
+        assume(shuffled != lines)
+        assert _run_over(directory, "shuffled", shuffled) == base
+        got = []
+        for name in ("base", "shuffled"):
+            out = directory / f"flow-{name}"
+            assert _run("flowgraph", "--corpus-file", directory / f"{name}.jsonl",
+                        "--output-dir", out) == 0
+            got.append(_artifacts(out))
+    jurisdictions = {json.loads(line)["jurisdiction"] for line in lines}
+    assert len(base) == 10 and len(got[0]) == 2 * len(jurisdictions) and got[0] == got[1]
+
+
+@settings(max_examples=6)
+@given(corpus=drawn_corpora, data=st.data())
+def test_run_over_the_corpus_that_ingest_wrote_writes_the_same_bytes(corpus, data):
     # --input-dir, and --corpus-file over the corpus.jsonl that it wrote; the
-    # file names do not follow doc_id order, and one source in 4 is RTF
-    _, lines, _ = seed7
-    sources = tmp_path / "sources"
-    sources.mkdir()
-    for i, line in enumerate(lines):
-        text, stem = json.loads(line)["text"], sources / f"doc_{37 * i % 80:02d}"
-        if i % 4:
-            stem.with_suffix(".txt").write_text(text, encoding="utf-8")
-        else:
-            stem.with_suffix(".rtf").write_text(_rtf(text), encoding="ascii")
-    assert _run("run", "--input-dir", sources, "--output-dir", tmp_path / "ingested",
-                *FLAGS) == 0
-    ingested = _artifacts(tmp_path / "ingested")
-    assert len(ingested.pop("corpus.jsonl").splitlines()) == 80
-    assert _run("run", "--corpus-file", tmp_path / "ingested" / "corpus.jsonl",
-                "--output-dir", tmp_path / "read", *FLAGS) == 0
-    read = _artifacts(tmp_path / "read")
+    # file names follow a drawn order, and one source in 4 is RTF
+    with tempfile.TemporaryDirectory() as tmp:
+        directory = Path(tmp)
+        lines, _ = _synth_run(directory, *corpus)
+        names = data.draw(st.permutations(range(len(lines))), label="file names")
+        sources = directory / "sources"
+        sources.mkdir()
+        for i, line in enumerate(lines):
+            text, stem = json.loads(line)["text"], sources / f"doc_{names[i]:02d}"
+            if i % 4:
+                stem.with_suffix(".txt").write_text(text, encoding="utf-8")
+            else:
+                stem.with_suffix(".rtf").write_text(_rtf(text), encoding="ascii")
+        assert _run("run", "--input-dir", sources, "--output-dir", directory / "ingested",
+                    *FLAGS) == 0
+        ingested = _artifacts(directory / "ingested")
+        assert _run("run", "--corpus-file", directory / "ingested" / "corpus.jsonl",
+                    "--output-dir", directory / "read", *FLAGS) == 0
+        read = _artifacts(directory / "read")
+    assert len(ingested.pop("corpus.jsonl").splitlines()) == len(lines)
     assert len(read) == 10 and read == ingested
 
 
@@ -194,23 +219,27 @@ def test_an_undetermined_judgment_adds_only_to_its_lawyers_experience(corpus):
 
 
 @settings(max_examples=12)
-@given(data=st.data())
-def test_a_renamed_lawyer_changes_only_that_name(seed7, data):
+@given(corpus=drawn_corpora, data=st.data())
+def test_a_renamed_lawyer_changes_only_that_name(corpus, data):
     # a suffix on one lawyer's `Me ...` mentions, where the new canonical name
     # sorts where the old one did among every lawyer's; no other name holds either
-    directory, lines, base = seed7
-    everyone = sorted({name["canonical"] for record in _records(base)
-                       for name in record["appellant_lawyers"] + record["appellee_lawyers"]})
-    row = data.draw(st.sampled_from(_rows(base)[1:]), label="lawyer")
-    suffix = data.draw(st.sampled_from(["E", "S", "Y", "EAU"]), label="suffix")
-    old, new = row[1], row[1] + suffix
-    old_canonical, new_canonical = row[0], canonical_name(new)
-    others = [name for name in everyone if name != old_canonical]
-    assume(sorted(others + [new_canonical]).index(new_canonical) == everyone.index(old_canonical))
-    assume(not any(old_canonical in name or new_canonical in name for name in others))
-    renamed = _renamed(lines, old, new)
-    assert renamed != lines
-    got = _run_over(directory, "renamed", renamed)
+    with tempfile.TemporaryDirectory() as tmp:
+        directory = Path(tmp)
+        lines, base = _synth_run(directory, *corpus)
+        everyone = sorted({name["canonical"] for record in _records(base)
+                           for name in record["appellant_lawyers"] + record["appellee_lawyers"]})
+        assume(len(_rows(base)) > 1)
+        row = data.draw(st.sampled_from(_rows(base)[1:]), label="lawyer")
+        suffix = data.draw(st.sampled_from(["E", "S", "Y", "EAU"]), label="suffix")
+        old, new = row[1], row[1] + suffix
+        old_canonical, new_canonical = row[0], canonical_name(new)
+        others = [name for name in everyone if name != old_canonical]
+        assume(sorted(others + [new_canonical]).index(new_canonical)
+               == everyone.index(old_canonical))
+        assume(not any(old_canonical in name or new_canonical in name for name in others))
+        renamed = _renamed(lines, old, new)
+        assert renamed != lines
+        got = _run_over(directory, "renamed", renamed)
     for name in LAWYER_ARTIFACTS:
         want = base[name].replace(old_canonical.encode(), new_canonical.encode())
         assert got[name] == want.replace(old.encode(), new.encode()), name

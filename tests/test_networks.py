@@ -76,6 +76,19 @@ def _decided(network):
     return {l: (s.total_cases, s.wins, s.losses) for l, s in network.nodes.items()}
 
 
+def _case_records(articles, outcomes):
+    """One record per document of `articles`, in its order, citing its articles,
+    with its outcome from `outcomes`, Undetermined if absent, and no counsel."""
+    return [ExtractionRecord(doc_id, (), (), frozenset(refs),
+                             outcomes.get(doc_id, Outcome.UNDETERMINED), 0, 0)
+            for doc_id, refs in articles.items()]
+
+
+def _case_graph(articles, outcomes, k):
+    """The case graph of `articles` and `outcomes`, as _case_records reads them."""
+    return build_case_graph(_case_records(articles, outcomes), k)
+
+
 def _case_graph_of(nodes, edges):
     """The k=1 case graph of a simple graph, which is that graph: each node
     cites one article per distinct edge at it, so two nodes share an article
@@ -86,7 +99,7 @@ def _case_graph_of(nodes, edges):
             ref = ArticleRef("edge", repr(sorted((u, v))))
             articles[u].add(ref)
             articles[v].add(ref)
-    return build_case_graph(articles, {}, 1)
+    return _case_graph(articles, {}, 1)
 
 
 def _edges(graph):
@@ -302,6 +315,38 @@ def test_lawyer_half_equals_the_per_side_reference(records, a, b, min_cases, col
             ) == want["collaboration"]
 
 
+def test_graph_rows_come_back_in_written_order(tmp_path):
+    # each builder sets its rows' order once: the lawyer graphs hold sorted rows
+    # and are written in that order, and the case graph is the same whatever
+    # the order of its records
+    docs, _ = generate_synthetic_corpus(seed=7, n_docs=300)
+    profile = get_profile("generic")
+    records = [extract_record(doc, segment(doc, profile)) for doc in docs]
+    params = NetworkParams(min_cases=1, collab_min=1)
+    opposing = _opposing(records, params)
+    collaboration = build_collaboration_network(records, params)
+    for graph, stem, nodes, pairs in (
+            (opposing, "opposing", list(opposing.nodes),
+             [(e.source, e.target) for e in opposing.edges]),
+            (collaboration, "collaboration", collaboration.nodes,
+             [(e.u, e.v) for e in collaboration.edges])):
+        assert nodes and pairs
+        assert nodes == sorted(nodes) and pairs == sorted(pairs), stem
+        (write_opposing if graph is opposing else write_collaboration)(tmp_path / stem, graph)
+        _, written_nodes, written_edges = parse_graphml(tmp_path / f"{stem}.graphml")
+        assert [n for n, _ in written_nodes] == nodes, stem
+        assert [(u, v) for u, v, _ in written_edges] == pairs, stem
+    shuffled = records[:]
+    random.Random(3).shuffle(shuffled)
+    ordered = sorted(records, key=lambda r: r.doc_id)
+    assert shuffled != ordered
+    for k in (1, 3):
+        got, want = build_case_graph(shuffled, k), build_case_graph(ordered, k)
+        assert list(got.nodes.items()) == list(want.nodes.items())
+        assert (got.set_of_doc, got.rows, got.edge_count) == (
+            want.set_of_doc, want.rows, want.edge_count)
+
+
 def _random_articles(rng, n_cases):
     themes = [ArticleRef("code", str(num)) for num in range(12)]
     return {
@@ -316,7 +361,7 @@ def test_case_graph_matches_brute_force():
         articles = _random_articles(rng, 40)
         outcomes = {doc: Outcome.UNDETERMINED for doc in articles}
         for k in (1, 2, 3):
-            graph = build_case_graph(articles, outcomes, k)
+            graph = _case_graph(articles, outcomes, k)
             got = {(u, v): shared for u, v, shared in _edges(graph)}
             assert got == case_edges_reference(articles, k)
             assert set(graph.nodes) == set(articles)
@@ -326,13 +371,13 @@ def test_case_graph_edges_shrink_as_k_grows():
     rng = random.Random(31)
     articles = _random_articles(rng, 60)
     outcomes = {doc: Outcome.APPELLANT_WINS for doc in articles}
-    sizes = [build_case_graph(articles, outcomes, k).edge_count for k in (1, 2, 3, 4)]
+    sizes = [_case_graph(articles, outcomes, k).edge_count for k in (1, 2, 3, 4)]
     assert sizes == sorted(sizes, reverse=True)
 
 
 def test_case_graph_rejects_bad_k():
     with pytest.raises(ValueError):
-        build_case_graph({}, {}, 0)
+        _case_graph({}, {}, 0)
 
 
 _REFS = [ArticleRef("code", str(num)) for num in range(8)]
@@ -347,7 +392,7 @@ def _article_maps(draw, ids=st.text(max_size=3)):
 
 @given(_article_maps(), st.integers(1, 5))
 def test_case_graph_edges_equal_quadratic_scan_in_order(articles, k):
-    graph = build_case_graph(articles, {}, k)
+    graph = _case_graph(articles, {}, k)
     want = [(u, v, shared) for (u, v), shared in sorted(case_edges_reference(articles, k).items())]
     got = list(_edges(graph))
     assert got == want
@@ -360,7 +405,7 @@ def test_case_graph_edges_equal_quadratic_scan_in_order(articles, k):
 def test_case_adjacency_equals_rows_built_from_the_edges(articles, k):
     # isolated documents, empty sets and sets of fewer than k articles, which
     # hold none of their own documents, all occur in the drawn maps
-    graph = build_case_graph(articles, {}, k)
+    graph = _case_graph(articles, {}, k)
     index = {doc_id: i for i, doc_id in enumerate(graph.nodes)}
     want = [[] for _ in index]
     for u, v in case_edges_reference(articles, k):
@@ -372,7 +417,7 @@ def test_case_adjacency_equals_rows_built_from_the_edges(articles, k):
 
 @given(_article_maps(), st.integers(1, 5))
 def test_case_communities_equal_dict_based_reference(articles, k):
-    graph = build_case_graph(articles, {}, k)
+    graph = _case_graph(articles, {}, k)
     want = communities_reference(sorted(articles), case_edges_reference(articles, k))
     assert detect_communities(graph).assignment == want
 
@@ -380,7 +425,7 @@ def test_case_communities_equal_dict_based_reference(articles, k):
 @given(_article_maps(st.text('a&<>"\\\n\r\t', max_size=3)), st.integers(1, 4))
 def test_case_files_equal_the_generic_writers_on_plain_rows(articles, k):
     outcomes = list(Outcome)
-    graph = build_case_graph(
+    graph = _case_graph(
         articles, {d: outcomes[i % 3] for i, d in enumerate(sorted(articles))}, k
     )
     communities = detect_communities(graph).assignment
@@ -405,7 +450,7 @@ def test_case_communities_on_the_seed_7_1k_graph_equal_dict_based_reference():
     # which the small drawn maps only sample
     _, truth = generate_synthetic_corpus(seed=7, n_docs=1000)
     articles = {d: t.articles for d, t in truth.entries.items()}
-    graph = build_case_graph(articles, {}, 3)
+    graph = _case_graph(articles, {}, 3)
     assert graph.edge_count == 47_862
     want = communities_reference(sorted(articles), case_edges_reference(articles, 3))
     assert detect_communities(graph).assignment == want
@@ -422,7 +467,7 @@ def test_case_communities_equal_dict_based_reference_where_the_second_level_move
                 for _ in range(rng.randrange(3, 10))]
         articles = {f"d{i:02d}": rng.choice(sets) for i in range(rng.randrange(10, 60))}
         for k in (2, 3):
-            graph = build_case_graph(articles, {}, k)
+            graph = _case_graph(articles, {}, k)
             want = communities_reference(sorted(articles), case_edges_reference(articles, k))
             assert detect_communities(graph).assignment == want, (seed, k)
 
@@ -452,7 +497,7 @@ def _crowded_article_maps(draw):
 def test_level_on_shared_set_rows_equals_per_candidate_reference(articles, k):
     # sets of fewer than k articles leave their documents out of their own
     # row (own 0); larger sets list them (own 1)
-    graph = build_case_graph(articles, {}, k)
+    graph = _case_graph(articles, {}, k)
     rows = [dict.fromkeys(nbrs, 1) for nbrs, _ in graph.rows]
     _assert_level_equals_reference(rows, graph.set_of_doc, [0] * len(graph.set_of_doc))
 
@@ -482,9 +527,10 @@ def test_case_graph_memory_does_not_grow_with_the_pair_count():
     _, truth = generate_synthetic_corpus(seed=7, n_docs=1000)
     articles = {doc_id: t.articles for doc_id, t in truth.entries.items()}
     outcomes = {doc_id: t.outcome for doc_id, t in truth.entries.items()}
+    records = _case_records(articles, outcomes)
     tracemalloc.start()
     try:
-        graph = build_case_graph(articles, outcomes, 3)
+        graph = build_case_graph(records, 3)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -688,7 +734,7 @@ def test_case_graphml_round_trip_with_communities(tmp_path):
         "c2": Outcome.APPELLEE_WINS,
         "c3": Outcome.UNDETERMINED,
     }
-    graph = build_case_graph(articles, outcomes, 2)
+    graph = _case_graph(articles, outcomes, 2)
     partition = detect_communities(graph)
     write_case(tmp_path / "cases", graph, partition.assignment)
     directed, nodes, edges = parse_graphml(tmp_path / "cases.graphml")
