@@ -57,7 +57,6 @@ from .extract import (
 )
 from .jsonl import check_encodable, decode, iter_unique, write_jsonl
 from .mix import DEFAULT_MIX, jurisdiction_counts
-from .networks import NetworkParams
 from .textmetrics import DEFAULT_THRESHOLD, check_threshold
 
 logger = logging.getLogger(__name__)
@@ -71,14 +70,14 @@ class PipelineConfig:
     profile: str = "generic"        # built-in keyword profile name
     profile_file: str | None = None  # JSON profile path, wins over `profile`
     jaro_threshold: float = DEFAULT_THRESHOLD  # flow-graph contraction threshold
-    a: float = NetworkParams.a
-    b: float = NetworkParams.b
-    min_cases: int = NetworkParams.min_cases
-    collab_min: int = NetworkParams.collab_min
-    k: int = 3
-    damping: float = ranking_mod.DEFAULT_DAMPING
-    tol: float = ranking_mod.DEFAULT_TOL
-    max_iter: int = ranking_mod.DEFAULT_MAX_ITER
+    a: float = networks_mod.NetworkParams.a
+    b: float = networks_mod.NetworkParams.b
+    min_cases: int = networks_mod.NetworkParams.min_cases
+    collab_min: int = networks_mod.NetworkParams.collab_min
+    k: int = networks_mod.NetworkParams.k
+    damping: float = ranking_mod.PageRankParams.damping
+    tol: float = ranking_mod.PageRankParams.tol
+    max_iter: int = ranking_mod.PageRankParams.max_iter
     seed: int = 7
     n_docs: int = 100
     mix: dict[str, float] = field(default_factory=DEFAULT_MIX.copy)
@@ -136,10 +135,10 @@ class Pipeline:
     def __init__(self, cfg: PipelineConfig, name: str):
         """Range-check every parameter with its owner's check, keeping the checked objects."""
         _check_strings(cfg, name)
-        self.params = NetworkParams(a=cfg.a, b=cfg.b, min_cases=cfg.min_cases,
-                                    collab_min=cfg.collab_min)
-        networks_mod.check_k(cfg.k)
-        ranking_mod.check_pagerank_params(cfg.damping, cfg.tol, cfg.max_iter)
+        self.params = networks_mod.NetworkParams(a=cfg.a, b=cfg.b, min_cases=cfg.min_cases,
+                                                 collab_min=cfg.collab_min, k=cfg.k)
+        self.pagerank_params = ranking_mod.PageRankParams(damping=cfg.damping, tol=cfg.tol,
+                                                          max_iter=cfg.max_iter)
         check_threshold(cfg.jaro_threshold)
         jurisdiction_counts(cfg.n_docs, cfg.mix)
         self.profile = (segmenter_mod.load_profile(cfg.profile_file) if cfg.profile_file
@@ -248,7 +247,7 @@ class Pipeline:
 
     @cached_property
     def cases(self) -> networks_mod.CaseGraph:
-        return networks_mod.build_case_graph(self.records, self.cfg.k)
+        return networks_mod.build_case_graph(self.records, self.params)
 
     @cached_property
     def partition(self) -> networks_mod.CommunityPartition:
@@ -257,9 +256,8 @@ class Pipeline:
     @cached_property
     def rows(self) -> list[ranking_mod.RankRow]:
         """The ranking over the opposing network."""
-        return ranking_mod.rank_table(
-            self.opposing, damping=self.cfg.damping, tol=self.cfg.tol, max_iter=self.cfg.max_iter,
-        )
+        scores = ranking_mod.pagerank(self.opposing, self.pagerank_params)
+        return ranking_mod.rank_table(self.opposing, scores)
 
 
 def _synth(p: Pipeline) -> None:

@@ -41,6 +41,7 @@ class NetworkParams:
     b: float = 1.0         # value of a win obtained for the appellee
     min_cases: int = 2     # node survival threshold in the opposing network
     collab_min: int = 2    # minimum shared cases for a collaboration edge
+    k: int = 3             # minimum shared articles for a case-graph edge
 
     def __post_init__(self):
         if not all(w > 0 and math.isfinite(w) for w in (self.a, self.b)):
@@ -48,6 +49,8 @@ class NetworkParams:
                 f"win weights must be positive and finite, got a={self.a}, b={self.b}")
         if self.min_cases < 0 or self.collab_min < 0:
             raise ValueError("thresholds must be non-negative")
+        if self.k < 1:
+            raise ValueError(f"k must be at least 1, got {self.k}")
 
 
 def _sides(records: Iterable[ExtractionRecord]) -> Iterator[tuple[ExtractionRecord, list, list]]:
@@ -235,14 +238,10 @@ class CaseGraph:
     edge_count: int
 
 
-def check_k(k: int) -> None:
-    """Raise ValueError unless the case-graph threshold k is at least 1."""
-    if k < 1:
-        raise ValueError(f"k must be at least 1, got {k}")
-
-
-def build_case_graph(records: Iterable[ExtractionRecord], k: int) -> CaseGraph:
-    """Link cases sharing at least k cited articles.
+def build_case_graph(
+    records: Iterable[ExtractionRecord], params: NetworkParams = NetworkParams()
+) -> CaseGraph:
+    """Link cases sharing at least params.k cited articles.
 
     Nodes cover every record, isolated ones included, in doc_id order. Cases are
     bucketed by their article set, and the articles shared between two
@@ -250,7 +249,6 @@ def build_case_graph(records: Iterable[ExtractionRecord], k: int) -> CaseGraph:
     state is kept per case pair: each set holds at most one entry per case,
     and no edge list is stored (see CaseGraph).
     """
-    check_k(k)
     records = sorted(records, key=lambda r: r.doc_id)
     set_index: dict[frozenset, int] = {}
     set_of_doc = array("i")
@@ -272,12 +270,12 @@ def build_case_graph(records: Iterable[ExtractionRecord], k: int) -> CaseGraph:
             for t in by_ref[ref]:
                 if t != s:
                     shared[t] = shared.get(t, 0) + 1
-        near = (members[t] for t, count in shared.items() if count >= k)
+        near = (members[t] for t, count in shared.items() if count >= params.k)
         nbrs = array("i", sorted(chain.from_iterable(near)))
         counts = array("i", map(shared.__getitem__, map(set_of_doc.__getitem__, nbrs)))
         rows.append((nbrs, counts))
         # a set of at least k articles neighbours itself, so holds its own documents
-        twice_edges += len(members[s]) * (len(nbrs) - (len(refs) >= k))
+        twice_edges += len(members[s]) * (len(nbrs) - (len(refs) >= params.k))
     nodes = {r.doc_id: r.outcome for r in records}
     return CaseGraph(nodes, set_of_doc, rows, twice_edges // 2)
 

@@ -18,26 +18,24 @@ from .networks import OpposingNetwork
 
 logger = logging.getLogger(__name__)
 
-DEFAULT_DAMPING = 0.85
-DEFAULT_TOL = 1e-10
-DEFAULT_MAX_ITER = 10000
 
+@dataclass(frozen=True)
+class PageRankParams:
+    damping: float = 0.85  # probability of following an edge rather than jumping
+    tol: float = 1e-10     # L1 change below which the iteration stops
+    max_iter: int = 10000  # iterations before giving up with a warning
 
-def check_pagerank_params(damping: float, tol: float, max_iter: int) -> None:
-    """Raise ValueError unless 0 < damping < 1, tol > 0 and max_iter >= 1."""
-    if not 0.0 < damping < 1.0:
-        raise ValueError(f"damping must be in (0, 1), got {damping!r}")
-    if not tol > 0:
-        raise ValueError(f"tol must be positive, got {tol!r}")
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be at least 1, got {max_iter!r}")
+    def __post_init__(self):
+        if not 0.0 < self.damping < 1.0:
+            raise ValueError(f"damping must be in (0, 1), got {self.damping!r}")
+        if not self.tol > 0:
+            raise ValueError(f"tol must be positive, got {self.tol!r}")
+        if self.max_iter < 1:
+            raise ValueError(f"max_iter must be at least 1, got {self.max_iter!r}")
 
 
 def pagerank(
-    network: OpposingNetwork,
-    damping: float = DEFAULT_DAMPING,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
+    network: OpposingNetwork, params: PageRankParams = PageRankParams()
 ) -> dict[str, float]:
     """Weighted PageRank over the opposing network.
 
@@ -49,7 +47,6 @@ def pagerank(
     Every sum runs in the order the network holds its nodes and edges, which
     build_opposing_network sets: name order, and (source, target) order.
     """
-    check_pagerank_params(damping, tol, max_iter)
     if not network.nodes:
         return {}
 
@@ -66,9 +63,8 @@ def pagerank(
 
     n = len(nodes)
     rank = {v: 1.0 / n for v in nodes}
-    base = (1.0 - damping) / n
-    delta = None
-    for _ in range(max_iter):
+    base = (1.0 - params.damping) / n
+    for _ in range(params.max_iter):  # at least once: PageRankParams checks max_iter
         dangling = sum(rank[v] for v in nodes if out_weight[v] == 0.0)
         spread = dangling / n
         new = {}
@@ -76,15 +72,15 @@ def pagerank(
             acc = 0.0
             for u, w in in_edges[v]:
                 acc += rank[u] * (w / out_weight[u])
-            new[v] = base + damping * (acc + spread)
+            new[v] = base + params.damping * (acc + spread)
         delta = sum(abs(new[v] - rank[v]) for v in nodes)
         rank = new
-        if delta < tol:
+        if delta < params.tol:
             break
     else:
         logger.warning(
             "pagerank stopped after %d iterations without converging "
-            "(residual %.3e)", max_iter, delta,
+            "(residual %.3e)", params.max_iter, delta,
         )
     return rank
 
@@ -100,19 +96,13 @@ class RankRow:
     pagerank: float
 
 
-def rank_table(
-    network: OpposingNetwork,
-    damping: float = DEFAULT_DAMPING,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-) -> list[RankRow]:
-    """One row per network node, sorted by PageRank then name.
+def rank_table(network: OpposingNetwork, scores: dict[str, float]) -> list[RankRow]:
+    """One row per network node with its score, sorted by score then name.
 
     Each row prints the node's lawyer facts (networks.lawyer_tallies):
     experience counts undetermined cases too, and the win rate is over the
-    cases won or lost, None where there are none.
+    cases won or lost, None where there are none. The scores are pagerank's.
     """
-    scores = pagerank(network, damping=damping, tol=tol, max_iter=max_iter)
     rows = []
     for lawyer, facts in network.nodes.items():
         decided = facts.wins + facts.losses

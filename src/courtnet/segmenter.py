@@ -195,20 +195,21 @@ def _matcher(variants: tuple[str, ...], threshold: float) -> tuple[dict[str, boo
 def _marker_hits(line: str | None, alphabet: dict, folded: tuple, threshold: float) -> bool:
     """Whether a folded stripped line (None when blank) is one of the marker's headings.
 
-    A line hits when it starts with a folded variant or scores above the
-    threshold against one. The length and shared-character bounds skip only
-    variants the line cannot score above the threshold against; a variant
-    that passes both is scored by jaro.
+    A line hits when it starts with a folded variant followed by its end or a
+    character that is not alphanumeric (ET heads no "ETABLISSEMENTS" line), or
+    scores above the threshold against one. The length and shared-character
+    bounds skip only variants the line cannot score above the threshold
+    against, the empty one among them; a variant passing both is scored by jaro.
     """
     if line is None:
         return False
     n1 = len(line)
     counts = None
     for fv, fv_counts in folded:
-        if line.startswith(fv):
+        n2 = len(fv)
+        if line.startswith(fv) and not line[n2:n2 + 1].isalnum():
             return True
-        n2 = len(fv)  # not 0: the empty string is a prefix of every line
-        if n1 == 0 or _ceiling(min(n1, n2), n1, n2) <= threshold:
+        if n1 == 0 or n2 == 0 or _ceiling(min(n1, n2), n1, n2) <= threshold:
             continue
         if counts is None:
             counts = _char_counts(line, alphabet)

@@ -17,7 +17,7 @@ from courtnet.cli import main as cli_main
 from courtnet.synth import generate_synthetic_corpus
 from courtnet.extract import Outcome, classify_outcome, read_extracted
 from courtnet.networks import OpposingEdge, collapse, detect_communities
-from courtnet.ranking import pagerank
+from courtnet.ranking import PageRankParams, pagerank
 from courtnet.textmetrics import fold, jaro
 from test_networks import _case_graph, _case_graph_of, _edges, _groups
 from test_ranking import _network
@@ -113,7 +113,7 @@ def test_criterion_3_pagerank_against_dense_reference():
                 for u in nodes for v in nodes
                 if u != v and rng.random() < 0.3
             ]
-            got = pagerank(_network(nodes, edges), tol=1e-13)
+            got = pagerank(_network(nodes, edges), PageRankParams(tol=1e-13))
             want = pagerank_reference(nodes, edges, 0.85)
             assert abs(sum(got.values()) - 1.0) <= 1e-9
             for node in nodes:

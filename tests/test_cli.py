@@ -129,15 +129,23 @@ def test_bad_parameter_values_exit_1(tmp_path):
     ("--tol", "-.5", "tol must be positive, got -0.5"),
     ("--tol", "-nan", "tol must be positive, got nan"),
     ("--a", "-inf", "win weights must be positive and finite, got a=-inf, b=1.0"),
-], ids=["exponent", "no-integer-part", "nan", "inf"])
+    ("--k", "0", "k must be at least 1, got 0"),
+    ("--damping", "1", "damping must be in (0, 1), got 1.0"),
+    ("--tol", "0", "tol must be positive, got 0.0"),
+    ("--max-iter", "0", "max_iter must be at least 1, got 0"),
+], ids=["exponent", "no-integer-part", "nan", "inf", "k", "damping", "tol", "max-iter"])
 def test_a_negative_value_may_follow_its_flag_in_any_float_form(tmp_path, capsys, flag, value,
                                                                 message):
-    # argparse's own pattern (^-\d+$|^-\d*\.\d+$) would read -1e-05 or -inf as an option
+    # argparse's own pattern (^-\d+$|^-\d*\.\d+$) would read -1e-05 or -inf as an option.
+    # Each bad value, dashed or not, is refused by its parameter group before the
+    # output directory is touched: an earlier manifest, which a checked command removes, stays.
+    (tmp_path / "run_manifest.json").write_text("{}", encoding="utf-8")
     errors = []
     for argv in ([flag, value], [f"{flag}={value}"]):
         assert _run("rank", "--output-dir", tmp_path, *argv) == 1
         errors.append(capsys.readouterr().err)
     assert errors[0] == errors[1] == f"courtnet: config error: {message}\n"
+    assert [path.name for path in tmp_path.iterdir()] == ["run_manifest.json"]
 
 
 def test_dash_h_after_a_command_is_still_help(capsys):

@@ -85,8 +85,8 @@ def _case_records(articles, outcomes):
 
 
 def _case_graph(articles, outcomes, k):
-    """The case graph of `articles` and `outcomes`, as _case_records reads them."""
-    return build_case_graph(_case_records(articles, outcomes), k)
+    """The case graph of `articles` and `outcomes`, as _case_records reads them, at k."""
+    return build_case_graph(_case_records(articles, outcomes), NetworkParams(k=k))
 
 
 def _case_graph_of(nodes, edges):
@@ -137,6 +137,11 @@ def test_network_params_validation():
         NetworkParams(min_cases=-1)
     with pytest.raises(ValueError):
         NetworkParams(collab_min=-2)
+    with pytest.raises(ValueError, match="^k must be at least 1, got 0$"):
+        NetworkParams(k=0)
+    # k is checked after the other fields, as before it joined them
+    with pytest.raises(ValueError, match="^thresholds must be non-negative$"):
+        NetworkParams(min_cases=-1, k=0)
 
 
 def test_lawyer_tallies():
@@ -341,7 +346,8 @@ def test_graph_rows_come_back_in_written_order(tmp_path):
     ordered = sorted(records, key=lambda r: r.doc_id)
     assert shuffled != ordered
     for k in (1, 3):
-        got, want = build_case_graph(shuffled, k), build_case_graph(ordered, k)
+        params = NetworkParams(k=k)
+        got, want = build_case_graph(shuffled, params), build_case_graph(ordered, params)
         assert list(got.nodes.items()) == list(want.nodes.items())
         assert (got.set_of_doc, got.rows, got.edge_count) == (
             want.set_of_doc, want.rows, want.edge_count)
@@ -373,11 +379,6 @@ def test_case_graph_edges_shrink_as_k_grows():
     outcomes = {doc: Outcome.APPELLANT_WINS for doc in articles}
     sizes = [_case_graph(articles, outcomes, k).edge_count for k in (1, 2, 3, 4)]
     assert sizes == sorted(sizes, reverse=True)
-
-
-def test_case_graph_rejects_bad_k():
-    with pytest.raises(ValueError):
-        _case_graph({}, {}, 0)
 
 
 _REFS = [ArticleRef("code", str(num)) for num in range(8)]
@@ -530,7 +531,7 @@ def test_case_graph_memory_does_not_grow_with_the_pair_count():
     records = _case_records(articles, outcomes)
     tracemalloc.start()
     try:
-        graph = build_case_graph(records, 3)
+        graph = build_case_graph(records, NetworkParams(k=3))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -14,7 +14,7 @@ from courtnet.networks import (
     build_opposing_network,
     lawyer_tallies,
 )
-from courtnet.ranking import RankRow, pagerank, rank_table, write_rankings_csv
+from courtnet.ranking import PageRankParams, RankRow, pagerank, rank_table, write_rankings_csv
 
 from oracles import pagerank_reference
 
@@ -75,19 +75,24 @@ def _rows_by_name():
     """rank_table rows over a network of RESULTS' lawyers and "nobody", a lawyer in no case."""
     nobody = LawyerFacts("nobody", experience=0, total_cases=0, wins=0, losses=0)
     network = OpposingNetwork(nodes={**lawyer_tallies(RESULTS), "nobody": nobody}, edges=[])
-    return {r.lawyer_canonical: r for r in rank_table(network)}
+    return {r.lawyer_canonical: r for r in rank_table(network, pagerank(network))}
 
 
 def test_pagerank_validation():
     assert pagerank(_network([], [])) == {}
-    with pytest.raises(ValueError):
-        pagerank(_network(["a"], []), damping=0.0)
-    with pytest.raises(ValueError):
-        pagerank(_network(["a"], []), damping=1.0)
-    with pytest.raises(ValueError):
-        pagerank(_network(["a"], []), tol=0.0)
-    with pytest.raises(ValueError):
-        pagerank(_network(["a"], []), max_iter=0)
+    with pytest.raises(ValueError, match=r"^damping must be in \(0, 1\), got 0.0$"):
+        PageRankParams(damping=0.0)
+    with pytest.raises(ValueError, match=r"^damping must be in \(0, 1\), got 1.0$"):
+        PageRankParams(damping=1.0)
+    with pytest.raises(ValueError, match="^tol must be positive, got 0.0$"):
+        PageRankParams(tol=0.0)
+    with pytest.raises(ValueError, match="^max_iter must be at least 1, got 0$"):
+        PageRankParams(max_iter=0)
+    # checked in field order: damping, then tol, then max_iter
+    with pytest.raises(ValueError, match="^damping"):
+        PageRankParams(damping=2.0, tol=0.0, max_iter=0)
+    with pytest.raises(ValueError, match="^tol"):
+        PageRankParams(tol=-1.0, max_iter=0)
 
 
 def test_pagerank_refuses_an_out_weight_that_overflows():
@@ -105,7 +110,7 @@ def test_pagerank_uniform_on_a_cycle():
 
 def test_pagerank_two_node_chain():
     # closed form with a dangling sink spreading uniformly
-    ranks = pagerank(_network(["a", "b"], [("a", "b", 1.0)]), damping=0.85)
+    ranks = pagerank(_network(["a", "b"], [("a", "b", 1.0)]), PageRankParams(damping=0.85))
     assert ranks["b"] == pytest.approx(0.6491228070175438, abs=1e-9)
     assert ranks["a"] == pytest.approx(0.3508771929824561, abs=1e-9)
 
@@ -135,7 +140,7 @@ def test_pagerank_matches_dense_reference():
             for v in nodes:
                 if u != v and rng.random() < 0.35:
                     edges.append((u, v, rng.uniform(0.1, 4.0)))
-        ranks = pagerank(_network(nodes, edges), tol=1e-14)
+        ranks = pagerank(_network(nodes, edges), PageRankParams(tol=1e-14))
         want = pagerank_reference(nodes, edges, 0.85)
         assert sum(ranks.values()) == pytest.approx(1.0, abs=1e-9)
         for node in nodes:
@@ -145,7 +150,7 @@ def test_pagerank_matches_dense_reference():
 def test_pagerank_warns_when_not_converged(caplog):
     network = _network(["a", "b"], [("a", "b", 1.0)])
     with caplog.at_level(logging.WARNING, logger="courtnet.ranking"):
-        ranks = pagerank(network, max_iter=1)
+        ranks = pagerank(network, PageRankParams(max_iter=1))
     assert len(ranks) == 2
     assert any("converging" in r.getMessage() for r in caplog.records)
 
@@ -158,7 +163,7 @@ def test_rank_table_orders_and_annotates():
         _case("c4", ["x"], ["y"], Outcome.UNDETERMINED),
     ]
     network = build_opposing_network(results, lawyer_tallies(results), NetworkParams(min_cases=1))
-    rows = rank_table(network)
+    rows = rank_table(network, pagerank(network))
     assert [r.lawyer_canonical for r in rows] == ["x", "y"]
     # the loser of the collapsed edge feeds the winner, who ranks higher
     assert rows[0].pagerank > rows[1].pagerank
@@ -174,18 +179,30 @@ def test_rank_table_win_rate_none_without_determined_cases():
         nodes={"x": LawyerFacts("x", 1, 1, 1, 0), "q": LawyerFacts("q", 0, 0, 0, 0)},
         edges=[],
     )
-    rows = rank_table(network)
+    rows = rank_table(network, pagerank(network))
     by_name = {r.lawyer_canonical: r for r in rows}
     # q sits in the network but has no recorded case, so no rate
     assert by_name["q"].win_rate is None
     assert by_name["q"].experience == 0
 
 
+def test_rank_table_prints_the_scores_it_is_given():
+    # hand-made scores that PageRank would not give: the edge feeds b, but a
+    # ranks first, and c and d tie, so they come in canonical name order
+    network = _network(["d", "b", "c", "a"], [("a", "b", 1.0)])
+    scores = {"a": 0.5, "b": 0.1, "c": 0.2, "d": 0.2}
+    rows = rank_table(network, scores)
+    assert [(r.lawyer_canonical, r.pagerank) for r in rows] == [
+        ("a", 0.5), ("c", 0.2), ("d", 0.2), ("b", 0.1)]
+    assert pagerank(network)["b"] > pagerank(network)["a"]
+
+
 def test_rankings_csv(tmp_path):
     results = [_case("c1", ["x"], ["y"], Outcome.APPELLANT_WINS)]
     network = build_opposing_network(results, lawyer_tallies(results), NetworkParams(min_cases=1))
     # a lawyer without a determined case has no win rate: an empty cell
-    rows = rank_table(network) + [RankRow("zoe", "Zoé, fils", 2, 0, 0, None, 0.0)]
+    rows = rank_table(network, pagerank(network))
+    rows.append(RankRow("zoe", "Zoé, fils", 2, 0, 0, None, 0.0))
     path = tmp_path / "rankings.csv"
     write_rankings_csv(path, rows)
     assert path.read_bytes() == (

@@ -15,6 +15,7 @@ from courtnet import segmenter
 from courtnet.cli import main
 from courtnet.corpus import Document
 from courtnet.errors import MissingConclusion, OutOfOrderMarkers
+from courtnet.extract import extract_record
 from courtnet.jsonl import decode, dumps
 from courtnet.segmenter import (
     PROFILES,
@@ -120,6 +121,37 @@ def test_agen_segmentation_with_fuzzy_heading():
     assert "Sophie KLEIN" in seg.slice(text, "appellant_counsel")
     assert "Paul DURAND" in seg.slice(text, "appellee_counsel")
     assert seg.slice(text, "debate") == "Les parties ont conclu par écrit.\n\n"
+
+
+def test_a_party_line_starting_with_a_variants_letters_heads_no_segment():
+    # the appellee variant ET of the generic profile begins ETABLISSEMENTS,
+    # but a prefix hit needs the variant to end the line or a non-alphanumeric
+    # character after it; "INTIMÉE :" still hits INTIMEE, and "ET :" hits ET
+    text = (
+        "COUR D'APPEL DE DOUAI\n"
+        "APPELANTE\n"
+        "ETABLISSEMENTS MARTIN\n"
+        "demeurant 3 rue Nationale à Lille\n"
+        "représentée par Me Claire MARTIN, avocat au barreau de Lille\n"
+        "INTIMÉ\n"
+        "MONSIEUR PAUL DUBOIS\n"
+        "demeurant 8 place du Théâtre à Douai, représenté par Me Hugo LEROY, avocat\n"
+        "COMPOSITION DE LA COUR\n"
+        "Président : Marc FABRE\n"
+        "DÉBATS\n"
+        "Les parties ont été entendues.\n"
+        "PAR CES MOTIFS\n"
+        "Confirme le jugement entrepris.\n"
+    )
+    for profile in ("douai", "generic"):
+        record = extract_record(_doc(text), segment(_doc(text), get_profile(profile)))
+        assert [n.display for n in record.appellant_lawyers] == ["Claire MARTIN"], profile
+        assert [n.display for n in record.appellee_lawyers] == ["Hugo LEROY"], profile
+    folded = {line: fold(line) for line in ("ETIENNE DUBOIS", "INTIMÉE :", "ET :", "ET")}
+    _, alphabet, variants = segmenter._matcher(("INTIME", "INTIMEE", "ET"), 0.8)
+    assert {line: segmenter._marker_hits(f, alphabet, variants, 0.8)
+            for line, f in folded.items()} == {
+        "ETIENNE DUBOIS": False, "INTIMÉE :": True, "ET :": True, "ET": True}
 
 
 def test_optional_markers_are_omitted():
