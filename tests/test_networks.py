@@ -381,6 +381,11 @@ def test_case_graph_edges_shrink_as_k_grows():
     assert sizes == sorted(sizes, reverse=True)
 
 
+def test_case_graph_rejects_bad_k():
+    with pytest.raises(ValueError, match="k must be at least 1, got 0"):
+        _case_graph({}, {}, 0)
+
+
 _REFS = [ArticleRef("code", str(num)) for num in range(8)]
 
 
