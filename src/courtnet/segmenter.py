@@ -75,6 +75,8 @@ class KeywordProfile:
         for m in self.markers:
             if not m.variants:
                 raise ValueError(f"marker {m.segment!r} has no variants")
+            if not all(map(fold, m.variants)):
+                raise ValueError(f"marker {m.segment!r} has a variant that folds to ''")
         conclusion = self.markers[-1]
         if CONCLUSION_HEADING not in conclusion.variants:
             raise ValueError(f"conclusion variants must include {CONCLUSION_HEADING!r}")
@@ -172,6 +174,9 @@ class SegmentedJudgment:
                     f"needs 0 <= start <= end <= {len(text)}")
 
 
+# A gender or number ending, if any, that ends a folded word: no letter or digit follows.
+_WORD_END = re.compile(r"(?:e|s|es)?(?![^\W_])")
+
 # A verdict memo this full is emptied before it grows further: some megabytes
 # at most for each set of variants, on a corpus where no line repeats.
 _VERDICTS_KEPT = 1 << 14
@@ -195,21 +200,21 @@ def _matcher(variants: tuple[str, ...], threshold: float) -> tuple[dict[str, boo
 def _marker_hits(line: str | None, alphabet: dict, folded: tuple, threshold: float) -> bool:
     """Whether a folded stripped line (None when blank) is one of the marker's headings.
 
-    A line hits when it starts with a folded variant followed by its end or a
-    character that is not alphanumeric (ET heads no "ETABLISSEMENTS" line), or
-    scores above the threshold against one. The length and shared-character
-    bounds skip only variants the line cannot score above the threshold
-    against, the empty one among them; a variant passing both is scored by jaro.
+    A line hits when it starts with a folded variant whose word ends there or
+    after a gender or number ending (ET heads no "ETABLISSEMENTS" line, but
+    APPELANT heads "APPELANTES ET ..."), or scores above the threshold against
+    one. The length and shared-character bounds skip only variants the line
+    cannot score above the threshold against; jaro scores one passing both.
     """
     if line is None:
         return False
     n1 = len(line)
     counts = None
     for fv, fv_counts in folded:
-        n2 = len(fv)
-        if line.startswith(fv) and not line[n2:n2 + 1].isalnum():
+        n2 = len(fv)  # not 0: KeywordProfile refuses a variant that folds to ''
+        if line.startswith(fv) and _WORD_END.match(line, n2):
             return True
-        if n1 == 0 or n2 == 0 or _ceiling(min(n1, n2), n1, n2) <= threshold:
+        if n1 == 0 or _ceiling(min(n1, n2), n1, n2) <= threshold:
             continue
         if counts is None:
             counts = _char_counts(line, alphabet)

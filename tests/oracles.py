@@ -175,17 +175,19 @@ def jaro_reference(s1, s2):
 
 def marker_hits_reference(line, variants, threshold):
     """Whether a line is one of a marker's headings: the stripped line is
-    not blank, and for some variant its folded text is the variant's, or
-    starts with it followed by a character that is not alphanumeric, or its
-    Jaro similarity to the variant exceeds the threshold."""
+    not blank, and for some variant its folded text starts with the variant,
+    then no ending or one of the endings e, s and es, then its end or a
+    character that is not alphanumeric, or its Jaro similarity to the
+    variant exceeds the threshold."""
     stripped = line.strip()
     if not stripped:
         return False
     folded = fold_reference(stripped)
     for v in variants:
         fv = fold_reference(v)
-        if folded == fv or folded.startswith(fv) and not folded[len(fv)].isalnum():
-            return True
+        for word in (fv, fv + "e", fv + "s", fv + "es"):
+            if folded.startswith(word) and not folded[len(word):len(word) + 1].isalnum():
+                return True
         if jaro_reference(stripped, v) > threshold:
             return True
     return False

@@ -896,9 +896,12 @@ _AGEN_PROFILE = {
     json.dumps({**_AGEN_PROFILE, "markers": [
         {"segment": "appellee", "variants": "ET"},
         {"segment": "conclusion", "variants": ["PAR CES MOTIFS"]}]}),
+    json.dumps({**_AGEN_PROFILE, "markers": [
+        {"segment": "appellee", "variants": ["ET", ""]},
+        {"segment": "conclusion", "variants": ["PAR CES MOTIFS"]}]}),
     _DEEP_JSON,
 ], ids=["bad_json", "no_markers", "top_level_list", "string_threshold", "string_variants",
-        "deep_nesting"])
+        "empty_variant", "deep_nesting"])
 def test_malformed_profile_file_exits_1_before_any_stage(tmp_path, monkeypatch, capsys, text):
     calls = []
     load_profile = segmenter.load_profile
