@@ -53,9 +53,8 @@ from .extract import (
     Outcome,
     extract_record,
     read_extracted,
-    rejection_rate,
 )
-from .jsonl import check_encodable, decode, iter_unique, write_jsonl
+from .jsonl import check_encodable, decode, iter_unique, read_json, write_jsonl
 from .mix import DEFAULT_MIX, jurisdiction_counts
 from .textmetrics import DEFAULT_THRESHOLD, check_threshold
 
@@ -96,21 +95,6 @@ def _field_class(name: str) -> type:
     return next(t for t in typing.get_args(hint) or (hint,) if t is not type(None))
 
 
-def load_config_file(path: str | Path) -> PipelineConfig:
-    try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-        cfg = decode(PipelineConfig, data)
-        unknown = set(data) - set(_FIELDS)
-        if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        _check_strings(cfg)
-        return cfg
-    except OSError as exc:
-        raise InputError(f"config file {path}: {exc}") from exc
-    except (TypeError, ValueError, RecursionError) as exc:
-        raise ValueError(f"config file {path}: {exc}") from None
-
-
 def _check_strings(cfg: PipelineConfig, command: str = "") -> None:
     """ValueError naming a key with a string no UTF-8 file holds: any key for `run`, whose
     run_manifest.json holds every field, else the keys other artifacts hold."""
@@ -141,8 +125,8 @@ class Pipeline:
                                                           max_iter=cfg.max_iter)
         check_threshold(cfg.jaro_threshold)
         jurisdiction_counts(cfg.n_docs, cfg.mix)
-        self.profile = (segmenter_mod.load_profile(cfg.profile_file) if cfg.profile_file
-                        else segmenter_mod.get_profile(cfg.profile))
+        self.profile = (read_json(cfg.profile_file, segmenter_mod.KeywordProfile, "profile")
+                        if cfg.profile_file else segmenter_mod.get_profile(cfg.profile))
         # ingest reads input_dir; run does too unless corpus_file, which wins, is set
         self.ingests = name == "ingest" or name == "run" and not cfg.corpus_file
         if self.ingests and not cfg.input_dir:
@@ -325,6 +309,9 @@ def _manifest(p: Pipeline) -> None:
     """The configuration and the counts of every stage."""
     docs, duplicates = p.corpus
     records = p.records
+    outcomes = {o: sum(rec.outcome is o for rec in records) for o in Outcome}
+    confirmed = outcomes[Outcome.APPELLEE_WINS]
+    determined = confirmed + outcomes[Outcome.APPELLANT_WINS]
     counts = {
         "docs_ingested": len(docs),
         "duplicates_dropped": duplicates,
@@ -332,8 +319,8 @@ def _manifest(p: Pipeline) -> None:
         "docs_extracted": len(records),
         "docs_skipped_no_lawyers": sum(
             not (rec.appellant_lawyers or rec.appellee_lawyers) for rec in records),
-        "outcomes": {o.value: sum(rec.outcome is o for rec in records) for o in Outcome},
-        "rejection_rate": rejection_rate(rec.outcome for rec in records),
+        "outcomes": {o.value: n for o, n in outcomes.items()},
+        "rejection_rate": confirmed / determined if determined else None,
         "lawyers_seen": len(p.lawyers),
         "lawyers_ranked": len(p.rows),
         "opposing_nodes": len(p.opposing.nodes),
@@ -467,7 +454,8 @@ def _build_parser() -> _Parser:
 
 
 def _make_config(args: argparse.Namespace) -> PipelineConfig:
-    cfg = load_config_file(args.config) if args.config else PipelineConfig()
+    cfg = (read_json(args.config, PipelineConfig, "config", _check_strings) if args.config
+           else PipelineConfig())
     flags = {name: getattr(args, name) for name in _FIELDS if getattr(args, name) is not None}
     try:
         return decode(PipelineConfig, {**dataclasses.asdict(cfg), **flags})

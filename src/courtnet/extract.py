@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from enum import Enum
 from importlib import resources
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING
 
 from .graphio import xml_safe
 from .jsonl import check_xml_id, iter_unique
@@ -228,14 +228,6 @@ def majority(confirm: int, reverse: int) -> Outcome:
     if reverse > confirm:
         return Outcome.APPELLANT_WINS
     return Outcome.UNDETERMINED
-
-
-def rejection_rate(outcomes: Iterable[Outcome]) -> float | None:
-    """Share of determined outcomes that went to the appellee; None without one."""
-    outcomes = list(outcomes)
-    confirmed = outcomes.count(Outcome.APPELLEE_WINS)
-    determined = confirmed + outcomes.count(Outcome.APPELLANT_WINS)
-    return confirmed / determined if determined else None
 
 
 @dataclass(frozen=True)

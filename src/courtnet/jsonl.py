@@ -134,6 +134,30 @@ def decode(cls: type[T], data) -> T:
     return _decoder(cls)(data, cls.__name__, {})
 
 
+def read_json(path: str | Path, cls: type[T], kind: str,
+              check: Callable[[T], None] = lambda record: None) -> T:
+    """The cls record a JSON parameter file holds, passed through check; errors name
+    "<kind> file PATH". A top-level key cls has no field for is refused, so that a
+    misspelled key does not leave its field at the default.
+
+    A file that cannot be read raises InputError; any other fault, ValueError.
+    """
+    try:
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
+        record = decode(cls, data)
+        unknown = set(data) - set(_field_names(cls))
+        if unknown:
+            raise ValueError(f"unknown {kind} keys: {sorted(unknown)}")
+        check(record)
+        return record
+    except OSError as exc:
+        raise InputError(f"{kind} file {path}: {exc}") from exc
+    except KeyError as exc:
+        raise ValueError(f"{kind} file {path}: missing key {exc}") from None
+    except (TypeError, ValueError, RecursionError) as exc:
+        raise ValueError(f"{kind} file {path}: {exc}") from None
+
+
 def write_jsonl(path: str | Path, records: Iterable) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for record in records:

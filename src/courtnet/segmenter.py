@@ -12,7 +12,6 @@ from __future__ import annotations
 import contextlib
 import functools
 import itertools
-import json
 import logging
 import os
 import re
@@ -23,8 +22,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
 
 from . import graphio
-from .errors import InputError, MissingConclusion, OutOfOrderMarkers
-from .jsonl import decode
+from .errors import MissingConclusion, OutOfOrderMarkers
 from .textmetrics import (
     DEFAULT_THRESHOLD, _ceiling, _char_counts, _jaro, _positions, _shared, check_threshold, fold,
     jaro,
@@ -128,18 +126,6 @@ def get_profile(name: str) -> KeywordProfile:
         return PROFILES[name]
     except KeyError:
         raise ValueError(f"unknown profile {name!r}; built-ins: {sorted(PROFILES)}") from None
-
-
-def load_profile(path: str | Path) -> KeywordProfile:
-    """Load a keyword profile from its JSON form; errors name the path."""
-    try:
-        return decode(KeywordProfile, json.loads(Path(path).read_text(encoding="utf-8")))
-    except OSError as exc:
-        raise InputError(f"profile file {path}: {exc}") from exc
-    except KeyError as exc:
-        raise ValueError(f"profile file {path}: missing key {exc}") from None
-    except (TypeError, ValueError, RecursionError) as exc:
-        raise ValueError(f"profile file {path}: {exc}") from None
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import courtnet
-from courtnet import graphio, networks, segmenter
+from courtnet import cli, graphio, networks, segmenter
 from courtnet.cli import COMMANDS, _build_parser, main
 from courtnet.synth import DocumentTruth, generate_synthetic_corpus
 from courtnet.extract import Outcome
@@ -900,13 +900,14 @@ _AGEN_PROFILE = {
         {"segment": "appellee", "variants": ["ET", ""]},
         {"segment": "conclusion", "variants": ["PAR CES MOTIFS"]}]}),
     _DEEP_JSON,
+    json.dumps({**_AGEN_PROFILE, "jaro_treshold": 0.9}),
 ], ids=["bad_json", "no_markers", "top_level_list", "string_threshold", "string_variants",
-        "empty_variant", "deep_nesting"])
+        "empty_variant", "deep_nesting", "unknown_key"])
 def test_malformed_profile_file_exits_1_before_any_stage(tmp_path, monkeypatch, capsys, text):
     calls = []
-    load_profile = segmenter.load_profile
-    monkeypatch.setattr(segmenter, "load_profile",
-                        lambda path: calls.append(Path(path)) or load_profile(path))
+    read_json = cli.read_json
+    monkeypatch.setattr(cli, "read_json",
+                        lambda path, *args: calls.append(Path(path)) or read_json(path, *args))
     sources = tmp_path / "sources"
     sources.mkdir()
     (sources / "a.txt").write_text("ENTRE\nX\nPAR CES MOTIFS\nConfirme.\n", encoding="utf-8")
@@ -915,7 +916,9 @@ def test_malformed_profile_file_exits_1_before_any_stage(tmp_path, monkeypatch, 
     out = tmp_path / "out"
     assert _run("run", "--input-dir", sources, "--profile-file", profile,
                 "--output-dir", out) == 1
-    assert f"profile file {profile}:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"profile file {profile}:" in err
+    assert "Traceback" not in err
     assert not (out / "corpus.jsonl").exists()
     assert calls == [profile]
     # a well-formed profile is read once, where the parameters are checked
@@ -923,6 +926,18 @@ def test_malformed_profile_file_exits_1_before_any_stage(tmp_path, monkeypatch, 
     assert _run("run", "--input-dir", sources, "--profile-file", profile,
                 "--output-dir", out) == 0
     assert calls == [profile, profile]
+
+
+@pytest.mark.parametrize("flag, kind", [("--config", "config"), ("--profile-file", "profile")])
+def test_a_parameter_file_that_cannot_be_read_exits_2_naming_it(tmp_path, capsys, flag, kind):
+    unreadable = tmp_path / "params.json"
+    unreadable.mkdir()
+    out = tmp_path / "out"
+    assert _run("synth", flag, unreadable, "--n-docs", "5", "--output-dir", out) == 2
+    err = capsys.readouterr().err
+    assert f"courtnet: input error: {kind} file {unreadable}: " in err
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 def test_output_dir_that_is_a_file_exits_1(tmp_path, capsys):

@@ -1,6 +1,5 @@
 """Lawyer names, article references and outcome classification."""
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from courtnet.corpus import Document
@@ -14,7 +13,6 @@ from courtnet.extract import (
     extract_articles,
     extract_lawyers,
     read_extracted,
-    rejection_rate,
 )
 from courtnet.jsonl import write_jsonl
 from courtnet.segmenter import get_profile, segment
@@ -218,16 +216,6 @@ OUTCOME_PIECES = ["confirme", "Confirmé", "CONFIRMÉ", "confirmée", "rejete", 
 def test_outcome_stems_equal_the_token_loop_reference(text):
     outcome, confirm, reverse = classify_outcome(text)
     assert (outcome.value, confirm, reverse) == classify_outcome_reference(text)
-
-
-def test_rejection_rate():
-    outcomes = [
-        Outcome.APPELLEE_WINS, Outcome.APPELLEE_WINS,
-        Outcome.APPELLANT_WINS, Outcome.UNDETERMINED,
-    ]
-    assert rejection_rate(outcomes) == pytest.approx(2 / 3)
-    assert rejection_rate([Outcome.UNDETERMINED]) is None
-    assert rejection_rate([]) is None
 
 
 def test_extraction_records_round_trip(tmp_path):

@@ -16,14 +16,13 @@ from courtnet.cli import main
 from courtnet.corpus import Document
 from courtnet.errors import MissingConclusion, OutOfOrderMarkers
 from courtnet.extract import extract_record
-from courtnet.jsonl import decode, dumps
+from courtnet.jsonl import decode, dumps, read_json
 from courtnet.segmenter import (
     PROFILES,
     KeywordProfile,
     Marker,
     build_flow_graph,
     get_profile,
-    load_profile,
     segment,
     split_sentences,
     write_flow,
@@ -296,7 +295,7 @@ def test_profile_round_trip(tmp_path):
     assert decode(KeywordProfile, json.loads(text)) == profile
     path = tmp_path / "profile.json"
     path.write_text(text, encoding="utf-8")
-    assert load_profile(path) == profile
+    assert read_json(path, KeywordProfile, "profile") == profile
 
 
 def test_split_sentences_rules():
